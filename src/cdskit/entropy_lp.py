@@ -6,11 +6,14 @@ cone, and the instance's decodability/security equalities as the CDS
 constraints.  Maximizing H(S) with all signal entropies normalized to 1
 gives an upper bound of optimum/2 on the symmetric communication rate.
 
-Solving is exact end to end: the simplex works in rationals and the dual
-multipliers are re-verified as a standalone converse certificate before
-they are ever rendered.  Ground sets up to eight or so variables solve in
-seconds; the hard limit is twelve, and restricting to a vertex subset
-(which can only relax the bound) is the escape hatch for bigger graphs.
+Solving is exact end to end: a floating-point proposal is only accepted
+after exact checks, and the dual multipliers are re-verified as a
+standalone converse certificate before they are ever rendered.  Ground
+sets of up to nine variables certify in under a second.  From ten on,
+the rounded duals can fail the exact check, and the rational tableau
+that takes over may then run for minutes.  The hard limit is twelve, and
+restricting to a vertex subset (which can only relax the bound) is the
+escape hatch for bigger graphs.
 """
 
 from __future__ import annotations
@@ -209,60 +212,24 @@ class ShannonBoundResult:
 def shannon_bound(inst: CdsInstance) -> ShannonBoundResult:
     """Best Shannon-type upper bound on the symmetric rate.
 
-    Solved through the LP dual, which has one row per subset variable
-    instead of one per elemental inequality; the primal point falls out
-    of the dual row multipliers.  Both sides are then re-verified in
-    exact arithmetic: the point satisfies every constraint of the full
-    LP, the weights satisfy the sign and dominance conditions, and the
-    two objective values coincide.
+    The primal LP is solved as given, and both sides of the answer are
+    then re-verified in exact arithmetic: the point satisfies every
+    constraint of the LP, the dual weights satisfy the sign and
+    dominance conditions, and the two objective values coincide.
     """
     lp = build_entropy_lp(inst)
     n = len(lp.ground)
-    nv = lp.n_vars
-
-    # One nonnegative dual variable per <= row, the negation of one per
-    # >= row, and a difference pair per equality.
-    dual_vars: list[tuple[int, int]] = []
-    for i, con in enumerate(lp.constraints):
-        if con.relation == "=":
-            dual_vars.append((i, 1))
-            dual_vars.append((i, -1))
-        elif con.relation == "<=":
-            dual_vars.append((i, 1))
-        else:
-            dual_vars.append((i, -1))
-    by_var: list[dict[int, Fraction]] = [dict() for _ in range(nv)]
-    for k, (i, sign) in enumerate(dual_vars):
-        for mask, c in lp.constraints[i].coeffs:
-            slot = by_var[mask - 1]
-            slot[k] = slot.get(k, Fraction(0)) + sign * c
-    objective = dict(lp.objective)
-    dual_constraints = []
-    for t in range(nv):
-        coeffs = [(k, v) for k, v in sorted(by_var[t].items()) if v]
-        dual_constraints.append((coeffs, ">=", objective.get(t + 1, Fraction(0))))
-    dual_objective = [
-        (k, -sign * lp.constraints[i].rhs)
-        for k, (i, sign) in enumerate(dual_vars)
-        if lp.constraints[i].rhs
-    ]
-    dsol = solve_lp(len(dual_vars), dual_objective, dual_constraints)
-    if dsol.status != "optimal":
-        raise AssertionError(f"entropy LP dual came back {dsol.status}")
-
-    value = -dsol.value
-    primal = tuple(-d for d in dsol.duals)
-    duals = [Fraction(0)] * len(lp.constraints)
-    for k, (i, sign) in enumerate(dual_vars):
-        duals[i] += sign * dsol.primal[k]
-    sol = LpSolution("optimal", value, primal, tuple(duals))
-
+    sol = simplex_solve(lp)
+    if sol.status != "optimal":
+        raise AssertionError(f"entropy LP came back {sol.status}")
+    value = sol.value
+    primal = sol.primal
     for x in primal:
         if x < 0:
-            raise AssertionError("recovered primal point is negative")
+            raise AssertionError("primal point is negative")
     for con in lp.constraints:
         if not con.satisfied(primal):
-            raise AssertionError("recovered primal point violates the LP")
+            raise AssertionError("primal point violates the LP")
     objective_value = sum(
         (c * primal[m - 1] for m, c in lp.objective), Fraction(0)
     )

@@ -27,6 +27,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_modulus(p: int) -> None:
+    """Raise ValueError unless p is a prime below 2^16."""
+    if not is_prime(p) or p >= _MAX_PRIME:
+        raise ValueError(f"modulus {p} must be a prime below 2^16")
+
+
 @dataclass(frozen=True, eq=False)
 class GfMatrix:
     """A rows x cols matrix of residues over GF(p).
@@ -39,8 +45,7 @@ class GfMatrix:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not is_prime(self.p) or self.p >= _MAX_PRIME:
-            raise ValueError(f"modulus {self.p} must be a prime below 2^16")
+        check_modulus(self.p)
         arr = np.asarray(self.data, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
@@ -164,12 +169,6 @@ def rank(m: GfMatrix) -> int:
     """Dimension of the row space."""
     _, pivots = _rref_array(m.data, m.p)
     return len(pivots)
-
-
-def row_basis(m: GfMatrix) -> GfMatrix:
-    """Canonical basis of the row space (nonzero rows of the RREF)."""
-    red, pivots = _rref_array(m.data, m.p)
-    return GfMatrix(m.p, red[: len(pivots)])
 
 
 def right_kernel(m: GfMatrix) -> GfMatrix:

@@ -54,8 +54,12 @@ def _all_vectors(p: int, n: int) -> np.ndarray:
 
 
 def _encode(digits: np.ndarray, p: int) -> np.ndarray:
-    """Base-p encode digit rows into scalars (big-endian)."""
+    """One scalar per digit row: its base-p value (big-endian) while that
+    fits in int64, otherwise the row's index among the distinct rows."""
     n = digits.shape[1]
+    if n * math.log2(p) > 62:
+        _, inverse = np.unique(digits, axis=0, return_inverse=True)
+        return inverse.reshape(-1).astype(np.int64)
     weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return digits @ weights
 
@@ -64,9 +68,10 @@ def _encode(digits: np.ndarray, p: int) -> np.ndarray:
 class SchemeTable:
     """Total map from every (secret, noise) pair to all signal values.
 
-    Signal values are stored base-p encoded, one int64 array of length
-    p^(L+L_Z) per vertex.  ``scheme`` is set when the table came from a
-    linear scheme, which unlocks exact integer entropies via ranks.
+    Signal values are stored as int64 codes, one array of length
+    p^(L+L_Z) per vertex: base-p encoded, or numbered by identity for
+    signals too wide for that.  ``scheme`` is set when the table came
+    from a linear scheme, which unlocks exact integer entropies via ranks.
     """
 
     p: int

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .gf import (
     GfMatrix,
+    check_modulus,
     hstack,
     left_kernel,
     matmul,
@@ -346,6 +347,10 @@ def parse_scheme(text: str) -> LinearScheme:
         return value
 
     p = take_keyword("field")
+    try:
+        check_modulus(p)
+    except ValueError as exc:
+        raise SchemeFormatError(str(exc), lines[idx - 1][0]) from None
     secret_len = take_keyword("secret")
     noise_len = take_keyword("noise")
     matrices: dict[str, tuple[GfMatrix, GfMatrix]] = {}
@@ -361,6 +366,8 @@ def parse_scheme(text: str) -> LinearScheme:
             nrows = int(parts[2])
         except ValueError:
             raise SchemeFormatError("bad row count", no) from None
+        if nrows < 0:
+            raise SchemeFormatError("row count cannot be negative", no)
         idx += 1
         f_rows, h_rows = [], []
         for _ in range(nrows):

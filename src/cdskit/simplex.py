@@ -1,32 +1,33 @@
-"""Exact two-phase simplex over the rationals.
+"""Exact linear programming over the rationals.
 
-Solves  maximize c.x  subject to mixed <=, =, >= constraints and x >= 0,
-with every feasibility and optimality decision made in Fraction
-arithmetic.
+Solves  maximize c.x  subject to mixed <=, =, >= constraints and x >= 0.
+Every feasibility and optimality decision is made in Fraction
+arithmetic; floating point only proposes.
 
-Constraints are canonicalized so that rows with a right-hand side of the
-correct sign start out slack-basic; artificials (and hence phase 1) only
-appear for rows that genuinely exclude the origin.  Two engines share
-that canonical form:
+* HiGHS dual simplex (through SciPy) solves the LP in float64 and
+  proposes a primal point and row duals.  Each value is rounded to the
+  nearest rational whose denominator is at most ``_DENOM_CAP``, and the
+  pair is accepted only if it is an optimal pair exactly: the point is
+  nonnegative and satisfies every constraint, every dual has the sign
+  its relation requires, the weighted rows dominate the objective on
+  every column, and the two objective values coincide.
+* Anything else -- a HiGHS status other than optimal, or a rounded pair
+  that fails any check -- falls through to a sparse rational tableau
+  with Dantzig pricing, a lexicographic ratio test, and Bland's rule
+  after degenerate stalls, which terminates from any start.  That
+  tableau is the sole authority on infeasible and unbounded LPs and on
+  optima the rounding cannot reach, so floats never decide anything.
 
-* a float simplex that merely proposes an optimal basis, whose exact
-  refactorization is then checked entry by entry (basic solution
-  nonnegative, reduced costs nonnegative, artificials at zero), the
-  fast path on the heavily degenerate entropy polytopes;
-* a sparse rational tableau with Dantzig pricing, a lexicographic ratio
-  test, and Bland's rule after degenerate stalls, which terminates from
-  any start and is the authority whenever the proposal fails.
-
-A proposed basis is never trusted: if any exact check fails the solver
-falls back to the rational tableau, so floats never decide anything.
+Constraints are canonicalized for the tableau so that rows with a
+right-hand side of the correct sign start out slack-basic; artificials
+(and hence phase 1) only appear for rows that genuinely exclude the
+origin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 __all__ = ["LpSolution", "solve_lp"]
 
@@ -39,12 +40,13 @@ GREATER = ">="
 
 # Consecutive degenerate pivots tolerated before Bland's rule engages.
 _STALL_LIMIT = 60
-# Size guards for the float proposal stage: the dense float tableau and
-# the exact dense core of the refactorization must stay tractable.
-_ACCEL_CELL_LIMIT = 20_000_000
-_ACCEL_CORE_LIMIT = 400
-_FLOAT_EPS = 1e-9
-_FLOAT_MAX_PIVOTS = 50_000
+# Largest denominator a rounded HiGHS value may take.  Vertices of the
+# entropy polytopes have small denominators; an optimum that needs a
+# larger one is left to the exact tableau.
+_DENOM_CAP = 1 << 12
+
+# A parsed constraint: sparse coefficients, relation, right-hand side.
+_Row = tuple[dict[int, Fraction], str, Fraction]
 
 
 @dataclass(frozen=True)
@@ -80,30 +82,26 @@ class _Canonical:
     def m(self) -> int:
         return len(self.rows)
 
-    def column(self, j: int) -> list[tuple[int, Fraction]]:
-        """Sparse entries of tableau column j at the initial basis."""
-        if j < self.n_vars:
-            return [(i, row[j]) for i, row in enumerate(self.rows) if j in row]
-        for i in range(self.m):
-            if self.slack_col[i] == j:
-                return [(i, _ONE if self.rel[i] == LESS else -_ONE)]
-            if self.art_col[i] == j:
-                return [(i, _ONE)]
-        raise IndexError(j)
 
-
-def _canonicalize(n_vars: int, constraints) -> _Canonical:
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    rel: list[str] = []
-    parts: list[list[tuple[int, int]]] = []
+def _parse(n_vars: int, constraints) -> list[_Row]:
+    """Validate the constraint triples and make their rows sparse."""
+    parsed: list[_Row] = []
     for coeffs, r, b in constraints:
         if r not in (LESS, EQUAL, GREATER):
             raise ValueError(f"unknown relation {r!r}")
         row = _sparse(coeffs)
         if any(j >= n_vars or j < 0 for j in row):
             raise ValueError("constraint references an unknown variable")
-        b = Fraction(b)
+        parsed.append((row, r, Fraction(b)))
+    return parsed
+
+
+def _canonicalize(n_vars: int, parsed: list[_Row]) -> _Canonical:
+    rows: list[dict[int, Fraction]] = []
+    rhs: list[Fraction] = []
+    rel: list[str] = []
+    parts: list[list[tuple[int, int]]] = []
+    for row, r, b in parsed:
         pieces = [(row, LESS, b), (row, GREATER, b)] if r == EQUAL else [(row, r, b)]
         own: list[tuple[int, int]] = []
         for a, rr, bb in pieces:
@@ -319,212 +317,101 @@ def _solve_exact(can: _Canonical, obj: dict[int, Fraction]) -> LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Float proposal engine
+# HiGHS proposal, accepted only after exact checks
 
 
-def _float_basis(can: _Canonical, obj: dict[int, Fraction]) -> list[int] | None:
-    """Run the same two-phase simplex in float64 and return the final
-    basis if it looks optimal; None on any doubt."""
-    m, ncols = can.m, can.ncols
-    tab = np.zeros((m, ncols + 1))
-    basis = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        for j, v in can.rows[i].items():
-            tab[i, j] = float(v)
-        tab[i, can.slack_col[i]] = 1.0 if can.rel[i] == LESS else -1.0
-        if can.art_col[i] is not None:
-            tab[i, can.art_col[i]] = 1.0
-            basis[i] = can.art_col[i]
-        else:
-            basis[i] = can.slack_col[i]
-        tab[i, -1] = float(can.rhs[i])
+def _propose(n_vars: int, obj: dict[int, Fraction], rows: list[_Row]) -> LpSolution | None:
+    """Solve in floating point with HiGHS dual simplex, round the primal
+    point and the row duals to rationals, and return them only if they
+    pass every exact optimality check; None otherwise."""
+    # SciPy takes about a second to import, so only this path loads it.
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
 
-    def price(cost: np.ndarray) -> np.ndarray:
-        d = -cost.copy()
-        for i in range(m):
-            cb = cost[basis[i]]
-            if cb:
-                d += cb * tab[i, :-1]
-        return d
+    def block(indices: list[int]):
+        if not indices:
+            return None, None
+        data: list[float] = []
+        cols: list[int] = []
+        ptr = [0]
+        rhs: list[float] = []
+        for i in indices:
+            a, rel, b = rows[i]
+            sign = -1.0 if rel == GREATER else 1.0
+            for j, v in a.items():
+                cols.append(j)
+                data.append(sign * float(v))
+            ptr.append(len(cols))
+            rhs.append(sign * float(b))
+        return csr_matrix((data, cols, ptr), shape=(len(indices), n_vars)), rhs
 
-    def run(d: np.ndarray, allowed: np.ndarray) -> str:
-        stalled = 0
-        for _ in range(_FLOAT_MAX_PIVOTS):
-            masked = np.where(allowed, d, np.inf)
-            if stalled < _STALL_LIMIT:
-                enter = int(masked.argmin())
-                if masked[enter] >= -_FLOAT_EPS:
-                    return "optimal"
-            else:
-                candidates = np.nonzero(masked < -_FLOAT_EPS)[0]
-                if candidates.size == 0:
-                    return "optimal"
-                enter = int(candidates[0])
-            col = tab[:, enter]
-            pos = col > _FLOAT_EPS
-            if not pos.any():
-                return "unbounded"
-            ratios = np.where(pos, tab[:, -1] / np.where(pos, col, 1.0), np.inf)
-            leave = int(ratios.argmin())
-            gain = d[enter] * ratios[leave]
-            prow = tab[leave] / col[leave]
-            tab[leave] = prow
-            factors = col.copy()
-            factors[leave] = 0.0
-            touched = np.nonzero(np.abs(factors) > 1e-13)[0]
-            if touched.size:
-                tab[touched] -= np.outer(factors[touched], prow)
-            d -= d[enter] * prow[:-1]
-            basis[leave] = enter
-            stalled = 0 if abs(gain) > _FLOAT_EPS else stalled + 1
-        return "stuck"
-
-    if can.artificial:
-        cost1 = np.zeros(ncols)
-        for c in can.artificial:
-            cost1[c] = -1.0
-        if run(price(cost1), np.ones(ncols, dtype=bool)) != "optimal":
-            return None
-        art_level = sum(
-            tab[i, -1] for i in range(m) if basis[i] in can.artificial
-        )
-        if art_level > 1e-7:
-            return None  # float thinks infeasible; let the exact engine decide
-    cost2 = np.zeros(ncols)
+    ineq = [i for i, (_, rel, _) in enumerate(rows) if rel != EQUAL]
+    eq = [i for i, (_, rel, _) in enumerate(rows) if rel == EQUAL]
+    a_ub, b_ub = block(ineq)
+    a_eq, b_eq = block(eq)
+    cost = [0.0] * n_vars
     for j, c in obj.items():
-        cost2[j] = float(c)
-    allowed = np.ones(ncols, dtype=bool)
-    for c in can.artificial:
-        allowed[c] = False
-    if run(price(cost2), allowed) != "optimal":
+        cost[j] = -float(c)  # linprog minimizes
+    res = linprog(
+        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+        bounds=(0, None), method="highs-ds",
+    )
+    if res.status != 0:
         return None
-    return [int(b) for b in basis]
-
-
-# ---------------------------------------------------------------------------
-# Exact refactorization of a proposed basis
-
-
-def _solve_dense(mat: list[list[Fraction]], rhs_cols: list[list[Fraction]]):
-    """Solve mat . X = rhs for several right-hand sides; None if singular."""
-    n = len(mat)
-    width = len(rhs_cols)
-    aug = [list(mat[i]) + [col[i] for col in rhs_cols] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        inv = _ONE / aug[col][col]
-        if inv != 1:
-            aug[col] = [x * inv for x in aug[col]]
-        prow = aug[col]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], prow)]
-    return [[aug[i][n + t] for i in range(n)] for t in range(width)]
-
-
-def _exact_from_basis(
-    can: _Canonical, basis: list[int], obj: dict[int, Fraction]
-) -> LpSolution | None:
-    """Check a proposed basis exactly; return the solution or None.
-
-    Most basic columns are unit slack/artificial columns, so the m x m
-    refactorization collapses to a dense system over just the structural
-    basic columns and the rows they must cover.
-    """
-    m = can.m
-    if len(basis) != m or len(set(basis)) != m:
+    duals = [_ZERO] * len(rows)
+    try:
+        primal = [_rational(v) for v in res.x]
+        # A marginal is d(min)/d(rhs); the maximum moves the other way,
+        # and a >= row entered linprog negated.
+        for i, m in zip(ineq, res.ineqlin.marginals):
+            duals[i] = _rational(m if rows[i][1] == GREATER else -m)
+        for i, m in zip(eq, res.eqlin.marginals):
+            duals[i] = _rational(-m)
+    except (ValueError, OverflowError):  # a NaN or an infinity
         return None
-    cost = [_ZERO] * can.ncols
-    for j, c in obj.items():
-        cost[j] = c
-
-    unit_row: dict[int, tuple[int, Fraction]] = {}  # row -> (basis pos, coeff)
-    structural: list[tuple[int, int]] = []  # (basis pos, column)
-    for pos, j in enumerate(basis):
-        if j < can.n_vars:
-            structural.append((pos, j))
-            continue
-        ((row, coeff),) = can.column(j)
-        if row in unit_row:
-            return None  # two unit columns on one row: singular basis
-        unit_row[row] = (pos, coeff)
-    free_rows = [i for i in range(m) if i not in unit_row]
-    k = len(structural)
-    if len(free_rows) != k or k > _ACCEL_CORE_LIMIT:
+    value = _certify(n_vars, obj, rows, primal, duals)
+    if value is None:
         return None
-
-    # Dense k x k core: structural columns restricted to uncovered rows.
-    row_pos = {r: t for t, r in enumerate(free_rows)}
-    core = [[_ZERO] * k for _ in range(k)]
-    for t, (pos, j) in enumerate(structural):
-        for i, v in can.column(j):
-            if i in row_pos:
-                core[row_pos[i]][t] = v
-    rhs_core = [can.rhs[i] for i in free_rows]
-    cost_core = [cost[j] for _, j in structural]
-    solved = _solve_dense(core, [rhs_core])
-    if solved is None:
-        return None
-    (x_struct,) = solved
-    core_t = [[core[r][t] for r in range(k)] for t in range(k)]
-    solved = _solve_dense(core_t, [cost_core])
-    if solved is None:
-        return None
-    (y_core,) = solved
-
-    # Unit-covered components: slacks absorb what the structural part
-    # leaves of each covered row; their rows price at zero.
-    x_basic = [_ZERO] * m
-    for t, (pos, _) in enumerate(structural):
-        x_basic[pos] = x_struct[t]
-    struct_cols = {j: t for t, (_, j) in enumerate(structural)}
-    for i, (pos, coeff) in unit_row.items():
-        residual = can.rhs[i]
-        for j, t in struct_cols.items():
-            v = can.rows[i].get(j)
-            if v:
-                residual -= v * x_struct[t]
-        x_basic[pos] = residual / coeff
-    if any(x < 0 for x in x_basic):
-        return None
-    for pos, j in enumerate(basis):
-        if j in can.artificial and x_basic[pos] != 0:
-            return None
-
-    y = [_ZERO] * m
-    for r, t in row_pos.items():
-        y[r] = y_core[t]
-    in_basis = set(basis)
-    for j in range(can.n_vars):
-        if j in in_basis:
-            continue
-        reduced = sum((y[i] * v for i, v in can.column(j) if y[i]), _ZERO) - cost[j]
-        if reduced < 0:
-            return None
-    for i in range(m):
-        # Nonbasic slack/surplus columns price to +/- y_i.
-        col = can.slack_col[i]
-        if col not in in_basis:
-            reduced = y[i] if can.rel[i] == LESS else -y[i]
-            if reduced < 0:
-                return None
-    value = sum((y[i] * can.rhs[i] for i in range(m) if y[i]), _ZERO)
-    primal = [_ZERO] * can.n_vars
-    for pos, j in enumerate(basis):
-        if j < can.n_vars:
-            primal[j] = x_basic[pos]
-    duals: list[Fraction] = []
-    for own in can.parts:
-        total = _ZERO
-        for idx, sign in own:
-            total += sign * y[idx]
-        duals.append(total)
     return LpSolution("optimal", value, tuple(primal), tuple(duals))
+
+
+def _rational(v: float) -> Fraction:
+    """The nearest rational whose denominator is at most _DENOM_CAP."""
+    return Fraction(float(v)).limit_denominator(_DENOM_CAP) if v else _ZERO
+
+
+def _certify(
+    n_vars: int,
+    obj: dict[int, Fraction],
+    rows: list[_Row],
+    primal: list[Fraction],
+    duals: list[Fraction],
+) -> Fraction | None:
+    """The common optimum if (primal, duals) is an optimal pair, exactly:
+    x >= 0, every row holds, every dual has its row's sign, y^T A >= c
+    on every column and y.b = c.x.  None if any check fails."""
+    if any(x < 0 for x in primal):
+        return None
+    reduced = [-obj.get(j, _ZERO) for j in range(n_vars)]  # y^T A - c
+    dual_value = _ZERO
+    for (a, rel, b), y in zip(rows, duals):
+        lhs = sum((v * primal[j] for j, v in a.items()), _ZERO)
+        if rel == LESS:
+            if lhs > b or y < 0:
+                return None
+        elif rel == GREATER:
+            if lhs < b or y > 0:
+                return None
+        elif lhs != b:
+            return None
+        if y:
+            for j, v in a.items():
+                reduced[j] += y * v
+            dual_value += y * b
+    if any(r < 0 for r in reduced):
+        return None
+    value = sum((c * primal[j] for j, c in obj.items()), _ZERO)
+    return value if value == dual_value else None
 
 
 def solve_lp(n_vars: int, objective, constraints, accelerate: bool = True) -> LpSolution:
@@ -536,8 +423,9 @@ def solve_lp(n_vars: int, objective, constraints, accelerate: bool = True) -> Lp
             sequence of length n_vars.
         constraints: triples (coeffs, relation, rhs) with coeffs in any
             of the same forms and relation one of "<=", "=", ">=".
-        accelerate: try the float-proposed basis first; the proposal is
-            accepted only after full exact verification.
+        accelerate: try the HiGHS proposal first; it is accepted only
+            after full exact verification.  False goes straight to the
+            rational tableau.
 
     Returns:
         LpSolution; primal and duals are present only when optimal.
@@ -545,14 +433,12 @@ def solve_lp(n_vars: int, objective, constraints, accelerate: bool = True) -> Lp
     obj = _sparse(objective)
     if any(j >= n_vars or j < 0 for j in obj):
         raise ValueError("objective references an unknown variable")
-    can = _canonicalize(n_vars, constraints)
-    if accelerate and 0 < can.m * (can.ncols + 1) <= _ACCEL_CELL_LIMIT:
-        proposal = _float_basis(can, obj)
-        if proposal is not None:
-            sol = _exact_from_basis(can, proposal, obj)
-            if sol is not None:
-                return sol
-    return _solve_exact(can, obj)
+    rows = _parse(n_vars, constraints)
+    if accelerate and n_vars:  # linprog rejects a problem with no variables
+        sol = _propose(n_vars, obj, rows)
+        if sol is not None:
+            return sol
+    return _solve_exact(_canonicalize(n_vars, rows), obj)
 
 
 def _sparse(coeffs) -> dict[int, Fraction]:
@@ -565,9 +451,12 @@ def _sparse(coeffs) -> dict[int, Fraction]:
             items = list(enumerate(items))
     out: dict[int, Fraction] = {}
     for j, c in items:
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if j in out:
+            c += out[j]
         if c:
-            out[j] = out.get(j, _ZERO) + c
-            if not out[j]:
-                del out[j]
+            out[j] = c
+        else:
+            out.pop(j, None)
     return out

@@ -315,3 +315,9 @@ class TestUsageErrors:
         )
         assert run(["verify", fig2_file, str(other)]) == 2
         assert "missing matrices" in capsys.readouterr().err
+
+    def test_non_prime_field_scheme(self, fig2_file, tmp_path, capsys):
+        f4 = tmp_path / "f4.scheme"
+        f4.write_text("cds-scheme v1\nfield 4\nsecret 1\nnoise 0\nsignal A1 1\nF: 1 | H:\n")
+        assert run(["verify", fig2_file, str(f4)]) == 2
+        assert "line 2: modulus 4 must be a prime" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 certificates."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,22 @@ class TestShannonBound:
     def test_bound_dominates_achieved_rate(self, fig2):
         res = shannon_bound(fig2)
         assert F(2, 5) <= res.rate_bound
+
+    def test_ground_eight_path_with_chords_certifies_in_time(self):
+        # A 7-vertex qualified path with unqualified chords: 255 subset
+        # variables and 1819 rows, far past what the rational tableau
+        # alone finishes.
+        edges = [("q", f"v{i}", f"v{i + 1}") for i in range(1, 7)] + [
+            ("u", v, u)
+            for v, u in [("v1", "v3"), ("v2", "v5"), ("v4", "v7"), ("v3", "v6"), ("v1", "v7")]
+        ]
+        inst = CdsInstance.from_edges(edges, bipartite=False)
+        t0 = time.monotonic()
+        res = shannon_bound(inst)
+        elapsed = time.monotonic() - t0
+        assert res.rate_bound == F(5, 12)
+        assert verify_certificate(res.solution, res.lp) == F(5, 6)
+        assert elapsed < 20.0, f"ground 8 took {elapsed:.2f}s"
 
 
 class TestCertificates:

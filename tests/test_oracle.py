@@ -211,6 +211,31 @@ class TestOracleEquivalence:
                 agree += 1
         assert agree > 100
 
+    def test_wide_signals_match_rank_checks(self):
+        # 70-row GF(2) signals have no int64 base-2 code.  Every row that
+        # matters comes first: a sends z1 and z2, b sends s + z1 and c
+        # sends s + z2, so {a, b} decodes and {a, c} leaks.
+        rows, noise = 70, 3
+
+        def signal(first: list[list[int]]) -> tuple[GfMatrix, GfMatrix]:
+            f = [r[:1] for r in first] + [[0]] * (rows - len(first))
+            h = [r[1:] for r in first] + [[0, 0, 1]] * (rows - len(first))
+            return GfMatrix.from_rows(2, f), GfMatrix.from_rows(2, h)
+
+        sch = LinearScheme(2, 1, noise, {
+            "a": signal([[0, 1, 0, 0], [0, 0, 1, 0]]),
+            "b": signal([[1, 1, 0, 0]]),
+            "c": signal([[1, 0, 1, 0]]),
+        })
+        inst = CdsInstance.from_edges([("q", "a", "b"), ("u", "a", "c")], bipartite=False)
+        report = verify_linear(inst, sch)
+        table = tabulate(sch)
+        assert report.edge_verdicts[("a", "b")].ok
+        assert not report.edge_verdicts[("a", "c")].ok
+        assert check_correct(table, "a", "b")
+        assert not check_secure(table, "a", "c")
+        assert joint_entropy(table, ["a"]) == 3
+
 
 class TestLemmaAudit:
     def test_synthesized_example1_passes_all(self):

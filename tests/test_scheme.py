@@ -322,6 +322,16 @@ class TestSchemeFiles:
         with pytest.raises(SchemeFormatError, match="missing matrix rows"):
             parse_scheme(text)
 
+    def test_non_prime_field_rejected_with_line(self):
+        text = "cds-scheme v1\n# GF(4) is not a prime field\nfield 4\nsecret 1\nnoise 0\n"
+        with pytest.raises(SchemeFormatError, match="line 3: modulus 4 must be a prime"):
+            parse_scheme(text)
+
+    def test_negative_row_count_rejected_with_line(self):
+        text = "cds-scheme v1\nfield 2\nsecret 1\nnoise 1\nsignal A1 -1\n"
+        with pytest.raises(SchemeFormatError, match="line 5: row count cannot be negative"):
+            parse_scheme(text)
+
     def test_noiseless_scheme_roundtrip(self):
         sch = LinearScheme(
             3, 1, 0, {"A1": (GfMatrix.from_rows(3, [[2]]), GfMatrix.zeros(3, 1, 0))}

@@ -1,6 +1,8 @@
 """Tests for the exact rational simplex."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 from cdskit.simplex import LpSolution, solve_lp
@@ -85,6 +87,25 @@ class TestBasics:
         cons = [([(0, F(3)), (1, F(7))], "<=", F(1, 3))]
         sol = solve_lp(2, [(0, F(1))], cons)
         assert sol.value == F(1, 9)
+
+
+class TestProposalRounding:
+    def test_optimum_beyond_the_denominator_cap(self):
+        # x = 1/8191 rounds to no feasible optimal pair under the cap,
+        # so the rational tableau must supply the exact optimum.
+        cons = [([(0, 8191)], "<=", 1)]
+        sol = solve_lp(1, [(0, 1)], cons)
+        assert sol.status == "optimal"
+        assert sol.value == F(1, 8191)
+        assert sol.primal == (F(1, 8191),)
+        assert_certificate(1, [(0, 1)], cons, sol)
+
+    def test_importing_the_package_loads_no_scipy(self):
+        code = (
+            "import sys, cdskit, cdskit.cli; "
+            "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+        )
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestStatuses:
