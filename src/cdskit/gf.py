@@ -29,7 +29,7 @@ def is_prime(n: int) -> bool:
 
 def check_modulus(p: int) -> None:
     """Raise ValueError unless p is a prime below 2^16."""
-    if not is_prime(p) or p >= _MAX_PRIME:
+    if p >= _MAX_PRIME or not is_prime(p):
         raise ValueError(f"modulus {p} must be a prime below 2^16")
 
 

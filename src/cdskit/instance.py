@@ -8,14 +8,20 @@ two sides.  General mode lifts both restrictions.
 
 The feasibility test reduces the path-based obstruction to a component
 computation: the capacity is 1/2 iff no qualified edge joins two vertices
-of one unqualified component inside its qualified component.
+of one unqualified component inside its qualified component.  Those
+components come from :func:`decompose` alone: one union-find pass over
+the qualified edges, then one over the unqualified edges whose ends share
+a qualified component.  With union by size and path halving both passes
+cost O((V + E) alpha(V)), linear for every practical purpose, so
+feasibility, synthesis and the lemma audit scale with the size of the
+graph.  Breadth-first search is used only to render a witness path.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "CdsInstance",
@@ -28,6 +34,7 @@ __all__ = [
     "format_instance",
     "is_non_degenerate",
     "normalize_degenerate",
+    "decompose",
     "qualified_components",
     "unqualified_components_within",
     "half_rate_feasible",
@@ -81,24 +88,8 @@ class CdsInstance:
         """Build and validate an instance from (kind, v, u) triples."""
         seen: dict[tuple[str, str], str] = {}
         for kind, v, u in edges:
-            if kind not in (QUALIFIED, UNQUALIFIED):
-                raise InstanceFormatError(f"unknown edge kind {kind!r}")
-            for name in (v, u):
-                _check_name(name, bipartite)
-            if v == u:
-                raise InstanceFormatError(f"self-loop on {v}")
-            if bipartite and v[0] == u[0]:
-                raise InstanceFormatError(
-                    f"edge {{{v}, {u}}} joins two {v[0]}-side vertices"
-                )
-            key = _canon(v, u)
-            if key in seen:
-                raise InstanceFormatError(f"duplicate edge {{{key[0]}, {key[1]}}}")
-            seen[key] = kind
-        qualified = tuple(sorted(k for k, kind in seen.items() if kind == QUALIFIED))
-        unqualified = tuple(sorted(k for k, kind in seen.items() if kind == UNQUALIFIED))
-        names = sorted({x for pair in seen for x in pair})
-        return cls(tuple(names), qualified, unqualified, bipartite)
+            _add_edge(seen, kind, v, u, bipartite)
+        return _build(seen, bipartite)
 
     @property
     def edges(self) -> tuple[tuple[str, tuple[str, str]], ...]:
@@ -107,19 +98,6 @@ class CdsInstance:
             (UNQUALIFIED, e) for e in self.unqualified
         ]
         return tuple(sorted(tagged, key=lambda t: t[1]))
-
-    def side(self, v: str) -> str | None:
-        return v[0] if self.bipartite else None
-
-    def qualified_neighbors(self, v: str) -> list[str]:
-        return sorted(
-            {b if a == v else a for a, b in self.qualified if v in (a, b)}
-        )
-
-    def unqualified_neighbors(self, v: str) -> list[str]:
-        return sorted(
-            {b if a == v else a for a, b in self.unqualified if v in (a, b)}
-        )
 
     def has_edge(self, v: str, u: str) -> bool:
         key = _canon(v, u)
@@ -139,16 +117,48 @@ class CdsInstance:
         )
 
 
-def _check_name(name: str, bipartite: bool) -> None:
+def _check_name(name: str, bipartite: bool, line: int | None) -> None:
     if bipartite:
         if not _BIPARTITE_NAME.match(name):
             raise InstanceFormatError(
-                f"vertex {name!r} has no side label; bipartite names match [AB][0-9]+"
+                f"vertex {name!r} has no side label; bipartite names match [AB][0-9]+",
+                line,
             )
     elif not _GENERAL_NAME.match(name):
-        raise InstanceFormatError(f"invalid vertex name {name!r}")
+        raise InstanceFormatError(f"invalid vertex name {name!r}", line)
     if name in _RESERVED:
-        raise InstanceFormatError(f"vertex name {name!r} is reserved")
+        raise InstanceFormatError(f"vertex name {name!r} is reserved", line)
+
+
+def _add_edge(
+    seen: dict, kind: str, v: str, u: str, bipartite: bool, line: int | None = None
+) -> None:
+    """Validate one edge against the edges in ``seen``, then record it.
+
+    The single validation routine for instances, whether built from
+    triples or parsed from text; ``line`` tags the error when known.
+    """
+    if kind not in (QUALIFIED, UNQUALIFIED):
+        raise InstanceFormatError(f"unknown edge kind {kind!r}", line)
+    _check_name(v, bipartite, line)
+    _check_name(u, bipartite, line)
+    if v == u:
+        raise InstanceFormatError(f"self-loop on {v}", line)
+    if bipartite and v[0] == u[0]:
+        raise InstanceFormatError(
+            f"edge {{{v}, {u}}} joins two {v[0]}-side vertices", line
+        )
+    key = _canon(v, u)
+    if key in seen:
+        raise InstanceFormatError(f"duplicate edge {{{key[0]}, {key[1]}}}", line)
+    seen[key] = kind
+
+
+def _build(seen: dict[tuple[str, str], str], bipartite: bool) -> CdsInstance:
+    qualified = tuple(sorted(k for k, kind in seen.items() if kind == QUALIFIED))
+    unqualified = tuple(sorted(k for k, kind in seen.items() if kind == UNQUALIFIED))
+    names = sorted({x for pair in seen for x in pair})
+    return CdsInstance(tuple(names), qualified, unqualified, bipartite)
 
 
 @dataclass(frozen=True)
@@ -156,26 +166,17 @@ class Partition:
     """Disjoint blocks covering a vertex subset; blocks and members sorted."""
 
     blocks: tuple[tuple[str, ...], ...]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_sets(cls, sets) -> "Partition":
-        blocks = tuple(sorted((tuple(sorted(s)) for s in sets), key=lambda b: b[0]))
-        flat = [v for b in blocks for v in b]
-        if len(flat) != len(set(flat)):
-            raise ValueError("partition blocks overlap")
-        return cls(blocks)
+    def __post_init__(self):
+        index = {v: i for i, b in enumerate(self.blocks) for v in b}
+        object.__setattr__(self, "_index", index)
 
     def block_of(self, v: str) -> tuple[str, ...]:
-        for b in self.blocks:
-            if v in b:
-                return b
-        raise KeyError(v)
+        return self.blocks[self._index[v]]
 
     def index_of(self, v: str) -> int:
-        for i, b in enumerate(self.blocks):
-            if v in b:
-                return i
-        raise KeyError(v)
+        return self._index[v]
 
     def covered(self) -> tuple[str, ...]:
         return tuple(sorted(v for b in self.blocks for v in b))
@@ -226,8 +227,7 @@ def parse_instance(text: str) -> CdsInstance:
     """
     header_seen = False
     bipartite = True
-    edges: list[tuple[str, str, str]] = []
-    seen: set[tuple[str, str]] = set()
+    seen: dict[tuple[str, str], str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -250,27 +250,10 @@ def parse_instance(text: str) -> CdsInstance:
         if len(tokens) != 3 or tokens[0] not in (QUALIFIED, UNQUALIFIED):
             raise InstanceFormatError("expected 'q <v> <u>' or 'u <v> <u>'", lineno)
         kind, v, u = tokens
-        try:
-            _check_name(v, bipartite)
-            _check_name(u, bipartite)
-            if v == u:
-                raise InstanceFormatError(f"self-loop on {v}")
-            if bipartite and v[0] == u[0]:
-                raise InstanceFormatError(
-                    f"edge {{{v}, {u}}} joins two {v[0]}-side vertices"
-                )
-            key = _canon(v, u)
-            if key in seen:
-                raise InstanceFormatError(f"duplicate edge {{{key[0]}, {key[1]}}}")
-        except InstanceFormatError as exc:
-            if exc.line is None:
-                raise InstanceFormatError(str(exc), lineno) from None
-            raise
-        seen.add(key)
-        edges.append((kind, v, u))
+        _add_edge(seen, kind, v, u, bipartite, lineno)
     if not header_seen:
         raise InstanceFormatError("missing 'cds-instance v1' header", 1)
-    return CdsInstance.from_edges(edges, bipartite)
+    return _build(seen, bipartite)
 
 
 def format_instance(inst: CdsInstance) -> str:
@@ -306,44 +289,59 @@ def normalize_degenerate(inst: CdsInstance) -> tuple[CdsInstance, tuple[str, ...
         current = current.induced(keep)
 
 
-def _components(vertices, edges) -> list[set[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in vertices}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen: set[str] = set()
-    out: list[set[str]] = []
-    for v in vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        queue = deque([v])
-        seen.add(v)
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    queue.append(y)
-        out.append(comp)
-    return out
+def decompose(inst: CdsInstance) -> tuple[Partition, Partition]:
+    """The qualified components and the unqualified components inside them.
+
+    One union-find pass joins the ends of every qualified edge; a second
+    joins the ends of every unqualified edge whose ends share a qualified
+    component.  Both partitions cover every vertex (isolated vertices are
+    singleton blocks), with sorted members and blocks ordered by least
+    member; the second refines the first.
+    """
+    vertices = sorted(inst.vertices)
+
+    def components(edges) -> Partition:
+        parent = {v: v for v in vertices}
+        size = dict.fromkeys(vertices, 1)
+
+        def find(v: str) -> str:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        for a, b in edges:
+            small, large = sorted((find(a), find(b)), key=size.get)
+            if small != large:
+                parent[small] = large
+                size[large] += size[small]
+        blocks: dict[str, list[str]] = {}
+        for v in vertices:
+            blocks.setdefault(find(v), []).append(v)
+        return Partition(tuple(tuple(b) for b in blocks.values()))
+
+    qualified = components(inst.qualified)
+    comp_of = qualified.index_of
+    inner = (e for e in inst.unqualified if comp_of(e[0]) == comp_of(e[1]))
+    return qualified, components(inner)
 
 
 def qualified_components(inst: CdsInstance) -> Partition:
     """Connected components under qualified edges; isolated vertices are
     singleton blocks."""
-    return Partition.from_sets(_components(inst.vertices, inst.qualified))
+    return decompose(inst)[0]
 
 
 def unqualified_components_within(inst: CdsInstance, block) -> Partition:
     """Unqualified components of the subgraph induced on one qualified
     component."""
     block = tuple(sorted(block))
-    if block not in qualified_components(inst).blocks:
+    qualified, unqualified = decompose(inst)
+    if block not in qualified.blocks:
         raise ValueError(f"{block} is not a qualified component of the instance")
-    inner = [e for e in inst.unqualified if e[0] in block and e[1] in block]
-    return Partition.from_sets(_components(block, inner))
+    k = qualified.index_of(block[0])
+    inner = (b for b in unqualified.blocks if qualified.index_of(b[0]) == k)
+    return Partition(tuple(inner))
 
 
 def unqualified_path(
@@ -396,12 +394,14 @@ def half_rate_feasible(inst: CdsInstance) -> FeasibilityResult:
     ok, violators = is_non_degenerate(inst)
     if not ok:
         raise DegenerateInstanceError(violators)
-    for qblock in qualified_components(inst).blocks:
-        unq = unqualified_components_within(inst, qblock)
-        for v, u in sorted(e for e in inst.qualified if e[0] in qblock):
-            if unq.index_of(v) == unq.index_of(u):
-                start, end = (v, u) if v > u else (u, v)
-                path = unqualified_path(inst, qblock, start, end)
-                witness = PathWitness(path.vertices, UNQUALIFIED, (start, end))
-                return FeasibilityResult(False, (start, end), witness)
-    return FeasibilityResult(True)
+    qualified, unqualified = decompose(inst)
+    ublock_of = unqualified.index_of
+    internal = (e for e in inst.qualified if ublock_of(e[0]) == ublock_of(e[1]))
+    first = min(internal, key=lambda e: (qualified.index_of(e[0]), e), default=None)
+    if first is None:
+        return FeasibilityResult(True)
+    v, u = first
+    start, end = (v, u) if v > u else (u, v)
+    path = unqualified_path(inst, qualified.block_of(v), start, end)
+    witness = PathWitness(path.vertices, UNQUALIFIED, (start, end))
+    return FeasibilityResult(False, (start, end), witness)

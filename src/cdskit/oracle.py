@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gf import GfMatrix, hstack, rank, vstack
-from .instance import CdsInstance, qualified_components, unqualified_components_within
+from .instance import CdsInstance, decompose
 from .scheme import LinearScheme
 
 __all__ = [
@@ -340,7 +340,7 @@ def lemma_audit(inst: CdsInstance, table: SchemeTable, L: int) -> LemmaAuditRepo
         return h(list(names) + ["S"]) - hs
 
     on_qualified_edge = sorted({x for e in inst.qualified for x in e})
-    parts = qualified_components(inst)
+    parts, unqualified = decompose(inst)
 
     failures1 = []
     for v in on_qualified_edge:
@@ -392,17 +392,15 @@ def lemma_audit(inst: CdsInstance, table: SchemeTable, L: int) -> LemmaAuditRepo
 
     failures5 = []
     checked5 = 0
-    for block in parts.blocks:
-        unq = unqualified_components_within(inst, block)
-        for sub in unq.blocks:
-            for i, v in enumerate(sub):
-                for w in sub[i + 1 :]:
-                    checked5 += 1
-                    val = h([v, w])
-                    if not le(val, L):
-                        failures5.append(
-                            ((v, w), f"H({v},{w}) = {val} > {L}")
-                        )
+    # Blocks grouped by qualified component (the sort is stable), so that
+    # failures are listed component by component.
+    for sub in sorted(unqualified.blocks, key=lambda b: parts.index_of(b[0])):
+        for i, v in enumerate(sub):
+            for w in sub[i + 1 :]:
+                checked5 += 1
+                val = h([v, w])
+                if not le(val, L):
+                    failures5.append(((v, w), f"H({v},{w}) = {val} > {L}"))
     lemma5 = LemmaResult("path_signal_alignment", checked5, tuple(failures5))
 
     return LemmaAuditReport((lemma1, lemma2, lemma3, lemma4, lemma5))

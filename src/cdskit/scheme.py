@@ -352,7 +352,11 @@ def parse_scheme(text: str) -> LinearScheme:
     except ValueError as exc:
         raise SchemeFormatError(str(exc), lines[idx - 1][0]) from None
     secret_len = take_keyword("secret")
+    if secret_len < 1:
+        raise SchemeFormatError("secret length must be at least 1", lines[idx - 1][0])
     noise_len = take_keyword("noise")
+    if noise_len < 0:
+        raise SchemeFormatError("noise length cannot be negative", lines[idx - 1][0])
     matrices: dict[str, tuple[GfMatrix, GfMatrix]] = {}
     while idx < len(lines):
         no, ln = lines[idx]

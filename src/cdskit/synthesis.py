@@ -16,18 +16,10 @@ here as data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .gf import GfMatrix, is_prime
-from .instance import (
-    CdsInstance,
-    DegenerateInstanceError,
-    FeasibilityResult,
-    half_rate_feasible,
-    is_non_degenerate,
-    qualified_components,
-    unqualified_components_within,
-)
+from .instance import CdsInstance, FeasibilityResult, decompose, half_rate_feasible
 from .scheme import LinearScheme, verify_linear
 
 __all__ = [
@@ -89,6 +81,16 @@ class SynthesisPlan:
 
     components: tuple[ComponentPlan, ...]
     p: int
+    _position: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        position = {
+            v: (m, i)
+            for m, comp in enumerate(self.components, start=1)
+            for i, blk in enumerate(comp.unqualified_blocks, start=1)
+            for v in blk
+        }
+        object.__setattr__(self, "_position", position)
 
     @property
     def m_count(self) -> int:
@@ -100,52 +102,47 @@ class SynthesisPlan:
 
     def position(self, v: str) -> tuple[int, int]:
         """(m, i), both 1-based, of the vertex's component and block."""
-        for m, comp in enumerate(self.components, start=1):
-            for i, blk in enumerate(comp.unqualified_blocks, start=1):
-                if v in blk:
-                    return m, i
-        raise KeyError(v)
+        return self._position[v]
 
 
 def plan_synthesis(inst: CdsInstance) -> SynthesisPlan:
     """Decompose a non-degenerate, feasible instance for synthesis."""
-    ok, violators = is_non_degenerate(inst)
-    if not ok:
-        raise DegenerateInstanceError(violators)
     result = half_rate_feasible(inst)
     if not result.feasible:
         raise InfeasibleInstanceError(result)
-    comps = []
-    for block in qualified_components(inst).blocks:
-        unq = unqualified_components_within(inst, block)
-        comps.append(ComponentPlan(block, unq.blocks))
+    qualified, unqualified = decompose(inst)
+    inner: list[list[tuple[str, ...]]] = [[] for _ in qualified.blocks]
+    for blk in unqualified.blocks:
+        inner[qualified.index_of(blk[0])].append(blk)
+    comps = [ComponentPlan(b, tuple(u)) for b, u in zip(qualified.blocks, inner)]
     max_u = max((c.u_count for c in comps), default=0)
     return SynthesisPlan(tuple(comps), next_prime_above(max_u))
 
 
-def _scheme_from_plan(plan: SynthesisPlan, p: int, noise_rows) -> LinearScheme:
-    """Assemble the L = 1 scheme given per-vertex noise row vectors."""
-    noise_len = len(next(iter(noise_rows.values()))) if noise_rows else 0
-    matrices = {
-        v: (GfMatrix.from_rows(p, [[1]], 1), GfMatrix.from_rows(p, [row], noise_len))
-        for v, row in noise_rows.items()
-    }
+def _scheme_from_plan(plan: SynthesisPlan, p: int, bases) -> LinearScheme:
+    """Assemble the L = 1 scheme in which every vertex of block i in
+    component m sends s + i * (bases[m - 1] . z)."""
+    noise_len = len(bases[0]) if bases else 0
+    secret = GfMatrix.from_rows(p, [[1]], 1)
+    matrices = {}
+    for comp, base in zip(plan.components, bases):
+        for i, blk in enumerate(comp.unqualified_blocks, start=1):
+            noise = GfMatrix.from_rows(p, [[i * b for b in base]], noise_len)
+            for v in blk:
+                matrices[v] = (secret, noise)
     return LinearScheme(p, 1, noise_len, matrices)
+
+
+def _half_rate_scheme(plan: SynthesisPlan) -> LinearScheme:
+    m_count = plan.m_count
+    identity = [[int(k == m) for k in range(m_count)] for m in range(m_count)]
+    return _scheme_from_plan(plan, plan.p, identity)
 
 
 def synthesize_half_rate(inst: CdsInstance) -> LinearScheme:
     """Build the rate-1/2 scheme: one secret symbol, one noise symbol per
     qualified component, every signal a single symbol s + i * z_m."""
-    plan = plan_synthesis(inst)
-    m_count = plan.m_count
-    rows: dict[str, list[int]] = {}
-    for m, comp in enumerate(plan.components, start=1):
-        for i, blk in enumerate(comp.unqualified_blocks, start=1):
-            row = [0] * m_count
-            row[m - 1] = i % plan.p
-            for v in blk:
-                rows[v] = row
-    return _scheme_from_plan(plan, plan.p, rows)
+    return _half_rate_scheme(plan_synthesis(inst))
 
 
 def reduce_randomness(inst: CdsInstance, sch: LinearScheme) -> LinearScheme:
@@ -157,24 +154,14 @@ def reduce_randomness(inst: CdsInstance, sch: LinearScheme) -> LinearScheme:
     are already randomness-optimal and are returned unchanged.
     """
     plan = plan_synthesis(inst)
-    if sch != synthesize_half_rate(inst):
+    if sch != _half_rate_scheme(plan):
         raise ValueError("scheme was not produced by synthesize_half_rate for inst")
     m_count = plan.m_count
     if m_count <= 2:
         return sch
     p = next_prime_above(max(max(plan.u_counts), m_count - 2))
-    rows: dict[str, list[int]] = {}
-    for m, comp in enumerate(plan.components, start=1):
-        for i, blk in enumerate(comp.unqualified_blocks, start=1):
-            if m == 1:
-                row = [i % p, 0]
-            elif m == 2:
-                row = [0, i % p]
-            else:
-                row = [i % p, (i * (m - 2)) % p]
-            for v in blk:
-                rows[v] = row
-    return _scheme_from_plan(plan, p, rows)
+    bases = [[1, 0], [0, 1]] + [[1, m - 2] for m in range(3, m_count + 1)]
+    return _scheme_from_plan(plan, p, bases)
 
 
 # ---------------------------------------------------------------------------

@@ -321,3 +321,13 @@ class TestUsageErrors:
         f4.write_text("cds-scheme v1\nfield 4\nsecret 1\nnoise 0\nsignal A1 1\nF: 1 | H:\n")
         assert run(["verify", fig2_file, str(f4)]) == 2
         assert "line 2: modulus 4 must be a prime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "header, line",
+        [("secret 0\nnoise 0", "line 3: secret length"), ("secret 1\nnoise -1", "line 4: noise length")],
+    )
+    def test_bad_lengths_scheme(self, fig2_file, tmp_path, capsys, header, line):
+        bad = tmp_path / "bad.scheme"
+        bad.write_text(f"cds-scheme v1\nfield 2\n{header}\n")
+        assert run(["verify", fig2_file, str(bad)]) == 2
+        assert line in capsys.readouterr().err

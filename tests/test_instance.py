@@ -76,6 +76,28 @@ class TestParsing:
         assert err.value.line == 2
         assert "self-loop" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "general, edge, message",
+        [
+            (False, "q C1 B1", "vertex 'C1' has no side label"),
+            (True, "q 1x y", "invalid vertex name '1x'"),
+            (True, "q S x", "vertex name 'S' is reserved"),
+            (False, "q A2 A2", "self-loop on A2"),
+            (False, "q A1 A2", "edge {A1, A2} joins two A-side vertices"),
+            (False, "u B1 A1", "duplicate edge {A1, B1}"),
+        ],
+    )
+    def test_parse_and_from_edges_share_messages(self, general, edge, message):
+        header = "cds-instance v1" + (" general" if general else "")
+        with pytest.raises(InstanceFormatError) as parsed:
+            parse_instance(f"# note\n{header}\n\nq A1 B1\n{edge}\n")
+        assert parsed.value.line == 5
+        assert str(parsed.value).startswith(f"line 5: {message}")
+        with pytest.raises(InstanceFormatError) as built:
+            CdsInstance.from_edges([("q", "A1", "B1"), tuple(edge.split())], not general)
+        assert built.value.line is None
+        assert str(parsed.value) == f"line 5: {built.value}"
+
     def test_duplicate_edge_rejected(self):
         with pytest.raises(InstanceFormatError, match="duplicate"):
             parse_instance("cds-instance v1\nq A1 B1\nu B1 A1\n")

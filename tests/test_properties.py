@@ -1,0 +1,226 @@
+"""Property tests: the component pass against a brute-force reference,
+and the two file formats against their own writers and arbitrary text."""
+
+from collections import deque
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cdskit.gf import GfMatrix
+from cdskit.instance import (
+    CdsInstance,
+    InstanceFormatError,
+    format_instance,
+    half_rate_feasible,
+    parse_instance,
+    qualified_components,
+    unqualified_components_within,
+)
+from cdskit.scheme import LinearScheme, SchemeFormatError, format_scheme, parse_scheme
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def general_instances(draw) -> CdsInstance:
+    """Non-degenerate general instances of varied density.  About two in
+    five are infeasible, most of those with several qualified edges inside
+    unqualified paths, some in more than one qualified component.
+
+    Qualified edges stay inside groups of shuffled vertices, so that the
+    qualified components' least members interleave; names v0..v11 sort
+    differently from their numbers.  The choices come from one seeded
+    generator, which spreads them more evenly than per-edge draws.
+    """
+    rng = draw(st.randoms(use_true_random=True))
+    n = rng.randint(2, 12)
+    names = [f"v{k}" for k in range(n)]
+    rng.shuffle(names)
+    size = rng.randint(4, 7)
+    densities = ["qu", "qqu", "quu", "qu.", "q.", "u."]
+    inside = [rng.choice(densities) for _ in range(0, n, size)]
+    seen: dict[tuple[str, str], str] = {}
+    for k, v in enumerate(names):  # one unqualified edge at each vertex
+        u = names[(k + rng.randint(1, n - 1)) % n]
+        seen.setdefault((v, u) if v < u else (u, v), "u")
+    for k, v in enumerate(names):
+        for j in range(k + 1, n):
+            kinds = inside[k // size] if k // size == j // size else "u.."
+            u = names[j]
+            seen.setdefault((v, u) if v < u else (u, v), rng.choice(kinds))
+    return CdsInstance.from_edges(
+        [(t, v, u) for (v, u), t in seen.items() if t != "."], bipartite=False
+    )
+
+
+def distances(start: str, edges) -> dict[str, int]:
+    """Breadth-first distances from start over the given edges."""
+    dist, queue = {start: 0}, deque([start])
+    while queue:
+        x = queue.popleft()
+        for a, b in edges:
+            for y, z in ((a, b), (b, a)):
+                if y == x and z not in dist:
+                    dist[z] = dist[x] + 1
+                    queue.append(z)
+    return dist
+
+
+def reference_components(inst):
+    """Qualified components by least member, and the unqualified
+    components inside each, from one reachability search per vertex."""
+    comps = []
+    for v in inst.vertices:
+        if not any(v in c for c in comps):
+            comps.append(tuple(sorted(distances(v, inst.qualified))))
+    inner = []
+    for comp in comps:
+        edges = [e for e in inst.unqualified if e[0] in comp and e[1] in comp]
+        blocks = []
+        for v in comp:
+            if not any(v in b for b in blocks):
+                blocks.append(tuple(sorted(distances(v, edges))))
+        inner.append(tuple(blocks))
+    return tuple(comps), tuple(inner)
+
+
+def reference_witness(inst):
+    """First qualified edge, in (component, edge) order, whose ends an
+    unqualified path inside the component joins; oriented larger first."""
+    comps, _ = reference_components(inst)
+    for comp in comps:
+        edges = [e for e in inst.unqualified if e[0] in comp and e[1] in comp]
+        for v, u in sorted(e for e in inst.qualified if e[0] in comp):
+            if u in distances(v, edges):
+                return (max(v, u), min(v, u)), comp, edges
+    return None, None, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(general_instances())
+def test_feasibility_matches_reference(inst):
+    edge, comp, edges = reference_witness(inst)
+    res = half_rate_feasible(inst)
+    assert res.feasible == (edge is None)
+    assert res.witness_edge == edge
+    if edge is not None:
+        path = res.witness_path
+        assert path.vertices[0] == edge[0] and path.vertices[-1] == edge[1]
+        assert path.internal_edge == edge
+        assert path.is_valid_for(inst) and set(path.vertices) <= set(comp)
+        assert len(path) == distances(edge[0], edges)[edge[1]]  # shortest
+
+
+@settings(max_examples=200, deadline=None)
+@given(general_instances())
+def test_unqualified_blocks_partition_and_refine(inst):
+    comps, inner = reference_components(inst)
+    qualified = qualified_components(inst)
+    assert qualified.blocks == comps
+    all_blocks = []
+    for k, block in enumerate(qualified.blocks):
+        unq = unqualified_components_within(inst, block)
+        assert unq.blocks == inner[k]
+        for sub in unq.blocks:
+            assert {qualified.index_of(v) for v in sub} == {k}
+        all_blocks.extend(unq.blocks)
+    flat = [v for b in all_blocks for v in b]
+    assert sorted(flat) == sorted(inst.vertices) and len(set(flat)) == len(flat)
+
+
+@st.composite
+def instances(draw) -> CdsInstance:
+    """Bipartite or general instances with at least one edge."""
+    bipartite = draw(st.booleans())
+    if bipartite:
+        side_a = st.integers(1, 6).map(lambda k: f"A{k}")
+        side_b = st.integers(1, 6).map(lambda k: f"B{k}")
+        pair = st.tuples(side_a, side_b)
+    else:
+        name = st.sampled_from(["a", "b", "v1", "v10", "v2", "x_2", "_q", "Zed", "A1"])
+        pair = st.tuples(name, name).filter(lambda p: p[0] != p[1])
+    edge = st.tuples(st.sampled_from("qu"), pair)
+    edges = draw(st.lists(edge, min_size=1, max_size=15))
+    seen: dict[tuple[str, str], str] = {}
+    for kind, (v, u) in edges:
+        seen.setdefault((v, u) if v < u else (u, v), kind)
+    return CdsInstance.from_edges(
+        [(kind, v, u) for (v, u), kind in seen.items()], bipartite=bipartite
+    )
+
+
+@st.composite
+def schemes(draw) -> LinearScheme:
+    p = draw(st.sampled_from(PRIMES))
+    secret_len = draw(st.integers(1, 3))
+    noise_len = draw(st.integers(0, 3))
+    residue = st.integers(0, p - 1)
+    name = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
+
+    def matrix(rows: int, cols: int) -> GfMatrix:
+        row = st.lists(residue, min_size=cols, max_size=cols)
+        data = draw(st.lists(row, min_size=rows, max_size=rows))
+        return GfMatrix.from_rows(p, data, cols)
+
+    matrices = {}
+    for v in draw(st.sets(name, max_size=4)):
+        rows = draw(st.integers(0, 3))
+        matrices[v] = (matrix(rows, secret_len), matrix(rows, noise_len))
+    return LinearScheme(p, secret_len, noise_len, matrices)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances())
+def test_instance_round_trip(inst):
+    assert parse_instance(format_instance(inst)) == inst
+
+
+@settings(max_examples=100, deadline=None)
+@given(schemes())
+def test_scheme_round_trip(sch):
+    assert parse_scheme(format_scheme(sch)) == sch
+
+
+# Arbitrary text, and lines that look like the formats with random parts,
+# so that the checks past the header are reached too.
+_token = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["A1", "B1", "A2", "B2", "S", "v1", "v_2", "1x", "q", "|", "H:"]),
+    st.integers(-3, 70000).map(str),
+)
+_instance_line = st.one_of(
+    st.text(max_size=20),
+    st.sampled_from(
+        ["cds-instance v1", "cds-instance v1 general", "cds-instance v2", "# note", ""]
+    ),
+    st.tuples(st.sampled_from(["q", "u", "x"]), _token, _token).map(" ".join),
+)
+_scheme_line = st.one_of(
+    st.text(max_size=20),
+    st.sampled_from(
+        ["cds-scheme v1", "field 2", "field 3", "secret 1", "noise 0", "noise 1", "# x"]
+    ),
+    st.tuples(st.sampled_from(["field", "secret", "noise"]), _token).map(" ".join),
+    st.tuples(st.just("signal"), _token, _token).map(" ".join),
+    st.lists(_token, max_size=6).map(
+        lambda ts: "F: " + " ".join(ts[:3]) + " | H: " + " ".join(ts[3:])
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_instance_line, max_size=8).map("\n".join))
+def test_instance_text_parses_or_raises_format_error(text):
+    try:
+        parse_instance(text)
+    except InstanceFormatError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_scheme_line, max_size=8).map("\n".join))
+def test_scheme_text_parses_or_raises_format_error(text):
+    try:
+        parse_scheme(text)
+    except SchemeFormatError:
+        pass

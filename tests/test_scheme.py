@@ -332,6 +332,26 @@ class TestSchemeFiles:
         with pytest.raises(SchemeFormatError, match="line 5: row count cannot be negative"):
             parse_scheme(text)
 
+    def test_zero_secret_rejected_with_line(self):
+        text = "cds-scheme v1\nfield 2\nsecret 0\nnoise 1\n"
+        with pytest.raises(SchemeFormatError, match="secret length must be at least 1") as err:
+            parse_scheme(text)
+        assert err.value.line == 3
+
+    def test_negative_noise_rejected_with_line(self):
+        text = "cds-scheme v1\n\nfield 2\nsecret 1\nnoise -1\nsignal A1 1\nF: 1 | H:\n"
+        with pytest.raises(SchemeFormatError, match="noise length cannot be negative") as err:
+            parse_scheme(text)
+        assert err.value.line == 5
+
+    def test_huge_prime_field_rejected_without_trial_division(self):
+        # 10^18 + 3 is prime: trial division up to its square root would
+        # run for hours, so the range check has to come first.
+        text = "cds-scheme v1\nfield 1000000000000000003\nsecret 1\nnoise 0\n"
+        with pytest.raises(SchemeFormatError, match="line 2: modulus") as err:
+            parse_scheme(text)
+        assert err.value.line == 2
+
     def test_noiseless_scheme_roundtrip(self):
         sch = LinearScheme(
             3, 1, 0, {"A1": (GfMatrix.from_rows(3, [[2]]), GfMatrix.zeros(3, 1, 0))}
