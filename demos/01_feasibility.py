@@ -20,9 +20,9 @@ print(f"vertices: {', '.join(good.vertices)}")
 parts = qualified_components(good)
 for block in parts.blocks:
     unq = unqualified_components_within(good, block)
-    print(f"qualified component {set(block)}:")
+    print(f"qualified component {block}:")
     for sub in unq.blocks:
-        print(f"  unqualified component {set(sub)}")
+        print(f"  unqualified component {sub}")
 result = half_rate_feasible(good)
 print(f"half-rate feasible? {result.feasible}")
 print()

@@ -367,7 +367,9 @@ def _cmd_verify(args, out) -> int:
         report = verify_linear(inst, sch)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    rates = rate_report(inst, sch) if report.passed else None
+    # Without a qualified edge no pair must decode, so no rate bound
+    # applies (signals may even be empty); rates are reported otherwise.
+    rates = rate_report(inst, sch) if report.passed and inst.qualified else None
     oracle_result = None
     if args.oracle:
         try:

@@ -1,10 +1,12 @@
 """Exact dense linear algebra over prime fields GF(p).
 
 Matrices carry their modulus explicitly and are immutable after
-construction.  All reductions use Gauss-Jordan elimination with the
-leftmost-pivot / first-qualifying-row rule, so echelon forms, kernels and
-intersection bases are deterministic.  Primes are restricted to p < 2^16;
-entries stay machine integers throughout.
+construction.  Ranks, of one matrix or of a whole stack, come from one
+forward elimination vectorised across the stack (:func:`prefix_ranks`).
+Echelon forms, kernels and intersection bases use Gauss-Jordan
+elimination with the leftmost-pivot / first-qualifying-row rule, so they
+are deterministic.  Primes are restricted to p < 2^16; entries stay
+machine integers throughout.
 """
 
 from __future__ import annotations
@@ -165,10 +167,59 @@ def rref(m: GfMatrix) -> tuple[GfMatrix, tuple[int, ...]]:
     return GfMatrix(m.p, red), tuple(pivots)
 
 
+def prefix_ranks(stack: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of the leading column blocks of every matrix in a stack.
+
+    ``stack`` is a (B, R, C) integer array read mod p.  Entry [b, k] of
+    the (B, C + 1) result is the rank of ``stack[b, :, :k]``, so the last
+    column holds the B ranks.
+
+    One forward elimination per column, vectorised across the batch: each
+    matrix takes a free row that is nonzero in the column as its pivot row,
+    retires it, and clears the column from its other free rows by
+    row <- pivot * row - entry * pivot_row.  That row operation is
+    invertible for a nonzero pivot and needs no inverse; entries stay
+    below p < 2^16, so products stay below 2^32 in int64.  Free rows are
+    zero in every column already eliminated, so the pivots among the
+    first k columns number the rank of those columns.
+    """
+    stack = np.asarray(stack, dtype=np.int64)
+    if stack.ndim != 3:
+        raise ValueError("a stack of matrices must be three-dimensional")
+    a = np.remainder(stack.transpose(2, 0, 1), p, order="C")  # (C, B, R)
+    ncols, nmats, nrows = a.shape
+    pivots = np.zeros((nmats, ncols + 1), dtype=np.int64)
+    free = np.ones((nmats, nrows), dtype=bool)
+    batch = np.arange(nmats)
+    for c in range(ncols if nrows else 0):
+        entry = a[c] * free
+        pr = entry.argmax(axis=1)
+        pivot = entry[batch, pr]
+        none = pivot == 0
+        if none.all():
+            continue
+        pivots[:, c + 1] = ~none
+        free[batch, pr] &= none
+        if c + 1 == ncols or not free.any():
+            break
+        pivot += none  # 1 where the column has no pivot: no row changes
+        entry[batch, pr] = 0
+        rest = a[c + 1 :]
+        pivot_row = rest[:, batch, pr]  # (C - c - 1, B)
+        rest *= pivot[:, None]
+        rest -= entry * pivot_row[:, :, None]
+        rest %= p
+    return np.cumsum(pivots, axis=1)
+
+
+def ranks(stack: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of every matrix in a (B, R, C) stack of residues mod p."""
+    return prefix_ranks(stack, p)[:, -1]
+
+
 def rank(m: GfMatrix) -> int:
     """Dimension of the row space."""
-    _, pivots = _rref_array(m.data, m.p)
-    return len(pivots)
+    return int(ranks(m.data[None], m.p)[0])
 
 
 def right_kernel(m: GfMatrix) -> GfMatrix:

@@ -391,10 +391,16 @@ def half_rate_feasible(inst: CdsInstance) -> FeasibilityResult:
     the path runs from the larger-named endpoint to the smaller so that
     rendered witnesses are reproducible.
     """
+    return _feasibility(inst, *decompose(inst))
+
+
+def _feasibility(
+    inst: CdsInstance, qualified: Partition, unqualified: Partition
+) -> FeasibilityResult:
+    """:func:`half_rate_feasible` on the instance's :func:`decompose`."""
     ok, violators = is_non_degenerate(inst)
     if not ok:
         raise DegenerateInstanceError(violators)
-    qualified, unqualified = decompose(inst)
     ublock_of = unqualified.index_of
     internal = (e for e in inst.qualified if ublock_of(e[0]) == ublock_of(e[1]))
     first = min(internal, key=lambda e: (qualified.index_of(e[0]), e), default=None)

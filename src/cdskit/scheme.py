@@ -13,15 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .gf import (
     GfMatrix,
     check_modulus,
-    hstack,
     left_kernel,
     matmul,
     neg,
+    prefix_ranks,
     rank,
-    rowspace_intersection_dim,
     vstack,
 )
 from .instance import QUALIFIED, CdsInstance
@@ -110,11 +111,6 @@ class LinearScheme:
             raise ValueError("scheme has no signals")
         return max(f.rows for f, _ in self.matrices.values())
 
-    def augmented(self, v: str) -> GfMatrix:
-        """The joint precoding [F_v | H_v]."""
-        f, h = self.matrices[v]
-        return hstack(f, h)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearScheme):
             return NotImplemented
@@ -152,13 +148,45 @@ class VerificationReport:
     passed: bool
 
 
-def _pair_ranks(sch: LinearScheme, v: str, u: str) -> tuple[int, int]:
-    """(rank of stacked [F|H], rank of stacked H) for a vertex pair."""
-    fv, hv = sch.matrices[v]
-    fu, hu = sch.matrices[u]
-    aug = vstack(hstack(fv, hv), hstack(fu, hu))
-    noise = vstack(hv, hu)
-    return rank(aug), rank(noise)
+# Cells (rows x columns, summed over the batch) per elimination of edge
+# pairs: bounds the memory the pair stacks take at any one time.
+_CHUNK_CELLS = 1 << 14
+
+
+def _rank_table(inst: CdsInstance, sch: LinearScheme):
+    """(rank of H, rank of [F|H]) for every vertex and every edge's pair.
+
+    Each vertex's [H_v | F_v] is padded with zero rows to the longest
+    signal, which changes no rank; an edge's pair is its two padded
+    matrices stacked.  One elimination of the vertex stack and one of each
+    chunk of pair stacks give both ranks, read off the noise-first prefix
+    ranks.  Returns two dicts keyed by vertex and by edge.
+    """
+    _require_vertices(inst.vertices, sch)
+    lz = sch.noise_len
+    width = lz + sch.secret_len
+    n = max((sch.signal_len(v) for v in inst.vertices), default=0)
+
+    def noise_joint(stack):
+        prefix = prefix_ranks(stack, sch.p)
+        return zip(prefix[:, lz].tolist(), prefix[:, -1].tolist())
+
+    stack = np.zeros((len(inst.vertices), n, width), dtype=np.int64)
+    index = {}
+    for k, v in enumerate(inst.vertices):
+        f, h = sch.matrices[v]
+        stack[k, : f.rows, :lz] = h.data
+        stack[k, : f.rows, lz:] = f.data
+        index[v] = k
+    pairs = inst.qualified + inst.unqualified
+    ends = np.array([index[x] for pair in pairs for x in pair], dtype=np.intp)
+    ends = ends.reshape(len(pairs), 2)
+    chunk = max(1, _CHUNK_CELLS // max(1, 2 * n * width))
+    edge: list = []
+    for i in range(0, len(pairs), chunk):
+        part = ends[i : i + chunk]
+        edge += noise_joint(stack[part].reshape(len(part), 2 * n, width))
+    return dict(zip(inst.vertices, noise_joint(stack))), dict(zip(pairs, edge))
 
 
 def verify_linear(inst: CdsInstance, sch: LinearScheme) -> VerificationReport:
@@ -168,21 +196,30 @@ def verify_linear(inst: CdsInstance, sch: LinearScheme) -> VerificationReport:
     rank(stacked [F|H]) - rank(stacked H): a qualified edge must expose
     exactly L symbols, an unqualified edge none, and each vertex alone
     none.
+
+    Both ranks come from one elimination of [H | F], noise columns first:
+    in a leftmost-pivot echelon form the pivots among the first L_Z
+    columns number rank(H) and all pivots rank([F|H]).  Every vertex and
+    every edge pair is eliminated at once, batched across the instance.
+    The same two ranks give signal alignment: an edge's noise agreements
+    (x, y with x.H_v = y.H_u) force equal secret rows (x.F_v = y.F_u)
+    exactly when rank(stacked [F|H]) = rank(stacked H).
     """
-    _require_vertices(inst.vertices, sch)
+    vertex_ranks, edge_ranks = _rank_table(inst, sch)
     L = sch.secret_len
     vertex_verdicts: dict[str, VertexVerdict] = {}
     for v in inst.vertices:
-        leak = rank(sch.augmented(v)) - rank(sch.matrices[v][1])
+        noise, joint = vertex_ranks[v]
+        leak = joint - noise
         vertex_verdicts[v] = VertexVerdict(leak == 0, leak)
     edge_verdicts: dict[tuple[str, str], EdgeVerdict] = {}
-    for kind, (v, u) in inst.edges:
-        info = _pair_ranks(sch, v, u)
-        delta = info[0] - info[1]
+    for kind, e in inst.edges:
+        noise, joint = edge_ranks[e]
+        delta = joint - noise
         if kind == QUALIFIED:
-            edge_verdicts[(v, u)] = EdgeVerdict(kind, delta == L, delta)
+            edge_verdicts[e] = EdgeVerdict(kind, delta == L, delta)
         else:
-            edge_verdicts[(v, u)] = EdgeVerdict(kind, delta == 0, delta)
+            edge_verdicts[e] = EdgeVerdict(kind, delta == 0, delta)
     passed = all(w.secure for w in vertex_verdicts.values()) and all(
         e.ok for e in edge_verdicts.values()
     )
@@ -194,7 +231,8 @@ def noise_overlap_dim(sch: LinearScheme, v: str, u: str) -> int:
     for name in (v, u):
         if name not in sch.matrices:
             raise ValueError(f"scheme has no vertex {name}")
-    return rowspace_intersection_dim(sch.matrices[v][1], sch.matrices[u][1])
+    h_v, h_u = sch.matrices[v][1], sch.matrices[u][1]
+    return rank(h_v) + rank(h_u) - rank(vstack(h_v, h_u))
 
 
 def check_signal_alignment(
@@ -261,10 +299,20 @@ class AlignmentReport:
 def alignment_report(
     inst: CdsInstance, sch: LinearScheme, paths=()
 ) -> AlignmentReport:
-    """Aggregate the alignment diagnostics for a (verified) scheme."""
-    _require_vertices(inst.vertices, sch)
-    overlaps = {e: noise_overlap_dim(sch, *e) for e in inst.qualified}
-    aligned = {e: check_signal_alignment(sch, *e)[0] for e in inst.unqualified}
+    """Aggregate the alignment diagnostics for a (verified) scheme.
+
+    Read from the same batched ranks as :func:`verify_linear`: the noise
+    overlap on a qualified edge is rank(H_v) + rank(H_u) - rank([H_v; H_u]),
+    and an unqualified edge is signal-aligned iff its pair's
+    rank([F|H]) equals rank(H), since the left kernel of [H_v; -H_u] lies
+    inside that of [F_v; -F_u] exactly when the two ranks agree.
+    """
+    vertex_ranks, edge_ranks = _rank_table(inst, sch)
+    overlaps = {
+        (v, u): vertex_ranks[v][0] + vertex_ranks[u][0] - edge_ranks[(v, u)][0]
+        for v, u in inst.qualified
+    }
+    aligned = {e: edge_ranks[e][1] == edge_ranks[e][0] for e in inst.unqualified}
     bounds = tuple(
         (tuple(pth), path_overlap_lower_bound(sch, pth, inst)) for pth in paths
     )

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gf import GfMatrix, is_prime
-from .instance import CdsInstance, FeasibilityResult, decompose, half_rate_feasible
+from .instance import CdsInstance, FeasibilityResult, _feasibility, decompose
+from .instance import half_rate_feasible  # noqa: F401  perfbench/spans.py traces it here
 from .scheme import LinearScheme, verify_linear
 
 __all__ = [
@@ -107,10 +108,10 @@ class SynthesisPlan:
 
 def plan_synthesis(inst: CdsInstance) -> SynthesisPlan:
     """Decompose a non-degenerate, feasible instance for synthesis."""
-    result = half_rate_feasible(inst)
+    qualified, unqualified = decompose(inst)
+    result = _feasibility(inst, qualified, unqualified)
     if not result.feasible:
         raise InfeasibleInstanceError(result)
-    qualified, unqualified = decompose(inst)
     inner: list[list[tuple[str, ...]]] = [[] for _ in qualified.blocks]
     for blk in unqualified.blocks:
         inner[qualified.index_of(blk[0])].append(blk)

@@ -21,6 +21,7 @@ from cdskit.instance import (
 )
 from cdskit.oracle import check_correct, check_secure, lemma_audit, tabulate
 from cdskit.scheme import (
+    alignment_report,
     check_signal_alignment,
     noise_overlap_dim,
     rate_report,
@@ -286,9 +287,14 @@ def _layered_feasible_instance(rng, comps=12, blocks=6, size=50, edges=10_000):
 def test_criterion_10_combinatorial_reach():
     inst = _layered_feasible_instance(random.Random(100_010))
     assert len(inst.vertices) == 3600 and len(inst.edges) == 10_000
-    with _Budget("criterion 10 (check, synthesis, reduction at 10^4 edges)", 2.0):
+    name = "criterion 10 (check, synthesis, reduction, verification at 10^4 edges)"
+    with _Budget(name, 2.0):
         assert half_rate_feasible(inst).feasible
         sch = synthesize_half_rate(inst)
         assert (sch.p, sch.noise_len) == (7, 12)
         reduced = reduce_randomness(inst, sch)
         assert (reduced.p, reduced.noise_len) == (11, 2)
+        assert verify_linear(inst, reduced).passed
+        align = alignment_report(inst, reduced)
+        assert min(align.noise_overlaps.values()) == 1
+        assert all(align.signal_alignment.values())

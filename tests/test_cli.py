@@ -150,6 +150,18 @@ class TestVerify:
         assert code == 1
         assert "overall: FAIL" in out
 
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_no_qualified_edge_has_no_rate(self, tmp_path, capsys, rows):
+        # Empty signals (rate L/0) and zero signals shorter than the secret
+        # (rate 3/2) both verify when nothing must decode.
+        inst, sch = tmp_path / "u.cds", tmp_path / "u.scheme"
+        inst.write_text("cds-instance v1\nu A1 B1\n")
+        body = "".join(f"signal {v} {rows}\n" + "F: 0 0 0 | H:\n" * rows for v in ("A1", "B1"))
+        sch.write_text("cds-scheme v1\nfield 2\nsecret 3\nnoise 0\n" + body)
+        assert run(["verify", str(inst), str(sch), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pass"] and payload["rate"] is None
+
     def test_budget_env_guard(self, fig2_file, fig2_scheme_file, capsys, monkeypatch):
         monkeypatch.setenv("CDS_ENUM_BUDGET", "64")
         code = run(["verify", fig2_file, fig2_scheme_file, "--oracle"])

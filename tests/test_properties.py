@@ -1,13 +1,23 @@
 """Property tests: the component pass against a brute-force reference,
-and the two file formats against their own writers and arbitrary text."""
+the batched rank kernel and the reports it feeds against per-matrix
+eliminations, the two file formats against their own writers and
+arbitrary text, and the command line's exit codes on arbitrary files."""
 
+import io
+import tempfile
 from collections import deque
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from cdskit.gf import GfMatrix
+from cdskit.cli import run
+from cdskit.gf import GfMatrix, _rref_array, hstack, prefix_ranks, rank, ranks, vstack
 from cdskit.instance import (
+    QUALIFIED,
     CdsInstance,
     InstanceFormatError,
     format_instance,
@@ -16,9 +26,21 @@ from cdskit.instance import (
     qualified_components,
     unqualified_components_within,
 )
-from cdskit.scheme import LinearScheme, SchemeFormatError, format_scheme, parse_scheme
+from cdskit.scheme import (
+    EdgeVerdict,
+    LinearScheme,
+    SchemeFormatError,
+    VertexVerdict,
+    alignment_report,
+    check_signal_alignment,
+    format_scheme,
+    noise_overlap_dim,
+    parse_scheme,
+    verify_linear,
+)
 
 PRIMES = (2, 3, 5, 7, 11, 13)
+RANK_PRIMES = (2, 3, 5, 7, 11, 65521)
 
 
 @st.composite
@@ -149,24 +171,90 @@ def instances(draw) -> CdsInstance:
     )
 
 
+def residues(p: int):
+    """Residues mod p, with 0, 1 and -1 common enough that rows often
+    depend on one another even in a large field."""
+    return st.one_of(st.sampled_from(sorted({0, 1, p - 1})), st.integers(0, p - 1))
+
+
 @st.composite
-def schemes(draw) -> LinearScheme:
-    p = draw(st.sampled_from(PRIMES))
+def schemes(draw, names=None, primes=PRIMES) -> LinearScheme:
+    """A scheme over the given vertex names, or over drawn ones."""
+    p = draw(st.sampled_from(primes))
     secret_len = draw(st.integers(1, 3))
     noise_len = draw(st.integers(0, 3))
-    residue = st.integers(0, p - 1)
     name = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
 
     def matrix(rows: int, cols: int) -> GfMatrix:
-        row = st.lists(residue, min_size=cols, max_size=cols)
+        row = st.lists(residues(p), min_size=cols, max_size=cols)
         data = draw(st.lists(row, min_size=rows, max_size=rows))
         return GfMatrix.from_rows(p, data, cols)
 
     matrices = {}
-    for v in draw(st.sets(name, max_size=4)):
+    for v in draw(st.sets(name, max_size=4)) if names is None else names:
         rows = draw(st.integers(0, 3))
         matrices[v] = (matrix(rows, secret_len), matrix(rows, noise_len))
     return LinearScheme(p, secret_len, noise_len, matrices)
+
+
+@st.composite
+def instance_schemes(draw) -> tuple[CdsInstance, LinearScheme]:
+    """An instance and a scheme with matrices for each of its vertices."""
+    inst = draw(instances())
+    return inst, draw(schemes(inst.vertices, RANK_PRIMES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RANK_PRIMES), st.tuples(*[st.integers(0, 5)] * 3), st.data())
+def test_prefix_ranks_match_reference_elimination(p, shape, data):
+    stack = data.draw(arrays(np.int64, shape, elements=residues(p)))
+    got = prefix_ranks(stack, p)
+    assert got.shape == (shape[0], shape[2] + 1)
+    for b, matrix in enumerate(stack):
+        want = [len(_rref_array(matrix[:, :k], p)[1]) for k in range(shape[2] + 1)]
+        assert got[b].tolist() == want
+    assert ranks(stack, p).tolist() == got[:, -1].tolist()
+
+
+def test_ranks_of_empty_stacks():
+    assert ranks(np.zeros((0, 3, 2), dtype=np.int64), 5).shape == (0,)
+    assert ranks(np.zeros((4, 3, 0), dtype=np.int64), 5).tolist() == [0] * 4
+    assert ranks(np.zeros((2, 0, 3), dtype=np.int64), 65521).tolist() == [0, 0]
+
+
+def reference_verdicts(inst, sch):
+    """Vertex and edge verdicts from one rank call per explicitly stacked
+    matrix."""
+    vertices = {}
+    for v in inst.vertices:
+        f, h = sch.matrices[v]
+        leak = rank(hstack(f, h)) - rank(h)
+        vertices[v] = VertexVerdict(leak == 0, leak)
+    edges = {}
+    for kind, (v, u) in inst.edges:
+        (fv, hv), (fu, hu) = sch.matrices[v], sch.matrices[u]
+        delta = rank(vstack(hstack(fv, hv), hstack(fu, hu))) - rank(vstack(hv, hu))
+        want = sch.secret_len if kind == QUALIFIED else 0
+        edges[(v, u)] = EdgeVerdict(kind, delta == want, delta)
+    return vertices, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_schemes())
+def test_batched_reports_match_per_pair_ranks(pair):
+    inst, sch = pair
+    vertices, edges = reference_verdicts(inst, sch)
+    report = verify_linear(inst, sch)
+    assert report.vertex_verdicts == vertices and report.edge_verdicts == edges
+    secure = all(w.secure for w in vertices.values())
+    assert report.passed == (secure and all(e.ok for e in edges.values()))
+    align = alignment_report(inst, sch)
+    assert align.noise_overlaps == {
+        e: noise_overlap_dim(sch, *e) for e in inst.qualified
+    }
+    assert align.signal_alignment == {
+        e: check_signal_alignment(sch, *e)[0] for e in inst.unqualified
+    }
 
 
 @settings(max_examples=100, deadline=None)
@@ -224,3 +312,41 @@ def test_scheme_text_parses_or_raises_format_error(text):
         parse_scheme(text)
     except SchemeFormatError:
         pass
+
+
+# The command line on arbitrary files: format-like text, well-formed files
+# and instance/scheme pairs that match, so that every stage is reached.
+_instance_file = st.one_of(
+    st.lists(_instance_line, max_size=8).map("\n".join),
+    instances().map(format_instance),
+)
+_scheme_file = st.one_of(
+    st.lists(_scheme_line, max_size=8).map("\n".join),
+    schemes().map(format_scheme),
+)
+_files = st.one_of(
+    st.tuples(_instance_file, _scheme_file),
+    instance_schemes().map(lambda t: (format_instance(t[0]), format_scheme(t[1]))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["check", "verify", "audit", "synth"]),
+    _files,
+    st.sets(st.sampled_from(["--json", "--reduce-randomness"])),
+)
+def test_cli_exit_codes(command, files, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path, sch_path = Path(tmp) / "x.cds", Path(tmp) / "x.scheme"
+        inst_path.write_text(files[0], encoding="utf-8")
+        sch_path.write_text(files[1], encoding="utf-8")
+        argv = [command, str(inst_path)]
+        if command in ("verify", "audit"):
+            argv.append(str(sch_path))
+        argv += sorted(f for f in flags if command == "synth" or f == "--json")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
