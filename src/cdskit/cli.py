@@ -313,7 +313,8 @@ def _cmd_synth(args, out) -> int:
         )
     full = LinearScheme(p, 1, noise_len, matrices)
     core_report = verify_linear(core, sch) if sch is not None else None
-    rates = rate_report(core, sch) if sch is not None else None
+    # As in verify: without a qualified edge no rate is defined.
+    rates = rate_report(core, sch) if sch is not None and core.qualified else None
 
     scheme_text = format_scheme(full)
     if args.json:
@@ -349,10 +350,10 @@ def _cmd_synth(args, out) -> int:
             + ", ".join(eliminated)
             + "\n"
         )
-    if rates is not None:
+    if core_report is not None:
+        rate = f", {render_rate(rates)}" if rates is not None else ""
         summary(
-            f"scheme: p={full.p}, L={full.secret_len}, L_Z={full.noise_len}, "
-            f"{render_rate(rates)}\n"
+            f"scheme: p={full.p}, L={full.secret_len}, L_Z={full.noise_len}{rate}\n"
         )
         summary(f"verification: {'PASS' if core_report.passed else 'FAIL'}\n")
     if args.output is not None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = [
     "CdsInstance",
@@ -91,9 +92,11 @@ class CdsInstance:
             _add_edge(seen, kind, v, u, bipartite)
         return _build(seen, bipartite)
 
-    @property
+    @cached_property
     def edges(self) -> tuple[tuple[str, tuple[str, str]], ...]:
-        """All edges as (kind, pair), pairs canonical and sorted."""
+        """All edges as (kind, pair), pairs canonical and sorted; computed
+        once, in the instance's ``__dict__``, which the frozen dataclass's
+        equality and hash never read."""
         tagged = [(QUALIFIED, e) for e in self.qualified] + [
             (UNQUALIFIED, e) for e in self.unqualified
         ]

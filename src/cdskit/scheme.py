@@ -332,8 +332,15 @@ def rate_report(
     """Exact rates plus the capacity interval [achieved, converse].
 
     The scheme must verify against the instance; without an explicit
-    converse the generic non-degenerate bound 1/2 is used.
+    converse the generic non-degenerate bound 1/2 is used.  The instance
+    needs a qualified edge: without one no pair must decode, so no rate
+    bound applies and signals may even be empty.
     """
+    if not inst.qualified:
+        raise ValueError(
+            "rate_report requires an instance with a qualified edge; "
+            "without one no rate is defined"
+        )
     report = verify_linear(inst, sch)
     if not report.passed:
         raise VerificationFailedError(

@@ -21,6 +21,7 @@ from cdskit.instance import (
 )
 from cdskit.oracle import check_correct, check_secure, lemma_audit, tabulate
 from cdskit.scheme import (
+    LinearScheme,
     alignment_report,
     check_signal_alignment,
     noise_overlap_dim,
@@ -38,6 +39,7 @@ from gen import (
     append_redundant_row,
     direct_sum,
     random_feasible_instance,
+    random_matrix,
     random_scheme,
     shuffle_scheme,
 )
@@ -59,7 +61,7 @@ class _Budget:
     def __exit__(self, exc_type, exc, tb):
         elapsed = time.monotonic() - self.t0
         verdict = "PASS" if exc_type is None else "FAIL"
-        print(f"{self.name}: {verdict} ({elapsed:.2f}s, budget {self.limit:.0f}s)")
+        print(f"{self.name}: {verdict} ({elapsed:.2f}s, budget {self.limit:g}s)")
         if exc_type is None:
             assert elapsed < self.limit, (
                 f"{self.name} exceeded its {self.limit}s budget: {elapsed:.2f}s"
@@ -298,3 +300,22 @@ def test_criterion_10_combinatorial_reach():
         align = alignment_report(inst, reduced)
         assert min(align.noise_overlaps.values()) == 1
         assert all(align.signal_alignment.values())
+
+
+def test_criterion_11_oracle_reach():
+    rng = random.Random(110_011)
+    names = [f"x{i}" for i in range(5)]
+    sch = LinearScheme(2, 2, 18, {
+        v: (random_matrix(rng, 2, 3, 2), random_matrix(rng, 2, 3, 18)) for v in names
+    })
+    pairs = rng.sample(list(itertools.combinations(names, 2)), 6)
+    inst = CdsInstance.from_edges(
+        [(rng.choice("qu"), v, u) for v, u in pairs], bipartite=False
+    )
+    deltas = {e: w.rank_delta for e, w in verify_linear(inst, sch).edge_verdicts.items()}
+    with _Budget("criterion 11 (oracle at 2^20 realizations, 6 edges)", 1.2):
+        table = tabulate(sch)
+        assert table.size == 2**20
+        for (v, u), delta in deltas.items():
+            assert check_correct(table, v, u) == (delta == 2)
+            assert check_secure(table, v, u) == (delta == 0)

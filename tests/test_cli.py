@@ -112,6 +112,16 @@ class TestSynth:
         assert payload["rate"] == {"num": 1, "den": 2}
         assert parse_scheme(payload["scheme"]).noise_len == 2
 
+    def test_no_qualified_edge_has_no_rate(self, tmp_path, capsys):
+        path = tmp_path / "u.cds"
+        path.write_text("cds-instance v1\nu A1 B1\n")
+        assert run(["synth", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verified"] and payload["rate"] is None
+        assert run(["synth", str(path)]) == 0
+        err = capsys.readouterr().err
+        assert "scheme: p=2, L=1, L_Z=2\n" in err and "verification: PASS" in err
+
     def test_degenerate_vertices_get_plain_secret(self, tmp_path, capsys):
         path = tmp_path / "deg.cds"
         path.write_text("cds-instance v1\nq A1 B1\nq B1 A2\nu A2 B2\n")

@@ -1,6 +1,7 @@
 """Tests for the instance graph model and the capacity-1/2 condition."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -122,6 +123,16 @@ class TestParsing:
     def test_missing_header(self):
         with pytest.raises(InstanceFormatError, match="header"):
             parse_instance("q A1 B1\n")
+
+    def test_edges_computed_once(self, fig2):
+        fresh = parse_instance(format_instance(fig2))
+        edges = fig2.edges
+        assert fig2.edges is edges
+        assert [e for _, e in edges] == sorted(fig2.qualified + fig2.unqualified)
+        # The cache changes neither equality nor hashing nor pickling.
+        assert fresh == fig2 and hash(fresh) == hash(fig2)
+        copy = pickle.loads(pickle.dumps(fig2))
+        assert copy == fig2 and hash(copy) == hash(fig2) and copy.edges == edges
 
     def test_roundtrip(self, fig2, example1):
         for inst in (fig2, example1):

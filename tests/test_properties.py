@@ -1,16 +1,20 @@
 """Property tests: the component pass against a brute-force reference,
 the batched rank kernel and the reports it feeds against per-matrix
-eliminations, the two file formats against their own writers and
-arbitrary text, and the command line's exit codes on arbitrary files."""
+eliminations, the oracle's linear-time counts and tables against
+sort-based references, the two file formats against their own writers
+and arbitrary text, and the command line's exit codes on arbitrary
+files."""
 
 import io
+import itertools
+import math
 import tempfile
 from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -25,6 +29,14 @@ from cdskit.instance import (
     parse_instance,
     qualified_components,
     unqualified_components_within,
+)
+from cdskit.oracle import (
+    SchemeTable,
+    _all_vectors,
+    check_correct,
+    check_secure,
+    joint_entropy,
+    tabulate,
 )
 from cdskit.scheme import (
     EdgeVerdict,
@@ -255,6 +267,156 @@ def test_batched_reports_match_per_pair_ranks(pair):
     assert align.signal_alignment == {
         e: check_signal_alignment(sch, *e)[0] for e in inst.unqualified
     }
+
+
+# The oracle against the sort-based counting it replaced.
+
+ORACLE_PRIMES = (2, 3, 5, 7)
+
+
+def reference_encode(digits: np.ndarray, p: int) -> np.ndarray:
+    """Base-p value of each digit row, or its index among distinct rows
+    when that overflows int64."""
+    n = digits.shape[1]
+    if n * math.log2(p) > 62:
+        return np.unique(digits, axis=0, return_inverse=True)[1].reshape(-1)
+    return digits @ (p ** np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+def reference_tabulate(sch: LinearScheme) -> dict:
+    """Every vertex's codes from the full (p^L, p^L_Z, N) digit array."""
+    s = _all_vectors(sch.p, sch.secret_len)
+    z = _all_vectors(sch.p, sch.noise_len)
+    out = {}
+    for v, (f, h) in sch.matrices.items():
+        full = ((s @ f.data.T)[:, None, :] + (z @ h.data.T)[None, :, :]) % sch.p
+        out[v] = reference_encode(full.reshape(len(s) * len(z), f.rows), sch.p)
+    return out
+
+
+def reference_codes(table, names) -> np.ndarray:
+    """The joint value of the variables on every row, numbered by sorting."""
+    cols = np.column_stack([table.column(name)[0] for name in names])
+    return np.unique(cols, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def reference_correct(table, v, u) -> bool:
+    pair = reference_codes(table, [v, u])
+    with_secret = reference_codes(table, ["S", v, u])
+    return len(np.unique(pair)) == len(np.unique(with_secret))
+
+
+def reference_secure(table, v, u) -> bool:
+    """P(s, w) = P(s) P(w) on every present pair, with each secret's mass
+    exhausted so that absent pairs have a zero product too."""
+    pair = reference_codes(table, [v, u])
+    s = table.column("S")[0]
+    pair_vals, pair_inv, pair_counts = np.unique(
+        pair, return_inverse=True, return_counts=True
+    )
+    s_vals, s_inv, s_counts = np.unique(s, return_inverse=True, return_counts=True)
+    joint = s_inv.astype(np.int64) * len(pair_vals) + pair_inv
+    joint_vals, joint_counts = np.unique(joint, return_counts=True)
+    lhs = joint_counts.astype(object) * table.size
+    rhs = s_counts[joint_vals // len(pair_vals)].astype(object) * pair_counts[
+        joint_vals % len(pair_vals)
+    ].astype(object)
+    if not (lhs == rhs).all():
+        return False
+    per_secret = np.zeros(len(s_vals), dtype=np.int64)
+    np.add.at(per_secret, joint_vals // len(pair_vals), joint_counts)
+    return bool((per_secret == s_counts).all())
+
+
+def reference_entropy(table, names) -> float:
+    counts = np.unique(reference_codes(table, names), return_counts=True)[1]
+    total, log_p = table.size, math.log(table.p)
+    return float(
+        math.log(total) / log_p
+        - sum(int(c) * math.log(int(c)) for c in counts) / (total * log_p)
+    )
+
+
+@st.composite
+def oracle_schemes(draw) -> LinearScheme:
+    """Linear schemes over small tables.  Vertex w's signal, when drawn
+    wide, repeats its rows past 62 bits, so that it is numbered by
+    identity and its pairs are labelled by sorting."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    secret_len, noise_len = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    assume(p ** (secret_len + noise_len) <= 1 << 12)
+    cols = secret_len + noise_len
+    matrices = {}
+    for v in ("a", "b", "w"):
+        rows = draw(st.integers(0, 4))
+        m = draw(arrays(np.int64, (rows, cols), elements=residues(p)))
+        if v == "w" and draw(st.booleans()):
+            wide = int(62 / math.log2(p)) + 1
+            m = np.resize(m, (wide, cols)) if rows else np.zeros((wide, cols), np.int64)
+        f, h = GfMatrix(p, m[:, :secret_len]), GfMatrix(p, m[:, secret_len:])
+        matrices[v] = (f, h)
+    return LinearScheme(p, secret_len, noise_len, matrices)
+
+
+@st.composite
+def function_tables(draw) -> SchemeTable:
+    """Non-linear tables: each signal is a random function of a drawn
+    subset of the secret and noise digits."""
+    p = draw(st.sampled_from(ORACLE_PRIMES[:2]))
+    secret_len, noise_len = draw(st.integers(1, 2)), draw(st.integers(0, 3))
+    signals = {}
+    for v in ("a", "b", "w"):
+        width = draw(st.integers(0, 3))
+        reads = draw(st.sets(st.integers(0, secret_len + noise_len - 1)))
+        keys = sorted(itertools.product(range(p), repeat=len(reads)))
+        outputs = draw(
+            st.lists(
+                st.tuples(*[st.integers(0, p - 1)] * width),
+                min_size=len(keys),
+                max_size=len(keys),
+            )
+        )
+        lut = dict(zip(keys, outputs))
+        signals[v] = lambda s, z, lut=lut, reads=sorted(reads): lut[
+            tuple((s + z)[i] for i in reads)
+        ]
+    return SchemeTable.from_functions(p, secret_len, noise_len, signals)
+
+
+def check_oracle_against_references(table):
+    names = ("a", "b", "w")
+    for v, u in itertools.combinations_with_replacement(names, 2):
+        assert check_correct(table, v, u) == reference_correct(table, v, u)
+        assert check_secure(table, v, u) == reference_secure(table, v, u)
+    subsets = [("S",), ("Z",), ("S", "Z")] + [
+        sub for r in (1, 2, 3) for sub in itertools.combinations(("S",) + names, r)
+    ]
+    for sub in subsets:
+        got = joint_entropy(table, sub)
+        if table.scheme is None:
+            assert got == reference_entropy(table, sub)
+        else:
+            counts = np.unique(reference_codes(table, sub), return_counts=True)[1]
+            assert counts.min() == counts.max()
+            assert int(counts[0]) * table.p ** int(got) == table.size
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_schemes())
+def test_linear_oracle_matches_sort_based_reference(sch):
+    table = tabulate(sch)
+    want = reference_tabulate(sch)
+    assert sorted(table.values) == sorted(want)
+    for v, codes in want.items():
+        assert table.values[v].dtype == np.int64
+        assert table.values[v].tolist() == codes.tolist()
+    check_oracle_against_references(table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(function_tables())
+def test_nonlinear_oracle_matches_sort_based_reference(table):
+    check_oracle_against_references(table)
 
 
 @settings(max_examples=100, deadline=None)

@@ -286,6 +286,18 @@ class TestRateReport:
         report = rate_report(inst, sch)
         assert report.rate == Fraction(1, 2)
 
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_no_qualified_edge_rejected(self, rows):
+        # Both schemes verify, since nothing must decode.  Empty signals
+        # used to divide by zero, and 1-symbol zero signals under a
+        # 3-symbol secret to report rate 3/2 above the bound 1/2.
+        inst = CdsInstance.from_edges([("u", "A1", "B1")])
+        zero = (GfMatrix.zeros(2, rows, 3), GfMatrix.zeros(2, rows, 0))
+        sch = LinearScheme(2, 3, 0, {"A1": zero, "B1": zero})
+        assert verify_linear(inst, sch).passed
+        with pytest.raises(ValueError, match="requires an instance with a qualified edge"):
+            rate_report(inst, sch)
+
     def test_unverified_scheme_rejected(self, fig2):
         sch = builtin_fig2_scheme()
         broken = dict(sch.matrices)
