@@ -276,8 +276,3 @@ def rowspace_intersection_basis(a: GfMatrix, b: GfMatrix) -> GfMatrix:
         )
     return out
 
-
-def in_row_space(m: GfMatrix, row) -> bool:
-    """True iff the vector lies in the row space of m."""
-    vec = np.asarray(list(row), dtype=np.int64).reshape(1, m.cols) % m.p
-    return rank(vstack(m, GfMatrix(m.p, vec))) == rank(m)

@@ -181,9 +181,6 @@ class Partition:
     def index_of(self, v: str) -> int:
         return self._index[v]
 
-    def covered(self) -> tuple[str, ...]:
-        return tuple(sorted(v for b in self.blocks for v in b))
-
 
 @dataclass(frozen=True)
 class PathWitness:

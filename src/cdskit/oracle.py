@@ -88,14 +88,19 @@ def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return total
 
 
+def _number_rows(columns) -> np.ndarray:
+    """Each row of the stacked columns numbered by identity: its index
+    among the distinct rows, in sorted order, as int64."""
+    _, inverse = np.unique(np.column_stack(list(columns)), axis=0, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64)
+
+
 def _encode(columns, n: int, p: int, total: int) -> np.ndarray:
     """One scalar per row of n digit columns of length ``total``: its
     base-p value (big-endian), accumulated one digit at a time, while that
     fits in int64; otherwise the row's index among the distinct rows."""
     if n * math.log2(p) > 62:
-        digits = np.column_stack(list(columns))
-        _, inverse = np.unique(digits, axis=0, return_inverse=True)
-        return inverse.reshape(-1).astype(np.int64)
+        return _number_rows(columns)
     code = np.zeros(total, dtype=np.int64)
     for digit in columns:
         code *= p
@@ -233,10 +238,8 @@ def _labels(table: SchemeTable, names) -> tuple[np.ndarray, int]:
             codes = codes * size  # a new array: the table's codes stay intact
             codes += col
         return codes, width
-    stacked = np.column_stack([col for col, _ in cols])
-    _, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1).astype(np.int64)
-    return inverse, int(inverse.max()) + 1
+    numbers = _number_rows(col for col, _ in cols)
+    return numbers, int(numbers.max()) + 1
 
 
 def check_correct(table: SchemeTable, v: str, u: str) -> bool:

@@ -17,6 +17,7 @@ arithmetic; floating point only proposes.
   after degenerate stalls, which terminates from any start.  That
   tableau is the sole authority on infeasible and unbounded LPs and on
   optima the rounding cannot reach, so floats never decide anything.
+  Its optimal answers pass the same exact checks before they are returned.
 
 Constraints are canonicalized for the tableau so that rows with a
 right-hand side of the correct sign start out slack-basic; artificials
@@ -428,7 +429,9 @@ def solve_lp(n_vars: int, objective, constraints, accelerate: bool = True) -> Lp
             rational tableau.
 
     Returns:
-        LpSolution; primal and duals are present only when optimal.
+        LpSolution; primal and duals are present only when optimal, and
+        then they have passed the exact checks, whichever engine found
+        them.  AssertionError if the tableau's optimal pair fails them.
     """
     obj = _sparse(objective)
     if any(j >= n_vars or j < 0 for j in obj):
@@ -438,7 +441,12 @@ def solve_lp(n_vars: int, objective, constraints, accelerate: bool = True) -> Lp
         sol = _propose(n_vars, obj, rows)
         if sol is not None:
             return sol
-    return _solve_exact(_canonicalize(n_vars, rows), obj)
+    sol = _solve_exact(_canonicalize(n_vars, rows), obj)
+    if sol.status == "optimal" and (
+        _certify(n_vars, obj, rows, sol.primal, sol.duals) != sol.value
+    ):
+        raise AssertionError("the rational tableau's answer fails the exact checks")
+    return sol
 
 
 def _sparse(coeffs) -> dict[int, Fraction]:

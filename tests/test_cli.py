@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, deterministic text, JSON shapes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +123,15 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "scheme: p=2, L=1, L_Z=2\n" in err and "verification: PASS" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_output_into_missing_directory(self, example1_file, tmp_path, capsys, flags):
+        target = tmp_path / "nodir" / "x.scheme"
+        assert run(["synth", example1_file, "-o", str(target), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cds: error: cannot write scheme file {target}: ")
+        assert captured.err.count("\n") == 1
+
     def test_degenerate_vertices_get_plain_secret(self, tmp_path, capsys):
         path = tmp_path / "deg.cds"
         path.write_text("cds-instance v1\nq A1 B1\nq B1 A2\nu A2 B2\n")
@@ -217,6 +227,14 @@ class TestBound:
         assert "restricted to vertices: A1, B1, B4" in out
         assert "shannon bound: 1/2" in out
 
+    def test_duplicate_vertices_listed_once(self, example1_file, capsys):
+        assert run(["bound", example1_file, "--vertices", "A1,A1,B1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("instance: 2 vertices, 1 edges")
+        assert "restricted to vertices: A1, B1\n" in out
+        assert run(["bound", example1_file, "--vertices", "B1,A1,A1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["restricted_to"] == ["A1", "B1"]
+
     def test_unknown_vertex_rejected(self, example1_file, capsys):
         code = run(["bound", example1_file, "--vertices", "A1,Q9"])
         assert code == 2
@@ -281,37 +299,6 @@ class TestDemo:
         assert code == 0
 
 
-class TestRenderReport:
-    def test_rate_report_golden_line(self):
-        from fractions import Fraction
-
-        from cdskit.cli import render_report
-        from cdskit.scheme import rate_report
-
-        report = rate_report(
-            builtin_fig2_instance(), builtin_fig2_scheme(), converse=Fraction(5, 12)
-        )
-        assert render_report(report) == "R = 2/5, R_Z = 4/9, bounds [2/5, 5/12]"
-
-    def test_empty_alignment_report_is_header_only(self):
-        from cdskit.cli import render_report
-        from cdskit.scheme import AlignmentReport
-
-        assert render_report(AlignmentReport({}, {}, ())) == "alignment:"
-
-    def test_feasible_verdict_single_line(self):
-        from cdskit.cli import render_report
-        from cdskit.instance import FeasibilityResult
-
-        assert render_report(FeasibilityResult(True)) == "FEASIBLE (capacity = 1/2)"
-
-    def test_unknown_type_rejected(self):
-        from cdskit.cli import render_report
-
-        with pytest.raises(TypeError):
-            render_report(object())
-
-
 class TestUsageErrors:
     def test_missing_file(self, capsys):
         assert run(["check", "/nonexistent/path.cds"]) == 2
@@ -353,3 +340,27 @@ class TestUsageErrors:
         bad.write_text(f"cds-scheme v1\nfield 2\n{header}\n")
         assert run(["verify", fig2_file, str(bad)]) == 2
         assert line in capsys.readouterr().err
+
+
+# Whole outputs of a few commands on the built-ins, byte for byte: stdout,
+# stderr and the exit code.  The certificate lines name the dual weights
+# HiGHS proposes; any weights that pass verify_certificate are a valid
+# proof, so a new SciPy may change them, and the file is then captured anew.
+_GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", _GOLDEN, ids=[c["argv"] for c in _GOLDEN])
+def test_full_output_is_pinned(case, tmp_path, monkeypatch, capsys):
+    fig2 = format_scheme(builtin_fig2_scheme())
+    files = {
+        "fig2.cds": format_instance(builtin_fig2_instance()),
+        "example1.cds": format_instance(builtin_example1_instance()),
+        "broken.scheme": fig2.replace("F: 0 0 1 0 | H:", "F: 1 0 1 0 | H:", 1),
+        "degenerate.cds": "cds-instance v1\nq A1 B1\nq B1 A2\nu A2 B2\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code = run(case["argv"].split())
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err, code) == (case["stdout"], case["stderr"], case["exit"])

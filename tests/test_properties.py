@@ -14,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -476,15 +476,20 @@ def test_scheme_text_parses_or_raises_format_error(text):
         pass
 
 
-# The command line on arbitrary files: format-like text, well-formed files
-# and instance/scheme pairs that match, so that every stage is reached.
+# The command line on arbitrary files: format-like text, well-formed files,
+# instance/scheme pairs that match, so that every stage is reached, and
+# bytes that are not UTF-8.
+_NON_UTF8_INSTANCE = b"cds-instance v1\nq A1 B1\n\xff"
+_NON_UTF8_SCHEME = b"cds-scheme v1\nfield 2\n\xff"
 _instance_file = st.one_of(
     st.lists(_instance_line, max_size=8).map("\n".join),
     instances().map(format_instance),
+    st.just(_NON_UTF8_INSTANCE),
 )
 _scheme_file = st.one_of(
     st.lists(_scheme_line, max_size=8).map("\n".join),
     schemes().map(format_scheme),
+    st.just(_NON_UTF8_SCHEME),
 )
 _files = st.one_of(
     st.tuples(_instance_file, _scheme_file),
@@ -498,11 +503,13 @@ _files = st.one_of(
     _files,
     st.sets(st.sampled_from(["--json", "--reduce-randomness"])),
 )
+@example("check", (_NON_UTF8_INSTANCE, ""), set())
+@example("verify", ("cds-instance v1\nq A1 B1\n", _NON_UTF8_SCHEME), {"--json"})
 def test_cli_exit_codes(command, files, flags):
     with tempfile.TemporaryDirectory() as tmp:
         inst_path, sch_path = Path(tmp) / "x.cds", Path(tmp) / "x.scheme"
-        inst_path.write_text(files[0], encoding="utf-8")
-        sch_path.write_text(files[1], encoding="utf-8")
+        for path, data in ((inst_path, files[0]), (sch_path, files[1])):
+            path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
         argv = [command, str(inst_path)]
         if command in ("verify", "audit"):
             argv.append(str(sch_path))

@@ -5,6 +5,9 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
+from cdskit import simplex
 from cdskit.simplex import LpSolution, solve_lp
 
 F = Fraction
@@ -164,6 +167,18 @@ class TestPureExactEngine:
         assert solve_lp(1, [(0, F(1))], infeasible, accelerate=False).status == "infeasible"
         unbounded = [([(0, F(1))], ">=", F(1))]
         assert solve_lp(1, [(0, F(1))], unbounded, accelerate=False).status == "unbounded"
+
+    def test_wrong_tableau_primal_is_rejected(self, monkeypatch):
+        exact = simplex._solve_exact
+
+        def shifted(can, obj):
+            sol = exact(can, obj)
+            primal = (sol.primal[0] + 1, *sol.primal[1:])
+            return LpSolution(sol.status, sol.value, primal, sol.duals)
+
+        monkeypatch.setattr(simplex, "_solve_exact", shifted)
+        with pytest.raises(AssertionError):
+            solve_lp(1, [(0, F(1))], [([(0, F(1))], "<=", F(1))], accelerate=False)
 
     def test_matches_accelerated_values_on_random_lps(self):
         rng = random.Random(1618)
