@@ -186,13 +186,20 @@ def _tabulate(sch: LinearScheme):
         raise _UsageError(str(exc)) from None
 
 
-def _feasibility(inst, result: FeasibilityResult, fields: dict, notes=()) -> _Report:
+def _feasibility(
+    inst,
+    result: FeasibilityResult,
+    fields: dict,
+    notes=(),
+    verdict: str = "FEASIBLE (capacity = 1/2)",
+) -> _Report:
     """The capacity-1/2 verdict: ``fields`` go into the payload before the
-    witness and ``notes`` into the text after the instance header."""
+    witness, ``notes`` into the text after the instance header, and
+    ``verdict`` is the text line of a feasible result."""
     lines = [_instance_header(inst), *notes]
     witness = None
     if result.feasible:
-        lines.append("FEASIBLE (capacity = 1/2)")
+        lines.append(verdict)
     else:
         edge, path = result.witness_edge, result.witness_path.vertices
         witness = {"edge": list(edge), "path": list(path)}
@@ -212,14 +219,24 @@ def _feasibility(inst, result: FeasibilityResult, fields: dict, notes=()) -> _Re
 def _cmd_check(args) -> _Report:
     inst = _load(args.instance, "instance", parse_instance)
     core, eliminated = normalize_degenerate(inst)
-    result = half_rate_feasible(core) if core.vertices else FeasibilityResult(True)
     counts = {
         "vertices": len(inst.vertices),
         "qualified_edges": len(inst.qualified),
         "unqualified_edges": len(inst.unqualified),
         "eliminated": list(eliminated),
     }
-    return _feasibility(inst, result, counts, _eliminated(eliminated))
+    notes = _eliminated(eliminated)
+    if core.vertices:
+        return _feasibility(inst, half_rate_feasible(core), counts, notes)
+    # An empty core means no unqualified edge, so nothing is to be hidden:
+    # two signals can carry two secret symbols (any two of s1 + a_v s2
+    # decode), and a qualified pair carries no more, so capacity is 1.
+    verdict = (
+        "FEASIBLE (no unqualified edge: capacity = 1)"
+        if inst.qualified
+        else "FEASIBLE (no edge: no capacity is defined)"
+    )
+    return _feasibility(inst, FeasibilityResult(True), counts, notes, verdict)
 
 
 def _cmd_synth(args) -> _Report:
@@ -233,7 +250,9 @@ def _cmd_synth(args) -> _Report:
         else:
             sch = None
     except InfeasibleInstanceError as exc:
-        return _feasibility(inst, exc.result, {"eliminated": list(eliminated)})
+        return _feasibility(
+            inst, exc.result, {"eliminated": list(eliminated)}, _eliminated(eliminated)
+        )
 
     # The eliminated vertices carry the secret in the clear; they have no
     # unqualified edge, so no security constraint applies to them.
@@ -243,11 +262,9 @@ def _cmd_synth(args) -> _Report:
     else:
         p, noise_len = sch.p, sch.noise_len
         matrices = dict(sch.matrices)
+    plain = (GfMatrix.from_rows(p, [[1]], 1), GfMatrix.zeros(p, 1, noise_len))
     for v in eliminated:
-        matrices[v] = (
-            GfMatrix.from_rows(p, [[1]], 1),
-            GfMatrix.zeros(p, 1, noise_len),
-        )
+        matrices[v] = plain
     full = LinearScheme(p, 1, noise_len, matrices)
     core_report = verify_linear(core, sch) if sch is not None else None
     # As in verify: without a qualified edge no rate is defined.

@@ -66,7 +66,10 @@ class LinearScheme:
     """Per-vertex secret/noise precoding pairs over a common field.
 
     ``matrices[v] = (F_v, H_v)`` with F_v of shape N_v x L and H_v of
-    shape N_v x L_Z.
+    shape N_v x L_Z.  Vertices may share one pair of (immutable)
+    matrices, as the vertices of one signal block do in a synthesized or
+    parsed scheme; each distinct pair is validated once, and equality
+    compares each distinct pair of pairs once.
     """
 
     p: int
@@ -80,8 +83,12 @@ class LinearScheme:
         if self.noise_len < 0:
             raise ValueError("noise length cannot be negative")
         ordered: dict[str, tuple[GfMatrix, GfMatrix]] = {}
+        checked: set[tuple[int, int]] = set()
         for v in sorted(self.matrices):
             f, h = self.matrices[v]
+            ordered[v] = (f, h)
+            if (id(f), id(h)) in checked:
+                continue
             if f.p != self.p or h.p != self.p:
                 raise ValueError(f"vertex {v}: matrices must be over GF({self.p})")
             if f.rows != h.rows:
@@ -96,7 +103,7 @@ class LinearScheme:
                 raise ValueError(
                     f"vertex {v}: H has {h.cols} columns, expected {self.noise_len}"
                 )
-            ordered[v] = (f, h)
+            checked.add((id(f), id(h)))
         object.__setattr__(self, "matrices", ordered)
 
     @property
@@ -114,12 +121,21 @@ class LinearScheme:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearScheme):
             return NotImplemented
-        return (
-            self.p == other.p
-            and self.secret_len == other.secret_len
-            and self.noise_len == other.noise_len
-            and self.matrices == other.matrices
-        )
+        if (self.p, self.secret_len, self.noise_len) != (
+            other.p,
+            other.secret_len,
+            other.noise_len,
+        ) or self.matrices.keys() != other.matrices.keys():
+            return False
+        compared: set[tuple[int, int, int, int]] = set()
+        for v, mine in self.matrices.items():
+            theirs = other.matrices[v]
+            key = (id(mine[0]), id(mine[1]), id(theirs[0]), id(theirs[1]))
+            if key not in compared:
+                if mine != theirs:
+                    return False
+                compared.add(key)
+        return True
 
 
 def _require_vertices(inst_vertices, sch: LinearScheme) -> None:
@@ -156,37 +172,52 @@ _CHUNK_CELLS = 1 << 14
 def _rank_table(inst: CdsInstance, sch: LinearScheme):
     """(rank of H, rank of [F|H]) for every vertex and every edge's pair.
 
-    Each vertex's [H_v | F_v] is padded with zero rows to the longest
-    signal, which changes no rank; an edge's pair is its two padded
-    matrices stacked.  One elimination of the vertex stack and one of each
-    chunk of pair stacks give both ranks, read off the noise-first prefix
-    ranks.  Returns two dicts keyed by vertex and by edge.
+    Ranks depend only on the matrices, so vertices that share one (F, H)
+    pair share its ranks, and edges whose ends have the same two pairs
+    share theirs: only distinct pairs and distinct pairs of them are
+    eliminated.  Each distinct [H | F] is padded with zero rows to the
+    longest signal, which changes no rank; an edge's stack is its two
+    padded matrices stacked.  One elimination of the distinct pairs and
+    one of each chunk of edge stacks give both ranks, read off the
+    noise-first prefix ranks.  Returns two dicts keyed by vertex and by
+    edge.
     """
     _require_vertices(inst.vertices, sch)
     lz = sch.noise_len
     width = lz + sch.secret_len
-    n = max((sch.signal_len(v) for v in inst.vertices), default=0)
 
     def noise_joint(stack):
         prefix = prefix_ranks(stack, sch.p)
-        return zip(prefix[:, lz].tolist(), prefix[:, -1].tolist())
+        return list(zip(prefix[:, lz].tolist(), prefix[:, -1].tolist()))
 
-    stack = np.zeros((len(inst.vertices), n, width), dtype=np.int64)
-    index = {}
-    for k, v in enumerate(inst.vertices):
+    slot: dict[tuple[int, int], int] = {}  # (id F, id H) -> index in `distinct`
+    distinct: list[tuple[GfMatrix, GfMatrix]] = []
+    which = {}
+    for v in inst.vertices:
         f, h = sch.matrices[v]
-        stack[k, : f.rows, :lz] = h.data
-        stack[k, : f.rows, lz:] = f.data
-        index[v] = k
+        k = which[v] = slot.setdefault((id(f), id(h)), len(distinct))
+        if k == len(distinct):
+            distinct.append((f, h))
+    n = max((f.rows for f, _ in distinct), default=0)
+    table = np.zeros((len(distinct), n, width), dtype=np.int64)
+    for k, (f, h) in enumerate(distinct):
+        table[k, : f.rows, :lz] = h.data
+        table[k, : f.rows, lz:] = f.data
+    pair_ranks = noise_joint(table)
+
     pairs = inst.qualified + inst.unqualified
-    ends = np.array([index[x] for pair in pairs for x in pair], dtype=np.intp)
+    ends = np.array([which[x] for pair in pairs for x in pair], dtype=np.int64)
     ends = ends.reshape(len(pairs), 2)
+    base = max(1, len(distinct))
+    combos, inverse = np.unique(ends[:, 0] * base + ends[:, 1], return_inverse=True)
+    combos = np.stack(np.divmod(combos, base), axis=1)
     chunk = max(1, _CHUNK_CELLS // max(1, 2 * n * width))
-    edge: list = []
-    for i in range(0, len(pairs), chunk):
-        part = ends[i : i + chunk]
-        edge += noise_joint(stack[part].reshape(len(part), 2 * n, width))
-    return dict(zip(inst.vertices, noise_joint(stack))), dict(zip(pairs, edge))
+    combo_ranks: list = []
+    for i in range(0, len(combos), chunk):
+        part = combos[i : i + chunk]
+        combo_ranks += noise_joint(table[part].reshape(len(part), 2 * n, width))
+    vertex = {v: pair_ranks[which[v]] for v in inst.vertices}
+    return vertex, dict(zip(pairs, [combo_ranks[k] for k in inverse.tolist()]))
 
 
 def verify_linear(inst: CdsInstance, sch: LinearScheme) -> VerificationReport:
@@ -199,27 +230,36 @@ def verify_linear(inst: CdsInstance, sch: LinearScheme) -> VerificationReport:
 
     Both ranks come from one elimination of [H | F], noise columns first:
     in a leftmost-pivot echelon form the pivots among the first L_Z
-    columns number rank(H) and all pivots rank([F|H]).  Every vertex and
-    every edge pair is eliminated at once, batched across the instance.
+    columns number rank(H) and all pivots rank([F|H]).  Every distinct
+    (F, H) pair and every distinct edge stack is eliminated at once,
+    batched across the instance.
     The same two ranks give signal alignment: an edge's noise agreements
     (x, y with x.H_v = y.H_u) force equal secret rows (x.F_v = y.F_u)
     exactly when rank(stacked [F|H]) = rank(stacked H).
+
+    The verdicts are frozen, so vertices or edges with the same verdict
+    share one verdict object.
     """
     vertex_ranks, edge_ranks = _rank_table(inst, sch)
     L = sch.secret_len
+    shared: dict[tuple, VertexVerdict | EdgeVerdict] = {}
     vertex_verdicts: dict[str, VertexVerdict] = {}
     for v in inst.vertices:
         noise, joint = vertex_ranks[v]
         leak = joint - noise
-        vertex_verdicts[v] = VertexVerdict(leak == 0, leak)
+        w = shared.get((leak,))
+        if w is None:
+            w = shared[(leak,)] = VertexVerdict(leak == 0, leak)
+        vertex_verdicts[v] = w
     edge_verdicts: dict[tuple[str, str], EdgeVerdict] = {}
     for kind, e in inst.edges:
         noise, joint = edge_ranks[e]
         delta = joint - noise
-        if kind == QUALIFIED:
-            edge_verdicts[e] = EdgeVerdict(kind, delta == L, delta)
-        else:
-            edge_verdicts[e] = EdgeVerdict(kind, delta == 0, delta)
+        w = shared.get((kind, delta))
+        if w is None:
+            want = L if kind == QUALIFIED else 0
+            w = shared[(kind, delta)] = EdgeVerdict(kind, delta == want, delta)
+        edge_verdicts[e] = w
     passed = all(w.secure for w in vertex_verdicts.values()) and all(
         e.ok for e in edge_verdicts.values()
     )
@@ -359,29 +399,38 @@ def rate_report(
 
 
 def format_scheme(sch: LinearScheme) -> str:
+    """The scheme file text; each distinct (F, H) pair is rendered once."""
     lines = [
         "cds-scheme v1",
         f"field {sch.p}",
         f"secret {sch.secret_len}",
         f"noise {sch.noise_len}",
     ]
-    for v in sch.vertices:
-        f, h = sch.matrices[v]
+    rendered: dict[tuple[int, int], list[str]] = {}
+    for v, (f, h) in sch.matrices.items():
+        rows = rendered.get((id(f), id(h)))
+        if rows is None:
+            rows = rendered[(id(f), id(h))] = [
+                f"F: {' '.join(map(str, fr))} | H: {' '.join(map(str, hr))}".rstrip()
+                for fr, hr in zip(f.data.tolist(), h.data.tolist())
+            ]
         lines.append(f"signal {v} {f.rows}")
-        for i in range(f.rows):
-            frow = " ".join(str(int(x)) for x in f.data[i])
-            hrow = " ".join(str(int(x)) for x in h.data[i])
-            lines.append(f"F: {frow} | H: {hrow}".rstrip())
+        lines += rows
     return "\n".join(lines) + "\n"
 
 
 def parse_scheme(text: str) -> LinearScheme:
-    """Parse the scheme file format written by :func:`format_scheme`."""
-    lines = [
-        (no, ln.strip())
-        for no, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    """Parse the scheme file format written by :func:`format_scheme`.
+
+    Signals whose row lines have the same text share one (F, H) pair of
+    immutable matrices: a block of rows is validated and built the first
+    time it appears, and only a block that passed every check is reused.
+    """
+    lines = []
+    for no, ln in enumerate(text.splitlines(), start=1):
+        ln = ln.strip()
+        if ln and not ln.startswith("#"):
+            lines.append((no, ln))
     if not lines or lines[0][1] != "cds-scheme v1":
         raise SchemeFormatError("missing 'cds-scheme v1' header", 1)
     idx = 1
@@ -413,6 +462,7 @@ def parse_scheme(text: str) -> LinearScheme:
     if noise_len < 0:
         raise SchemeFormatError("noise length cannot be negative", lines[idx - 1][0])
     matrices: dict[str, tuple[GfMatrix, GfMatrix]] = {}
+    blocks: dict[tuple[str, ...], tuple[GfMatrix, GfMatrix]] = {}  # row texts -> pair
     while idx < len(lines):
         no, ln = lines[idx]
         parts = ln.split()
@@ -428,6 +478,11 @@ def parse_scheme(text: str) -> LinearScheme:
         if nrows < 0:
             raise SchemeFormatError("row count cannot be negative", no)
         idx += 1
+        key = tuple(row for _, row in lines[idx : idx + nrows])
+        if len(key) == nrows and key in blocks:
+            matrices[name] = blocks[key]
+            idx += nrows
+            continue
         f_rows, h_rows = [], []
         for _ in range(nrows):
             if idx >= len(lines):
@@ -451,7 +506,7 @@ def parse_scheme(text: str) -> LinearScheme:
             f_rows.append(f_vals)
             h_rows.append(h_vals)
             idx += 1
-        matrices[name] = (
+        matrices[name] = blocks[key] = (
             GfMatrix.from_rows(p, f_rows, secret_len),
             GfMatrix.from_rows(p, h_rows, noise_len),
         )

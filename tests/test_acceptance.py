@@ -24,7 +24,9 @@ from cdskit.scheme import (
     LinearScheme,
     alignment_report,
     check_signal_alignment,
+    format_scheme,
     noise_overlap_dim,
+    parse_scheme,
     rate_report,
     verify_linear,
 )
@@ -289,7 +291,10 @@ def _layered_feasible_instance(rng, comps=12, blocks=6, size=50, edges=10_000):
 def test_criterion_10_combinatorial_reach():
     inst = _layered_feasible_instance(random.Random(100_010))
     assert len(inst.vertices) == 3600 and len(inst.edges) == 10_000
-    name = "criterion 10 (check, synthesis, reduction, verification at 10^4 edges)"
+    name = (
+        "criterion 10 (check, synthesis, reduction, verification and the "
+        "scheme file's write and parse at 10^4 edges)"
+    )
     with _Budget(name, 2.0):
         assert half_rate_feasible(inst).feasible
         sch = synthesize_half_rate(inst)
@@ -300,6 +305,7 @@ def test_criterion_10_combinatorial_reach():
         align = alignment_report(inst, reduced)
         assert min(align.noise_overlaps.values()) == 1
         assert all(align.signal_alignment.values())
+        assert parse_scheme(format_scheme(reduced)) == reduced
 
 
 def test_criterion_11_oracle_reach():

@@ -71,6 +71,30 @@ class TestCheck:
         assert code == 0
         assert "eliminated degenerate vertices (signal = secret): A1, B1" in out
 
+    def test_empty_core_claims_capacity_one(self, tmp_path, capsys):
+        # Every vertex is eliminated: no unqualified edge constrains the
+        # signals, and `bound` certifies 1, not 1/2.
+        path = tmp_path / "q.cds"
+        path.write_text("cds-instance v1\nq A1 B1\n")
+        assert run(["check", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "instance: 2 vertices, 1 edges (1 qualified, 0 unqualified)\n"
+            "eliminated degenerate vertices (signal = secret): A1, B1\n"
+            "FEASIBLE (no unqualified edge: capacity = 1)\n"
+        )
+        assert run(["check", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "check",
+            "feasible": True,
+            "vertices": 2,
+            "qualified_edges": 1,
+            "unqualified_edges": 0,
+            "eliminated": ["A1", "B1"],
+            "witness": None,
+        }
+        assert run(["bound", str(path)]) == 0
+        assert "shannon bound: 1 (max H(S) = 2)" in capsys.readouterr().out
+
     def test_byte_identical_reruns(self, fig2_file, capsys):
         run(["check", fig2_file])
         first = capsys.readouterr().out
@@ -104,6 +128,18 @@ class TestSynth:
         out = capsys.readouterr().out
         assert code == 1
         assert "INFEASIBLE" in out and "{B2, A2}" in out
+
+    def test_infeasible_instance_lists_eliminated_vertices(self, fig2_file, capsys):
+        path = Path(fig2_file).with_name("fig2b9.cds")
+        path.write_text(Path(fig2_file).read_text() + "q A1 B9\n")
+        assert run(["check", str(path)]) == 1
+        check_out = capsys.readouterr().out
+        assert run(["synth", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out == check_out
+        assert "eliminated degenerate vertices (signal = secret): B9\n" in out
+        assert run(["synth", str(path), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["eliminated"] == ["B9"]
 
     def test_json_payload(self, example1_file, capsys):
         code = run(["synth", "--json", example1_file])
