@@ -107,15 +107,15 @@ def ground_set(inst: CdsInstance) -> tuple[str, ...]:
     return ("S",) + tuple(sorted(inst.vertices))
 
 
-def elemental_inequalities(n: int, limit: int = GROUND_LIMIT) -> tuple[Constraint, ...]:
+def elemental_inequalities(n: int) -> tuple[Constraint, ...]:
     """The minimal generating Shannon inequalities on n variables.
 
     n conditional entropies H(X_i | rest) >= 0 followed by the
     C(n,2) * 2^(n-2) conditional mutual informations
     I(X_i; X_j | X_K) >= 0, K over subsets of the complement.
     """
-    if n < 2 or n > limit:
-        raise ValueError(f"ground-set size {n} outside [2, {limit}]")
+    if n < 2 or n > GROUND_LIMIT:
+        raise ValueError(f"ground-set size {n} outside [2, {GROUND_LIMIT}]")
     zero = Fraction(0)
     one = Fraction(1)
     out: list[Constraint] = []
@@ -183,8 +183,9 @@ def build_entropy_lp(inst: CdsInstance) -> EntropyLp:
     """
     ground = ground_set(inst)
     n = len(ground)
-    elemental = elemental_inequalities(n)
+    # First, so that too large a ground set gets its error with the remedy.
     cds = cds_constraints(inst)
+    elemental = elemental_inequalities(n)
     cap = Constraint(((1, Fraction(1)),), "<=", Fraction(n))
     objective = ((1, Fraction(1)),)  # maximize H(S); S is ground bit 0
     return EntropyLp(ground, elemental + cds + (cap,), objective)

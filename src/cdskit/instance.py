@@ -272,21 +272,18 @@ def is_non_degenerate(inst: CdsInstance) -> tuple[bool, tuple[str, ...]]:
 
 
 def normalize_degenerate(inst: CdsInstance) -> tuple[CdsInstance, tuple[str, ...]]:
-    """Strip vertices with no unqualified edge until none remain.
+    """Strip the vertices with no unqualified edge.
 
     Removed vertices have no security constraint; their signal is defined
-    to be the secret itself.  Removal deletes their (qualified) edges,
-    which can expose further vertices, so the sweep iterates.
+    to be the secret itself.  Removal deletes only their edges, which are
+    all qualified, so every kept vertex keeps its unqualified edges: one
+    pass leaves a non-degenerate core.
     """
-    current = inst
-    eliminated: list[str] = []
-    while True:
-        ok, violators = is_non_degenerate(current)
-        if ok:
-            return current, tuple(eliminated)
-        eliminated.extend(violators)
-        keep = [v for v in current.vertices if v not in violators]
-        current = current.induced(keep)
+    _, violators = is_non_degenerate(inst)
+    if not violators:
+        return inst, ()
+    gone = set(violators)
+    return inst.induced([v for v in inst.vertices if v not in gone]), violators
 
 
 def decompose(inst: CdsInstance) -> tuple[Partition, Partition]:

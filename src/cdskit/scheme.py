@@ -66,16 +66,22 @@ class LinearScheme:
     """Per-vertex secret/noise precoding pairs over a common field.
 
     ``matrices[v] = (F_v, H_v)`` with F_v of shape N_v x L and H_v of
-    shape N_v x L_Z.  Vertices may share one pair of (immutable)
-    matrices, as the vertices of one signal block do in a synthesized or
-    parsed scheme; each distinct pair is validated once, and equality
-    compares each distinct pair of pairs once.
+    shape N_v x L_Z, in vertex-name order.  Vertices may share one pair
+    of (immutable) matrices, as the vertices of one signal block do in a
+    synthesized or parsed scheme.  ``blocks`` lists the distinct pairs in
+    the order of their first vertex and ``block_of[v]`` is the index of
+    v's pair in it; each block is validated once, and equality, ranks
+    and the scheme file read the blocks rather than the vertices.
     """
 
     p: int
     secret_len: int
     noise_len: int
     matrices: dict[str, tuple[GfMatrix, GfMatrix]] = field(repr=False)
+    blocks: tuple[tuple[GfMatrix, GfMatrix], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    block_of: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.secret_len < 1:
@@ -83,11 +89,13 @@ class LinearScheme:
         if self.noise_len < 0:
             raise ValueError("noise length cannot be negative")
         ordered: dict[str, tuple[GfMatrix, GfMatrix]] = {}
-        checked: set[tuple[int, int]] = set()
+        blocks: list[tuple[GfMatrix, GfMatrix]] = []
+        block_of: dict[str, int] = {}
+        index: dict[tuple[int, int], int] = {}  # (id F, id H) -> block
         for v in sorted(self.matrices):
-            f, h = self.matrices[v]
-            ordered[v] = (f, h)
-            if (id(f), id(h)) in checked:
+            f, h = ordered[v] = tuple(self.matrices[v])
+            k = block_of[v] = index.setdefault((id(f), id(h)), len(blocks))
+            if k < len(blocks):
                 continue
             if f.p != self.p or h.p != self.p:
                 raise ValueError(f"vertex {v}: matrices must be over GF({self.p})")
@@ -103,8 +111,10 @@ class LinearScheme:
                 raise ValueError(
                     f"vertex {v}: H has {h.cols} columns, expected {self.noise_len}"
                 )
-            checked.add((id(f), id(h)))
+            blocks.append(ordered[v])
         object.__setattr__(self, "matrices", ordered)
+        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "block_of", block_of)
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -114,9 +124,8 @@ class LinearScheme:
         return self.matrices[v][0].rows
 
     def max_signal_len(self) -> int:
-        if not self.matrices:
-            raise ValueError("scheme has no signals")
-        return max(f.rows for f, _ in self.matrices.values())
+        """The longest signal; 0 for a scheme without vertices."""
+        return max((f.rows for f, _ in self.blocks), default=0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearScheme):
@@ -125,17 +134,11 @@ class LinearScheme:
             other.p,
             other.secret_len,
             other.noise_len,
-        ) or self.matrices.keys() != other.matrices.keys():
+        ) or self.block_of.keys() != other.block_of.keys():
             return False
-        compared: set[tuple[int, int, int, int]] = set()
-        for v, mine in self.matrices.items():
-            theirs = other.matrices[v]
-            key = (id(mine[0]), id(mine[1]), id(theirs[0]), id(theirs[1]))
-            if key not in compared:
-                if mine != theirs:
-                    return False
-                compared.add(key)
-        return True
+        # Both indexes list the same vertices in name order.
+        pairs = set(zip(self.block_of.values(), other.block_of.values()))
+        return all(self.blocks[i] == other.blocks[j] for i, j in pairs)
 
 
 def _require_vertices(inst_vertices, sch: LinearScheme) -> None:
@@ -172,12 +175,12 @@ _CHUNK_CELLS = 1 << 14
 def _rank_table(inst: CdsInstance, sch: LinearScheme):
     """(rank of H, rank of [F|H]) for every vertex and every edge's pair.
 
-    Ranks depend only on the matrices, so vertices that share one (F, H)
-    pair share its ranks, and edges whose ends have the same two pairs
-    share theirs: only distinct pairs and distinct pairs of them are
-    eliminated.  Each distinct [H | F] is padded with zero rows to the
+    Ranks depend only on the matrices, so the vertices of one block share
+    its ranks, and edges whose ends lie in the same two blocks share
+    theirs: only the scheme's blocks and distinct pairs of them are
+    eliminated.  Each block's [H | F] is padded with zero rows to the
     longest signal, which changes no rank; an edge's stack is its two
-    padded matrices stacked.  One elimination of the distinct pairs and
+    padded matrices stacked.  One elimination of the blocks and
     one of each chunk of edge stacks give both ranks, read off the
     noise-first prefix ranks.  Returns two dicts keyed by vertex and by
     edge.
@@ -190,25 +193,17 @@ def _rank_table(inst: CdsInstance, sch: LinearScheme):
         prefix = prefix_ranks(stack, sch.p)
         return list(zip(prefix[:, lz].tolist(), prefix[:, -1].tolist()))
 
-    slot: dict[tuple[int, int], int] = {}  # (id F, id H) -> index in `distinct`
-    distinct: list[tuple[GfMatrix, GfMatrix]] = []
-    which = {}
-    for v in inst.vertices:
-        f, h = sch.matrices[v]
-        k = which[v] = slot.setdefault((id(f), id(h)), len(distinct))
-        if k == len(distinct):
-            distinct.append((f, h))
-    n = max((f.rows for f, _ in distinct), default=0)
-    table = np.zeros((len(distinct), n, width), dtype=np.int64)
-    for k, (f, h) in enumerate(distinct):
+    n = sch.max_signal_len()
+    table = np.zeros((len(sch.blocks), n, width), dtype=np.int64)
+    for k, (f, h) in enumerate(sch.blocks):
         table[k, : f.rows, :lz] = h.data
         table[k, : f.rows, lz:] = f.data
     pair_ranks = noise_joint(table)
 
     pairs = inst.qualified + inst.unqualified
-    ends = np.array([which[x] for pair in pairs for x in pair], dtype=np.int64)
+    ends = np.array([sch.block_of[x] for pair in pairs for x in pair], dtype=np.int64)
     ends = ends.reshape(len(pairs), 2)
-    base = max(1, len(distinct))
+    base = max(1, len(sch.blocks))
     combos, inverse = np.unique(ends[:, 0] * base + ends[:, 1], return_inverse=True)
     combos = np.stack(np.divmod(combos, base), axis=1)
     chunk = max(1, _CHUNK_CELLS // max(1, 2 * n * width))
@@ -216,7 +211,7 @@ def _rank_table(inst: CdsInstance, sch: LinearScheme):
     for i in range(0, len(combos), chunk):
         part = combos[i : i + chunk]
         combo_ranks += noise_joint(table[part].reshape(len(part), 2 * n, width))
-    vertex = {v: pair_ranks[which[v]] for v in inst.vertices}
+    vertex = {v: pair_ranks[sch.block_of[v]] for v in inst.vertices}
     return vertex, dict(zip(pairs, [combo_ranks[k] for k in inverse.tolist()]))
 
 
@@ -230,8 +225,8 @@ def verify_linear(inst: CdsInstance, sch: LinearScheme) -> VerificationReport:
 
     Both ranks come from one elimination of [H | F], noise columns first:
     in a leftmost-pivot echelon form the pivots among the first L_Z
-    columns number rank(H) and all pivots rank([F|H]).  Every distinct
-    (F, H) pair and every distinct edge stack is eliminated at once,
+    columns number rank(H) and all pivots rank([F|H]).  Every block of
+    the scheme and every distinct edge stack is eliminated at once,
     batched across the instance.
     The same two ranks give signal alignment: an edge's noise agreements
     (x, y with x.H_v = y.H_u) force equal secret rows (x.F_v = y.F_u)
@@ -328,17 +323,14 @@ def path_overlap_lower_bound(
 
 @dataclass(frozen=True)
 class AlignmentReport:
-    """Noise overlaps per qualified edge, signal alignment per unqualified
-    edge, and chain bounds for requested paths."""
+    """Noise overlaps per qualified edge and signal alignment per
+    unqualified edge."""
 
     noise_overlaps: dict[tuple[str, str], int]
     signal_alignment: dict[tuple[str, str], bool]
-    path_bounds: tuple[tuple[tuple[str, ...], int], ...]
 
 
-def alignment_report(
-    inst: CdsInstance, sch: LinearScheme, paths=()
-) -> AlignmentReport:
+def alignment_report(inst: CdsInstance, sch: LinearScheme) -> AlignmentReport:
     """Aggregate the alignment diagnostics for a (verified) scheme.
 
     Read from the same batched ranks as :func:`verify_linear`: the noise
@@ -353,10 +345,7 @@ def alignment_report(
         for v, u in inst.qualified
     }
     aligned = {e: edge_ranks[e][1] == edge_ranks[e][0] for e in inst.unqualified}
-    bounds = tuple(
-        (tuple(pth), path_overlap_lower_bound(sch, pth, inst)) for pth in paths
-    )
-    return AlignmentReport(overlaps, aligned, bounds)
+    return AlignmentReport(overlaps, aligned)
 
 
 @dataclass(frozen=True)
@@ -399,23 +388,23 @@ def rate_report(
 
 
 def format_scheme(sch: LinearScheme) -> str:
-    """The scheme file text; each distinct (F, H) pair is rendered once."""
+    """The scheme file text; each block of ``sch`` is rendered once."""
     lines = [
         "cds-scheme v1",
         f"field {sch.p}",
         f"secret {sch.secret_len}",
         f"noise {sch.noise_len}",
     ]
-    rendered: dict[tuple[int, int], list[str]] = {}
-    for v, (f, h) in sch.matrices.items():
-        rows = rendered.get((id(f), id(h)))
-        if rows is None:
-            rows = rendered[(id(f), id(h))] = [
-                f"F: {' '.join(map(str, fr))} | H: {' '.join(map(str, hr))}".rstrip()
-                for fr, hr in zip(f.data.tolist(), h.data.tolist())
-            ]
-        lines.append(f"signal {v} {f.rows}")
-        lines += rows
+    rendered = [
+        [
+            f"F: {' '.join(map(str, fr))} | H: {' '.join(map(str, hr))}".rstrip()
+            for fr, hr in zip(f.data.tolist(), h.data.tolist())
+        ]
+        for f, h in sch.blocks
+    ]
+    for v, k in sch.block_of.items():
+        lines.append(f"signal {v} {sch.blocks[k][0].rows}")
+        lines += rendered[k]
     return "\n".join(lines) + "\n"
 
 

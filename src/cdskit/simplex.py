@@ -420,10 +420,10 @@ def solve_lp(n_vars: int, objective, constraints, accelerate: bool = True) -> Lp
 
     Args:
         n_vars: number of structural variables.
-        objective: sparse [(var, coeff)] pairs, a dict, or a dense
-            sequence of length n_vars.
-        constraints: triples (coeffs, relation, rhs) with coeffs in any
-            of the same forms and relation one of "<=", "=", ">=".
+        objective: sparse (var, coeff) pairs; a variable may repeat, and
+            its coefficients are summed.
+        constraints: triples (coeffs, relation, rhs) with coeffs in the
+            same form and relation one of "<=", "=", ">=".
         accelerate: try the HiGHS proposal first; it is accepted only
             after full exact verification.  False goes straight to the
             rational tableau.
@@ -450,15 +450,9 @@ def solve_lp(n_vars: int, objective, constraints, accelerate: bool = True) -> Lp
 
 
 def _sparse(coeffs) -> dict[int, Fraction]:
-    """Accept dense sequences, dicts, or sparse [(index, value)] lists."""
-    if isinstance(coeffs, dict):
-        items = list(coeffs.items())
-    else:
-        items = list(coeffs)
-        if items and not isinstance(items[0], tuple):
-            items = list(enumerate(items))
+    """(index, value) pairs as a dict: repeats summed, zeros dropped."""
     out: dict[int, Fraction] = {}
-    for j, c in items:
+    for j, c in coeffs:
         if type(c) is not Fraction:
             c = Fraction(c)
         if j in out:

@@ -367,12 +367,11 @@ def _row_bits(row: int) -> list[int]:
 
 def builtin_fig2_scheme() -> LinearScheme:
     """The rate-2/5 scheme for the built-in 6-vertex instance."""
-    rows = _FIG2_SECRET_ROWS or derive_fig2_secret_rows()
     matrices = {}
     for k, v in enumerate(FIG2_PATH_ORDER):
         f_rows, h_rows = [], []
         for t in _window(k):
-            f_rows.append(_row_bits(rows[(k, t)]))
+            f_rows.append(_row_bits(_FIG2_SECRET_ROWS[(k, t)]))
             h_row = [0] * _FIG2_LZ
             h_row[t % _FIG2_LZ] = 1
             h_rows.append(h_row)

@@ -168,6 +168,26 @@ class TestSynth:
         assert captured.err.startswith(f"cds: error: cannot write scheme file {target}: ")
         assert captured.err.count("\n") == 1
 
+    def test_no_edge_scheme_verifies_and_audits(self, tmp_path, capsys):
+        # An instance with no edge gets a scheme with no signal, whose
+        # longest signal has length 0.
+        inst, target = tmp_path / "none.cds", tmp_path / "none.scheme"
+        inst.write_text("cds-instance v1\n")
+        assert run(["synth", str(inst), "-o", str(target)]) == 0
+        capsys.readouterr()
+        header = (
+            "instance: 0 vertices, 0 edges (0 qualified, 0 unqualified)\n"
+            "scheme: p=2, L=1, L_Z=0, max signal length 0\n"
+        )
+        assert run(["verify", str(inst), str(target)]) == 0
+        assert capsys.readouterr().out == header + "overall: PASS\n"
+        assert run(["audit", str(inst), str(target)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(header + "verification: PASS\nalignment:\n")
+        assert out.endswith("overall: PASS\n")
+        assert run(["audit", "--json", str(inst), str(target)]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
     def test_degenerate_vertices_get_plain_secret(self, tmp_path, capsys):
         path = tmp_path / "deg.cds"
         path.write_text("cds-instance v1\nq A1 B1\nq B1 A2\nu A2 B2\n")
@@ -270,6 +290,19 @@ class TestBound:
         assert "restricted to vertices: A1, B1\n" in out
         assert run(["bound", example1_file, "--vertices", "B1,A1,A1", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["restricted_to"] == ["A1", "B1"]
+
+    def test_ground_limit_error_names_the_remedy(self, tmp_path, capsys):
+        path = tmp_path / "twelve.cds"
+        path.write_text(
+            "cds-instance v1\n" + "".join(f"q A{i} B{i}\n" for i in range(1, 7))
+        )
+        assert run(["bound", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "cds: error: ground set has 13 variables, limit 12; "
+            "restrict to a vertex subset\n"
+        )
 
     def test_unknown_vertex_rejected(self, example1_file, capsys):
         code = run(["bound", example1_file, "--vertices", "A1,Q9"])

@@ -175,8 +175,9 @@ class TestNormalize:
         assert normalized.vertices == ("A2", "B1")
         assert normalized.qualified == ()
 
-    def test_elimination_can_iterate(self):
-        # B1 is exposed only once A1 goes; A2/B2 keep each other alive.
+    def test_path_of_qualified_edges_goes_in_one_pass(self):
+        # A1 and B1 have no unqualified edge from the start; A2/B2 keep
+        # each other alive, and A2 loses only its qualified edge.
         inst = CdsInstance.from_edges(
             [("q", "A1", "B1"), ("q", "B1", "A2"), ("u", "A2", "B2")]
         )

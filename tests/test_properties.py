@@ -1,4 +1,5 @@
 """Property tests: the component pass against a brute-force reference,
+the one-pass degenerate-vertex sweep against iteration to a fixpoint,
 the batched rank kernel and the reports it feeds against per-matrix
 eliminations, the oracle's linear-time counts and tables against
 sort-based references, the two file formats against their own writers
@@ -27,6 +28,8 @@ from cdskit.instance import (
     InstanceFormatError,
     format_instance,
     half_rate_feasible,
+    is_non_degenerate,
+    normalize_degenerate,
     parse_instance,
     qualified_components,
     unqualified_components_within,
@@ -182,6 +185,36 @@ def instances(draw) -> CdsInstance:
     return CdsInstance.from_edges(
         [(kind, v, u) for (v, u), kind in seen.items()], bipartite=bipartite
     )
+
+
+def reference_normalize(inst):
+    """Drop every vertex with no unqualified edge, and its edges, again
+    and again until no such vertex is left."""
+    vertices, qualified, unqualified = inst.vertices, inst.qualified, inst.unqualified
+    eliminated: list[str] = []
+    while True:
+        touched = {x for e in unqualified for x in e}
+        gone = [v for v in vertices if v not in touched]
+        if not gone:
+            return vertices, qualified, unqualified, tuple(eliminated)
+        eliminated += gone
+        vertices = tuple(v for v in vertices if v in touched)
+        qualified = tuple(e for e in qualified if set(e) <= touched)
+        unqualified = tuple(e for e in unqualified if set(e) <= touched)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_one_pass_normalization_reaches_the_fixpoint(inst):
+    core, eliminated = normalize_degenerate(inst)
+    vertices, qualified, unqualified, gone = reference_normalize(inst)
+    assert (core.vertices, core.qualified, core.unqualified) == (
+        vertices,
+        qualified,
+        unqualified,
+    )
+    assert eliminated == gone and core.bipartite == inst.bipartite
+    assert is_non_degenerate(core) == (True, ())
 
 
 def residues(p: int):
@@ -516,6 +549,27 @@ def test_identical_blocks_share_one_matrix_pair(sch):
     for v, u in itertools.combinations(back.matrices, 2):
         same = [a is b for a, b in zip(back.matrices[v], back.matrices[u])]
         assert same == [texts[v] == texts[u]] * 2
+    # The block index: each distinct pair once, numbered in first-vertex
+    # order, and each vertex mapped to its own pair.
+    for s in (sch, back):
+        assert list(s.block_of) == list(s.matrices)
+        assert list(dict.fromkeys(s.block_of.values())) == list(range(len(s.blocks)))
+        assert len({(id(f), id(h)) for f, h in s.blocks}) == len(s.blocks)
+        for v, k in s.block_of.items():
+            assert all(a is b for a, b in zip(s.blocks[k], s.matrices[v]))
+    assert len(back.blocks) == len(set(texts.values()))
+    # Equality reads the matrices, not how the vertices share them.
+    unshared = LinearScheme(
+        sch.p,
+        sch.secret_len,
+        sch.noise_len,
+        {
+            v: (GfMatrix(sch.p, f.data.copy()), GfMatrix(sch.p, h.data.copy()))
+            for v, (f, h) in sch.matrices.items()
+        },
+    )
+    assert len(unshared.blocks) == len(unshared.matrices)
+    assert unshared == sch and sch == unshared
 
 
 @settings(max_examples=100, deadline=None)

@@ -247,10 +247,10 @@ class TestPathOverlap:
 class TestAlignmentReport:
     def test_fig2_report(self, fig2):
         sch = builtin_fig2_scheme()
-        report = alignment_report(fig2, sch, paths=[FIG2_PATH_ORDER])
+        report = alignment_report(fig2, sch)
         assert set(report.noise_overlaps.values()) == {4}
         assert all(report.signal_alignment.values())
-        assert report.path_bounds == ((FIG2_PATH_ORDER, 0),)
+        assert path_overlap_lower_bound(sch, FIG2_PATH_ORDER, fig2) == 0
 
     def test_synthesized_scheme_overlaps_equal_secret_len(self):
         inst = builtin_example1_instance()

@@ -249,7 +249,7 @@ class TestFig2Scheme:
 
     def test_every_qualified_edge_overlaps_in_four(self, fig2):
         sch = builtin_fig2_scheme()
-        report = alignment_report(fig2, sch, paths=[FIG2_PATH_ORDER])
+        report = alignment_report(fig2, sch)
         assert set(report.noise_overlaps.values()) == {4}
         assert all(report.signal_alignment.values())
 
