@@ -365,6 +365,21 @@ def _cmd_bound(args) -> _Report:
             raise _UsageError(f"unknown vertices: {', '.join(unknown)}")
         inst = inst.induced(names)
         restricted = sorted(names)
+    lines = [_instance_header(inst)]
+    if restricted:
+        lines.append("restricted to vertices: " + ", ".join(restricted))
+    payload = {
+        "rate_bound": None,
+        "entropy_bound": None,
+        "degenerate": True,
+        "restricted_to": restricted,
+        "certificate": None,
+    }
+    if not inst.vertices:
+        # No vertex, no edge: as for `check`, no capacity is defined, and
+        # the entropy LP would have the secret alone.
+        lines.append("shannon bound: none (no edge: no capacity is defined)")
+        return _Report(True, payload, tuple(lines))
     try:
         result = shannon_bound(inst)
     except ValueError as exc:
@@ -372,9 +387,6 @@ def _cmd_bound(args) -> _Report:
     certificate = (
         dual_certificate(result.solution, result.lp) if args.certificate else None
     )
-    lines = [_instance_header(inst)]
-    if restricted:
-        lines.append("restricted to vertices: " + ", ".join(restricted))
     lines.append(
         f"shannon bound: {result.rate_bound} (max H(S) = {result.entropy_bound})"
     )
@@ -385,13 +397,12 @@ def _cmd_bound(args) -> _Report:
         )
     if certificate is not None:
         lines.append(certificate.rstrip("\n"))
-    payload = {
-        "rate_bound": _frac_json(result.rate_bound),
-        "entropy_bound": _frac_json(result.entropy_bound),
-        "degenerate": result.degenerate,
-        "restricted_to": restricted,
-        "certificate": certificate,
-    }
+    payload.update(
+        rate_bound=_frac_json(result.rate_bound),
+        entropy_bound=_frac_json(result.entropy_bound),
+        degenerate=result.degenerate,
+        certificate=certificate,
+    )
     return _Report(True, payload, tuple(lines))
 
 

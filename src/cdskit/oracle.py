@@ -13,6 +13,11 @@ so a row's secret is its block of p^L_Z rows.  Correctness scatters each row's s
 label and gathers it back: a fiber holding two secrets loses one of them.
 Security counts each label per secret block with ``np.bincount`` and
 requires count(s, w) * p^L = count(w) on every row, in exact integers.
+
+Every array of the table, and every residue, code and label derived from
+it, is held in the narrowest unsigned type that holds its largest
+possible value (``np.min_scalar_type``): a one-symbol GF(3) signal takes
+one byte per realization, not eight.  Memory is what caps the budget.
 """
 
 from __future__ import annotations
@@ -66,42 +71,83 @@ def _all_vectors(p: int, n: int) -> np.ndarray:
 
 def _images(m: np.ndarray, p: int) -> np.ndarray:
     """m x mod p for every digit vector x, first symbol most significant,
-    as an int32 array of shape (rows of m, p^(columns of m)).
+    as residues of shape (rows of m, p^(columns of m)), in the narrowest
+    unsigned type that holds 2p - 2 (uint8 for p <= 128).
 
-    Built by digit doubling: each column multiplies the images so far by
-    p, adding every multiple of that column to each of them.
+    Built by digit doubling from the last column to the first: each
+    column multiplies the images so far by p, as the new most significant
+    symbol, adding every multiple of that column to all of them.  So the
+    long axis stays innermost in every broadcast sum.
     """
     rows = m.shape[0]
-    out = np.zeros((rows, 1), dtype=np.int32)
-    for col in m.T:
-        multiples = ((col[:, None] * np.arange(p)) % p).astype(np.int32)
-        out = _add_mod(out[:, :, None], multiples[:, None, :], p)
-        out = out.reshape(rows, out.shape[1] * p)
+    residue = np.min_scalar_type(2 * p - 2)
+    out = np.zeros((rows, 1), dtype=residue)
+    for col in m.T[::-1]:
+        multiples = ((col[:, None] * np.arange(p)) % p).astype(residue)
+        out = _add_mod(multiples[:, :, None], out[:, None, :], p)
+        out = out.reshape(rows, p * out.shape[2])
     return out
 
 
 def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a + b) mod p for int32 residues a and b: their sum is below 2p, so
-    one conditional subtraction reduces it, much faster than a division."""
+    """(a + b) mod p for residues a and b of a type that holds 2p - 2:
+    their sum is below 2p, so one conditional subtraction reduces it,
+    much faster than a division."""
     total = a + b
-    total -= (total >= p) * np.int32(p)
+    total -= (total >= p) * total.dtype.type(p)
     return total
 
 
-def _number_rows(columns) -> np.ndarray:
-    """Each row of the stacked columns numbered by identity: its index
-    among the distinct rows, in sorted order, as int64."""
-    _, inverse = np.unique(np.column_stack(list(columns)), axis=0, return_inverse=True)
-    return inverse.reshape(-1).astype(np.int64)
+_WORD = 1 << 64
+
+
+def _renumber(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(each value's index among the distinct values, as uint64; their count)."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return inverse.reshape(-1).astype(np.uint64), len(distinct)
+
+
+def _number_rows(columns, radices) -> np.ndarray:
+    """Each row of the columns numbered by identity: its index among the
+    distinct rows in lexicographic order, in the narrowest unsigned type
+    that holds the row count - 1.  Every value of a column is below its
+    radix.
+
+    The columns are packed big-endian, in mixed radix, into one uint64
+    word per row for as long as it can hold them.  When the next column
+    would overflow it, the word is replaced by its rank among the distinct
+    words, which orders the rows like their digits so far, and packing
+    goes on.  So a wide row costs a few one-dimensional sorts, one per
+    word, instead of one sort of all its columns.
+    """
+    word, bound = None, 1  # every packed value is below bound
+    for col, radix in zip(columns, radices):
+        if bound * radix > _WORD:
+            word, bound = _renumber(word)
+            if bound * radix > _WORD:
+                col, radix = _renumber(col)
+        if word is None:
+            word = col.astype(np.uint64)
+        else:
+            word *= radix
+            word += col
+        bound *= radix
+    numbers, _ = _renumber(word)
+    return numbers.astype(np.min_scalar_type(len(numbers) - 1))
 
 
 def _encode(columns, n: int, p: int, total: int) -> np.ndarray:
     """One scalar per row of n digit columns of length ``total``: its
-    base-p value (big-endian), accumulated one digit at a time, while that
-    fits in int64; otherwise the row's index among the distinct rows."""
+    base-p value (big-endian), accumulated one digit at a time from the
+    first, in the narrowest unsigned type that holds p^n - 1, while that
+    fits in 62 bits; otherwise the row's index among the distinct rows,
+    in the narrowest unsigned type that holds ``total`` - 1."""
     if n * math.log2(p) > 62:
-        return _number_rows(columns)
-    code = np.zeros(total, dtype=np.int64)
+        return _number_rows(columns, [p] * n)
+    if n == 0:
+        return np.zeros(total, dtype=np.uint8)
+    columns = iter(columns)
+    code = next(columns).astype(np.min_scalar_type(p**n - 1))
     for digit in columns:
         code *= p
         code += digit
@@ -117,10 +163,13 @@ class SchemeTable:
     contiguous block of p^L_Z rows and the secret is uniform.  The
     counting checks rely on this layout.
 
-    Signal values are stored as int64 codes, one array of length
-    p^(L+L_Z) per vertex: base-p encoded, or numbered by identity for
-    signals too wide for that.  ``scheme`` is set when the table came
-    from a linear scheme, which unlocks exact integer entropies via ranks.
+    Signal values are stored as codes, one array of length p^(L+L_Z) per
+    vertex: base-p encoded, in the narrowest unsigned type that holds
+    p^N - 1, or numbered by identity for signals too wide for that, in
+    the narrowest unsigned type that holds p^(L+L_Z) - 1.  The secret
+    and noise codes follow the same rule.  ``scheme`` is set when the
+    table came from a linear scheme, which unlocks exact integer
+    entropies via ranks.
     """
 
     p: int
@@ -139,12 +188,12 @@ class SchemeTable:
         return tuple(sorted(self.values))
 
     def secret_codes(self) -> np.ndarray:
-        reps = self.p**self.noise_len
-        return np.repeat(np.arange(self.p**self.secret_len, dtype=np.int64), reps)
+        n, reps = self.p**self.secret_len, self.p**self.noise_len
+        return np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), reps)
 
     def noise_codes(self) -> np.ndarray:
-        reps = self.p**self.secret_len
-        return np.tile(np.arange(self.p**self.noise_len, dtype=np.int64), reps)
+        n, reps = self.p**self.noise_len, self.p**self.secret_len
+        return np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), reps)
 
     def column(self, name: str) -> tuple[np.ndarray, int]:
         """(codes, alphabet size) for a variable name: S, Z or a vertex."""
@@ -187,7 +236,8 @@ class SchemeTable:
                     if any(d < 0 or d >= p for d in val):
                         raise ValueError(f"signal {name} produced a non-residue")
                     out.append(val)
-            digits = np.array(out, dtype=np.int64).reshape(total, width or 0)
+            digits = np.array(out, dtype=np.min_scalar_type(p - 1))
+            digits = digits.reshape(total, width or 0)
             values[name] = _encode(digits.T, width or 0, p, total)
             lens[name] = width or 0
         return cls(p, secret_len, noise_len, lens, values, scheme=None)
@@ -223,7 +273,8 @@ def tabulate(sch: LinearScheme, budget: int = DEFAULT_BUDGET) -> SchemeTable:
 
 def _labels(table: SchemeTable, names) -> tuple[np.ndarray, int]:
     """(codes, width): the selected variables' joint value on every row
-    as a label in [0, width), where width <= table.size.
+    as a label in [0, width), where width <= table.size, in the narrowest
+    unsigned type that holds width - 1.  The codes are a new array.
 
     The code columns are combined in mixed radix when the product of
     their alphabet sizes is at most the table's size.  Otherwise (wide
@@ -232,14 +283,22 @@ def _labels(table: SchemeTable, names) -> tuple[np.ndarray, int]:
     """
     cols = [table.column(name) for name in names]
     width = math.prod(size for _, size in cols)
-    if width <= table.size:
-        codes = cols[0][0]
-        for col, size in cols[1:]:
-            codes = codes * size  # a new array: the table's codes stay intact
-            codes += col
-        return codes, width
-    numbers = _number_rows(col for col, _ in cols)
-    return numbers, int(numbers.max()) + 1
+    if width > table.size:
+        codes = [col for col, _ in cols]
+        numbers = _number_rows(codes, [int(col.max()) + 1 for col in codes])
+        return numbers, int(numbers.max()) + 1
+    label = np.min_scalar_type(width - 1)
+    # A constant column adds nothing; without one, every multiplier is
+    # below width and so fits the label type.
+    cols = [(col, size) for col, size in cols if size > 1]
+    if not cols:
+        return np.zeros(table.size, dtype=label), width
+    # Cast before multiplying: the product wraps in a narrower type.
+    codes = cols[0][0].astype(label)
+    for col, size in cols[1:]:
+        codes *= size
+        codes += col
+    return codes, width
 
 
 def check_correct(table: SchemeTable, v: str, u: str) -> bool:
@@ -252,7 +311,8 @@ def check_correct(table: SchemeTable, v: str, u: str) -> bool:
     """
     pair, width = _labels(table, [v, u])
     secrets = table.p**table.secret_len
-    blocks = pair.reshape(secrets, -1)
+    # Fancy indexing is faster with intp indices than with narrow ones.
+    blocks = pair.astype(np.intp).reshape(secrets, -1)
     # The narrowest type that holds a secret keeps the gathered copy small.
     secret = np.arange(secrets, dtype=np.min_scalar_type(secrets - 1))[:, None]
     seen = np.empty(width, dtype=secret.dtype)
@@ -278,7 +338,9 @@ def check_secure(table: SchemeTable, v: str, u: str) -> bool:
         if secrets * width > table.size:
             return False
         pair = (np.cumsum(present) - 1)[pair]
-    joint = pair.reshape(secrets, -1) + width * np.arange(secrets)[:, None]
+    joint_type = np.min_scalar_type(secrets * width - 1)
+    joint = pair.reshape(secrets, -1).astype(joint_type, copy=False)
+    joint += width * np.arange(secrets, dtype=joint_type)[:, None]
     count = np.bincount(joint.reshape(-1), minlength=secrets * width)
     count = count.reshape(secrets, width)
     return bool((count * secrets == count.sum(axis=0)).all())

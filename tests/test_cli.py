@@ -304,6 +304,27 @@ class TestBound:
             "restrict to a vertex subset\n"
         )
 
+    def test_no_edge_defines_no_capacity(self, tmp_path, example1_file, capsys):
+        # Like `check` on the same file: exit 0, and no bound to report.
+        path = tmp_path / "empty.cds"
+        path.write_text("cds-instance v1\n")
+        assert run(["bound", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "instance: 0 vertices, 0 edges (0 qualified, 0 unqualified)\n"
+            "shannon bound: none (no edge: no capacity is defined)\n"
+        )
+        assert run(["bound", str(path), "--json", "--certificate"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "bound",
+            "rate_bound": None,
+            "entropy_bound": None,
+            "degenerate": True,
+            "restricted_to": None,
+            "certificate": None,
+        }
+        assert run(["bound", example1_file, "--vertices", ",", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["restricted_to"] == []
+
     def test_unknown_vertex_rejected(self, example1_file, capsys):
         code = run(["bound", example1_file, "--vertices", "A1,Q9"])
         assert code == 2

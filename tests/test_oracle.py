@@ -3,7 +3,9 @@
 import itertools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from cdskit.gf import GfMatrix
@@ -235,6 +237,32 @@ class TestOracleEquivalence:
         assert check_correct(table, "a", "b")
         assert not check_secure(table, "a", "c")
         assert joint_entropy(table, ["a"]) == 3
+
+
+class TestMemory:
+    def test_half_rate_table_takes_one_byte_per_realization(self):
+        # The rate-1/2 construction over 11 GF(3) components: vertex i of
+        # component m sends s + i*z_m, a one-symbol code of alphabet 3.
+        # 22 vertices over 3^12 realizations were 89 MiB of int64 codes.
+        components = 11
+        noise = np.eye(components, dtype=np.int64)
+        matrices = {
+            f"w{m}_{i}": (GfMatrix.from_rows(3, [[1]]), GfMatrix(3, i * noise[m : m + 1]))
+            for m in range(components)
+            for i in (1, 2)
+        }
+        sch = LinearScheme(3, 1, components, matrices)
+        tracemalloc.start()
+        try:
+            table = tabulate(sch)
+            assert check_secure(table, "w0_1", "w1_2")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_byte_each = len(matrices) * table.size
+        assert table.size == 3**12
+        assert sum(codes.nbytes for codes in table.values.values()) <= one_byte_each
+        assert peak <= 2 * one_byte_each
 
 
 class TestLemmaAudit:

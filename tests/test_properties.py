@@ -37,6 +37,8 @@ from cdskit.instance import (
 from cdskit.oracle import (
     SchemeTable,
     _all_vectors,
+    _labels,
+    _number_rows,
     check_correct,
     check_secure,
     joint_entropy,
@@ -343,6 +345,47 @@ def reference_encode(digits: np.ndarray, p: int) -> np.ndarray:
     return digits @ (p ** np.arange(n - 1, -1, -1, dtype=np.int64))
 
 
+def code_type(p: int, n: int, size: int) -> np.dtype:
+    """The narrowest unsigned type of an n-digit signal's codes in a table
+    of ``size`` rows: it holds p^n - 1, or size - 1 once the signal is
+    numbered by identity."""
+    return np.min_scalar_type(size - 1 if n * math.log2(p) > 62 else p**n - 1)
+
+
+def word_digits(p: int) -> int:
+    """The most base-p digits whose values all fit one 64-bit word."""
+    k = 0
+    while p ** (k + 1) <= 1 << 64:
+        k += 1
+    return k
+
+
+def test_packed_numbering_matches_sorted_numbering():
+    """Rows of 1 to 3 words' worth of digits, drawn from a few distinct
+    rows that differ in single digits, so that ties and near-ties fall
+    on both sides of every word boundary."""
+    rng = np.random.default_rng(1)
+    for p in ORACLE_PRIMES:
+        per_word = word_digits(p)
+        for n in (1, per_word, per_word + 1, 2 * per_word + 3, 3 * per_word):
+            base = rng.integers(0, p, size=(1, n))
+            distinct = np.repeat(base, 24, axis=0)
+            flips = rng.integers(0, n, size=24)
+            distinct[np.arange(24), flips] = rng.integers(0, p, size=24)
+            rows = distinct[rng.integers(0, 24, size=300)]
+            got = _number_rows(list(rows.T.astype(np.uint8)), [p] * n)
+            assert got.dtype == np.uint16
+            assert got.tolist() == sorted_numbering(rows).tolist()
+    # Codes of up to 60 bits, as a base-p signal's: even the 24 distinct
+    # prefixes times the next radix overflow a word.
+    radix = 1 << 60
+    distinct = rng.integers(0, radix, size=(24, 3), dtype=np.uint64)
+    distinct[::2, 0] = distinct[0, 0]
+    rows = distinct[rng.integers(0, 24, size=300)]
+    got = _number_rows(list(rows.T), [radix] * 3)
+    assert got.tolist() == sorted_numbering(rows).tolist()
+
+
 def reference_tabulate(sch: LinearScheme) -> dict:
     """Every vertex's codes from the full (p^L, p^L_Z, N) digit array."""
     s = _all_vectors(sch.p, sch.secret_len)
@@ -400,14 +443,19 @@ def reference_entropy(table, names) -> float:
 def oracle_schemes(draw) -> LinearScheme:
     """Linear schemes over small tables.  Vertex w's signal, when drawn
     wide, repeats its rows past 62 bits, so that it is numbered by
-    identity and its pairs are labelled by sorting."""
+    identity and its pairs are labelled by sorting.  GF(2) signals of 8
+    and 9 rows have alphabets of 256 and 512, on either side of the
+    uint8/uint16 boundary of the codes."""
     p = draw(st.sampled_from(ORACLE_PRIMES))
     secret_len, noise_len = draw(st.integers(1, 3)), draw(st.integers(0, 4))
     assume(p ** (secret_len + noise_len) <= 1 << 12)
     cols = secret_len + noise_len
+    row_counts = st.integers(0, 4)
+    if p == 2:
+        row_counts |= st.sampled_from((8, 9))
     matrices = {}
     for v in ("a", "b", "w"):
-        rows = draw(st.integers(0, 4))
+        rows = draw(row_counts)
         m = draw(arrays(np.int64, (rows, cols), elements=residues(p)))
         if v == "w" and draw(st.booleans()):
             wide = int(62 / math.log2(p)) + 1
@@ -467,8 +515,32 @@ def test_linear_oracle_matches_sort_based_reference(sch):
     want = reference_tabulate(sch)
     assert sorted(table.values) == sorted(want)
     for v, codes in want.items():
-        assert table.values[v].dtype == np.int64
+        assert table.values[v].dtype == code_type(sch.p, table.signal_lens[v], table.size)
         assert table.values[v].tolist() == codes.tolist()
+    check_oracle_against_references(table)
+
+
+def test_pair_labels_past_two_bytes_match_references():
+    """Two 9-row GF(2) signals over 2^18 realizations: their pair width
+    is 2^18, so the pair's labels are uint32.  a = (s + z1, z2..z9) and
+    b = (z1, ..., z9) decode; a and w = (z10..z17, z10 + z11) are secure."""
+    L, LZ = 1, 17
+    eye = np.eye(LZ, dtype=np.int64)
+    f = np.zeros((9, L), dtype=np.int64)
+    f[0, 0] = 1
+    w = np.vstack([eye[9:17], eye[9] + eye[10]])
+    sch = LinearScheme(2, L, LZ, {
+        "a": (GfMatrix(2, f), GfMatrix(2, eye[:9])),
+        "b": (GfMatrix(2, np.zeros_like(f)), GfMatrix(2, eye[:9])),
+        "w": (GfMatrix(2, np.zeros_like(f)), GfMatrix(2, w)),
+    })
+    table = tabulate(sch)
+    assert table.size == 1 << 18
+    assert all(codes.dtype == np.uint16 for codes in table.values.values())
+    labels, width = _labels(table, ["a", "b"])
+    assert width == 1 << 18 and labels.dtype == np.uint32
+    assert check_correct(table, "a", "b") and not check_secure(table, "a", "b")
+    assert check_secure(table, "a", "w") and not check_correct(table, "a", "w")
     check_oracle_against_references(table)
 
 
