@@ -375,9 +375,9 @@ def _cmd_bound(args) -> _Report:
         "restricted_to": restricted,
         "certificate": None,
     }
-    if not inst.vertices:
-        # No vertex, no edge: as for `check`, no capacity is defined, and
-        # the entropy LP would have the secret alone.
+    if not inst.edges:
+        # No edge, whether or not a restriction kept vertices: as for
+        # `check`, no capacity is defined.
         lines.append("shannon bound: none (no edge: no capacity is defined)")
         return _Report(True, payload, tuple(lines))
     try:
@@ -421,7 +421,7 @@ def _cmd_audit(args) -> _Report:
             "the identities assume rate 1/2"
         )
     else:
-        lemmas = lemma_audit(inst, _tabulate(sch), L)
+        lemmas = lemma_audit(inst, sch, L)
     # report.passed implies signal alignment: a zero leak on each unqualified edge.
     overlap_ok = all(a >= L for a in alignment.noise_overlaps.values())
     passed = report.passed and overlap_ok and (lemmas is None or lemmas.passed)

@@ -1,10 +1,17 @@
-"""Exhaustive ground truth for scheme verification and the lemma audits.
+"""Exhaustive ground truth for scheme verification, and the lemma audit.
 
 Every (secret, noise) realization is enumerated into a table of signal
 values, so correctness and security become exact combinatorial facts:
 the secret is constant on every fiber of a decodable pair, and the joint
-(secret, signals) distribution factorizes for a secure pair.  No check in
-this module relies on the rank identities it is meant to validate.
+(secret, signals) distribution factorizes for a secure pair.  No edge
+check in this module relies on the rank identities it is meant to
+validate.
+
+The lemma audit is not enumeration ground truth.  For a linear scheme
+every entropy it reads is a rank, so the audit of a scheme, or of a table
+built from one, reads the ranks of signal blocks
+(:func:`cdskit.scheme.block_ranks`) and enumerates nothing; only a table
+of arbitrary signal functions is audited through counts.
 
 Both facts are counted in time linear in the table, with no sort.  The
 pair's joint value on each row is a label below the table's size
@@ -27,9 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf import GfMatrix, rank, ranks
+from .gf import GfMatrix, rank
 from .instance import CdsInstance, decompose
-from .scheme import LinearScheme
+from .scheme import LinearScheme, block_ranks
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -51,9 +58,6 @@ DEFAULT_BUDGET = 1 << 20
 # small components; beyond this, the boundary cases pin the rest by
 # monotonicity of conditional entropy.
 _SUBSET_ENUM_LIMIT = 64
-
-# Cells per stack handed to the rank kernel by the lemma audit.
-_CHUNK_CELLS = 1 << 16
 
 
 class BudgetError(ValueError):
@@ -367,36 +371,6 @@ def joint_rank(table: SchemeTable, subset) -> int:
     return rank(GfMatrix(sch.p, np.vstack(rows)))
 
 
-def _joint_ranks(sch: LinearScheme, subsets) -> list[int]:
-    """joint_rank of many subsets from batched eliminations.
-
-    Subsets are taken in order of their row count, and each run of them
-    fitting in ``_CHUNK_CELLS`` cells is padded with zero rows to its
-    longest precoding, which changes no rank, and ranked as one stack.
-    """
-    blocks = {name: _precoding(sch, name) for names in subsets for name in names}
-    width = sch.secret_len + sch.noise_len
-    rows = [sum(len(blocks[name]) for name in names) for names in subsets]
-    order = sorted(range(len(subsets)), key=rows.__getitem__)
-    out = [0] * len(subsets)
-    start = 0
-    while start < len(order):
-        stop = start + 1
-        while (
-            stop < len(order)
-            and (stop + 1 - start) * rows[order[stop]] * width <= _CHUNK_CELLS
-        ):
-            stop += 1
-        part = order[start:stop]
-        stack = np.zeros((len(part), rows[part[-1]], width), dtype=np.int64)
-        for b, k in enumerate(part):
-            stack[b, : rows[k]] = np.vstack([blocks[name] for name in subsets[k]])
-        for k, r in zip(part, ranks(stack, sch.p).tolist()):
-            out[k] = r
-        start = stop
-    return out
-
-
 def joint_entropy(table: SchemeTable, subset) -> float:
     """Shannon entropy, base p, of the selected variables.
 
@@ -461,36 +435,58 @@ class LemmaAuditReport:
         raise KeyError(name)
 
 
-def _entropies(table: SchemeTable, subsets):
-    """Entropy accessor over the listed subsets, plus equality/le
-    predicates: exact ranks from batched eliminations for linear tables,
-    1e-9-tolerant (p-ary units) combinatorial entropies otherwise."""
-    keys = sorted({tuple(sorted(set(names))) for names in subsets})
-    if table.scheme is not None:
-        values = dict(zip(keys, _joint_ranks(table.scheme, keys)))
-        eq, le = (lambda a, b: a == b), (lambda a, b: a <= b)
-    else:
-        values = {names: joint_entropy(table, names) for names in keys}
-        eq, le = (lambda a, b: abs(a - b) <= 1e-9), (lambda a, b: a <= b + 1e-9)
-    return (lambda names: values[tuple(sorted(set(names)))]), eq, le
+def _entropies(table: SchemeTable | LinearScheme, plain, given_s):
+    """(H(X) for X in ``plain``, H(X|S) for X in ``given_s``, tolerance),
+    both dicts keyed by the vertex tuples X.
 
-
-def lemma_audit(inst: CdsInstance, table: SchemeTable, L: int) -> LemmaAuditReport:
-    """Audit the five rate-1/2 entropy identities on a tabulated scheme.
-
-    Requires N = L for every signal (the identities presuppose rate 1/2):
-    signal size, edge and component noise alignment (conditional on the
-    secret), and edge and path signal alignment.  Every entropy the
-    audit reads is computed up front, in one batch.
+    A linear scheme's entropies are exact ranks of X's signal blocks
+    stacked, one stack per distinct set of blocks, eliminated in batches
+    of sets of one size: H(X) is rank [F_X|H_X], and since
+    H(X,S) = L + rank H_X and H(S) = L, H(X|S) is rank H_X.  Otherwise
+    they are combinatorial entropies, compared within 1e-9 (p-ary units).
     """
+    sch = table if isinstance(table, LinearScheme) else table.scheme
+    if sch is None:
+        hs = joint_entropy(table, ["S"])
+        h = {x: joint_entropy(table, x) for x in plain}
+        return h, {x: joint_entropy(table, [*x, "S"]) - hs for x in given_s}, 1e-9
+
+    key = {x: tuple(sorted({sch.block_of[v] for v in x})) for x in [*plain, *given_s]}
+    groups = set(key.values())
+    ranks = {}
+    for size in {len(g) for g in groups}:
+        same = [g for g in groups if len(g) == size]
+        ranks.update(zip(same, block_ranks(sch, same)))
+    h = {x: ranks[key[x]][1] for x in plain}
+    return h, {x: ranks[key[x]][0] for x in given_s}, 0
+
+
+def lemma_audit(
+    inst: CdsInstance, table: SchemeTable | LinearScheme, L: int
+) -> LemmaAuditReport:
+    """Audit the five rate-1/2 entropy identities of a linear scheme, or
+    of an oracle table.
+
+    A scheme, or a table built from one, is audited by exact ranks of its
+    signal blocks and nothing is enumerated; a table of arbitrary signal
+    functions is audited through its counts.  Requires N = L for every
+    signal (the identities presuppose rate 1/2): signal size, edge and
+    component noise alignment (conditional on the secret), and edge and
+    path signal alignment.  Every entropy the audit reads is computed up
+    front, in one batch.
+    """
+    if isinstance(table, LinearScheme):
+        kind, lens = "scheme", {v: f.rows for v, (f, _) in table.matrices.items()}
+    else:
+        kind, lens = "table", table.signal_lens
     if L != table.secret_len:
-        raise ValueError(f"L = {L} does not match the table's secret length")
+        raise ValueError(f"L = {L} does not match the {kind}'s secret length")
     for v in inst.vertices:
-        if v not in table.values:
-            raise ValueError(f"table is missing vertex {v}")
-        if table.signal_lens[v] != L:
+        if v not in lens:
+            raise ValueError(f"{kind} is missing vertex {v}")
+        if lens[v] != L:
             raise ValueError(
-                f"vertex {v} has signal length {table.signal_lens[v]} != L = {L}; "
+                f"vertex {v} has signal length {lens[v]} != L = {L}; "
                 "the audited identities presuppose rate 1/2"
             )
     on_qualified_edge = sorted({x for e in inst.qualified for x in e})
@@ -519,56 +515,30 @@ def lemma_audit(inst: CdsInstance, table: SchemeTable, L: int) -> LemmaAuditRepo
         for i, v in enumerate(sub)
         for w in sub[i + 1 :]
     ]
-    given_s = [(v,) for v in on_qualified_edge] + list(inst.qualified) + component_subsets
-    h, eq, le = _entropies(
+    singles = [(v,) for v in on_qualified_edge]
+    h, h_s, tol = _entropies(
         table,
-        [("S",)]
-        + [(v,) for v in on_qualified_edge]
-        + [names + ("S",) for names in given_s]
-        + in_component
-        + on_paths,
-    )
-    hs = h(["S"])
-
-    def h_given_s(names) -> float:
-        return h(list(names) + ["S"]) - hs
-
-    failures1 = []
-    for v in on_qualified_edge:
-        if not eq(h([v]), L):
-            failures1.append(((v,), f"H({v}) = {h([v])} != {L}"))
-        elif not eq(h_given_s([v]), L):
-            failures1.append(((v,), f"H({v}|S) = {h_given_s([v])} != {L}"))
-    lemma1 = LemmaResult("signal_size", len(on_qualified_edge), tuple(failures1))
-
-    failures2 = []
-    for v, u in inst.qualified:
-        val = h_given_s([v, u])
-        if not eq(val, L):
-            failures2.append(((v, u), f"H({v},{u}|S) = {val} != {L}"))
-    lemma2 = LemmaResult("edge_noise_alignment", len(inst.qualified), tuple(failures2))
-
-    failures3 = []
-    for names in component_subsets:
-        val = h_given_s(names)
-        if not eq(val, L):
-            failures3.append((names, f"H({','.join(names)}|S) = {val} != {L}"))
-    lemma3 = LemmaResult(
-        "component_noise_alignment", len(component_subsets), tuple(failures3)
+        singles + in_component + on_paths,
+        singles + list(inst.qualified) + component_subsets,
     )
 
-    failures4 = []
-    for v, u in in_component:
-        val = h([v, u])
-        if not eq(val, L):
-            failures4.append(((v, u), f"H({v},{u}) = {val} != {L}"))
-    lemma4 = LemmaResult("edge_signal_alignment", len(in_component), tuple(failures4))
+    def failure(x, values, given="", fails="!="):
+        """(x, detail) if the entropy of x is not L ("!=") or exceeds L (">")."""
+        val = values[x]
+        off = abs(val - L) > tol if fails == "!=" else val > L + tol
+        return (x, f"H({','.join(x)}{given}) = {val} {fails} {L}") if off else None
 
-    failures5 = []
-    for v, w in on_paths:
-        val = h([v, w])
-        if not le(val, L):
-            failures5.append(((v, w), f"H({v},{w}) = {val} > {L}"))
-    lemma5 = LemmaResult("path_signal_alignment", len(on_paths), tuple(failures5))
+    def lemma(name, subjects, values, given="", fails="!="):
+        found = (failure(x, values, given, fails) for x in subjects)
+        return LemmaResult(name, len(subjects), tuple(f for f in found if f))
 
-    return LemmaAuditReport((lemma1, lemma2, lemma3, lemma4, lemma5))
+    size = (failure(x, h) or failure(x, h_s, "|S") for x in singles)
+    return LemmaAuditReport(
+        (
+            LemmaResult("signal_size", len(singles), tuple(f for f in size if f)),
+            lemma("edge_noise_alignment", inst.qualified, h_s, "|S"),
+            lemma("component_noise_alignment", component_subsets, h_s, "|S"),
+            lemma("edge_signal_alignment", in_component, h),
+            lemma("path_signal_alignment", on_paths, h, fails=">"),
+        )
+    )

@@ -22,9 +22,10 @@ from .gf import (
     matmul,
     neg,
     prefix_ranks,
-    rank,
+    rowspace_intersection_dim,
     vstack,
 )
+from .gf import rank  # noqa: F401  perfbench/spans.py traces it here
 from .instance import QUALIFIED, CdsInstance
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "RateReport",
     "SchemeFormatError",
     "VerificationFailedError",
+    "block_ranks",
     "verify_linear",
     "noise_overlap_dim",
     "check_signal_alignment",
@@ -167,9 +169,39 @@ class VerificationReport:
     passed: bool
 
 
-# Cells (rows x columns, summed over the batch) per elimination of edge
-# pairs: bounds the memory the pair stacks take at any one time.
+# Cells (rows x columns, summed over the batch) per elimination: bounds
+# the memory the stacks take at any one time.
 _CHUNK_CELLS = 1 << 14
+
+
+def block_ranks(sch: LinearScheme, groups) -> list[tuple[int, int]]:
+    """(rank of H, rank of [F|H]) of each group's signal blocks stacked.
+
+    ``groups`` is a (G, k) array of indices into ``sch.blocks``, one
+    group of k blocks per row; a block listed twice changes no rank.
+    Each block's [H | F] is padded with zero rows to the longest signal,
+    which changes no rank either, and a group's stack is its padded
+    blocks stacked.  The stacks are eliminated in chunks of at most
+    ``_CHUNK_CELLS`` cells, and both ranks are read off the noise-first
+    prefix ranks: in a leftmost-pivot echelon form the pivots among the
+    first L_Z columns number rank(H) and all pivots rank([F|H]).
+    """
+    groups = np.asarray(groups, dtype=np.intp)
+    lz = sch.noise_len
+    width = lz + sch.secret_len
+    n = sch.max_signal_len()
+    table = np.zeros((len(sch.blocks), n, width), dtype=np.int64)
+    for k, (f, h) in enumerate(sch.blocks):
+        table[k, : f.rows, :lz] = h.data
+        table[k, : f.rows, lz:] = f.data
+    count, size = groups.shape
+    chunk = max(1, _CHUNK_CELLS // max(1, size * n * width))
+    out: list[tuple[int, int]] = []
+    for start in range(0, count, chunk):
+        part = groups[start : start + chunk]
+        prefix = prefix_ranks(table[part].reshape(len(part), size * n, width), sch.p)
+        out += zip(prefix[:, lz].tolist(), prefix[:, -1].tolist())
+    return out
 
 
 def _rank_table(inst: CdsInstance, sch: LinearScheme):
@@ -177,42 +209,22 @@ def _rank_table(inst: CdsInstance, sch: LinearScheme):
 
     Ranks depend only on the matrices, so the vertices of one block share
     its ranks, and edges whose ends lie in the same two blocks share
-    theirs: only the scheme's blocks and distinct pairs of them are
-    eliminated.  Each block's [H | F] is padded with zero rows to the
-    longest signal, which changes no rank; an edge's stack is its two
-    padded matrices stacked.  One elimination of the blocks and
-    one of each chunk of edge stacks give both ranks, read off the
-    noise-first prefix ranks.  Returns two dicts keyed by vertex and by
-    edge.
+    theirs: :func:`block_ranks` eliminates, in one call, each block
+    (stacked on itself) and each distinct pair of blocks.  Returns two
+    dicts keyed by vertex and by edge.
     """
     _require_vertices(inst.vertices, sch)
-    lz = sch.noise_len
-    width = lz + sch.secret_len
-
-    def noise_joint(stack):
-        prefix = prefix_ranks(stack, sch.p)
-        return list(zip(prefix[:, lz].tolist(), prefix[:, -1].tolist()))
-
-    n = sch.max_signal_len()
-    table = np.zeros((len(sch.blocks), n, width), dtype=np.int64)
-    for k, (f, h) in enumerate(sch.blocks):
-        table[k, : f.rows, :lz] = h.data
-        table[k, : f.rows, lz:] = f.data
-    pair_ranks = noise_joint(table)
-
     pairs = inst.qualified + inst.unqualified
     ends = np.array([sch.block_of[x] for pair in pairs for x in pair], dtype=np.int64)
     ends = ends.reshape(len(pairs), 2)
     base = max(1, len(sch.blocks))
     combos, inverse = np.unique(ends[:, 0] * base + ends[:, 1], return_inverse=True)
     combos = np.stack(np.divmod(combos, base), axis=1)
-    chunk = max(1, _CHUNK_CELLS // max(1, 2 * n * width))
-    combo_ranks: list = []
-    for i in range(0, len(combos), chunk):
-        part = combos[i : i + chunk]
-        combo_ranks += noise_joint(table[part].reshape(len(part), 2 * n, width))
-    vertex = {v: pair_ranks[sch.block_of[v]] for v in inst.vertices}
-    return vertex, dict(zip(pairs, [combo_ranks[k] for k in inverse.tolist()]))
+    nblocks = len(sch.blocks)
+    selves = np.arange(nblocks).repeat(2).reshape(nblocks, 2)
+    ranks = block_ranks(sch, np.concatenate([selves, combos]))
+    vertex = {v: ranks[sch.block_of[v]] for v in inst.vertices}
+    return vertex, dict(zip(pairs, [ranks[nblocks + k] for k in inverse.tolist()]))
 
 
 def verify_linear(inst: CdsInstance, sch: LinearScheme) -> VerificationReport:
@@ -225,9 +237,9 @@ def verify_linear(inst: CdsInstance, sch: LinearScheme) -> VerificationReport:
 
     Both ranks come from one elimination of [H | F], noise columns first:
     in a leftmost-pivot echelon form the pivots among the first L_Z
-    columns number rank(H) and all pivots rank([F|H]).  Every block of
-    the scheme and every distinct edge stack is eliminated at once,
-    batched across the instance.
+    columns number rank(H) and all pivots rank([F|H]).  The blocks of
+    the scheme and the distinct edge stacks are eliminated in batches
+    across the instance (:func:`block_ranks`).
     The same two ranks give signal alignment: an edge's noise agreements
     (x, y with x.H_v = y.H_u) force equal secret rows (x.F_v = y.F_u)
     exactly when rank(stacked [F|H]) = rank(stacked H).
@@ -266,8 +278,7 @@ def noise_overlap_dim(sch: LinearScheme, v: str, u: str) -> int:
     for name in (v, u):
         if name not in sch.matrices:
             raise ValueError(f"scheme has no vertex {name}")
-    h_v, h_u = sch.matrices[v][1], sch.matrices[u][1]
-    return rank(h_v) + rank(h_u) - rank(vstack(h_v, h_u))
+    return rowspace_intersection_dim(sch.matrices[v][1], sch.matrices[u][1])
 
 
 def check_signal_alignment(

@@ -325,6 +325,25 @@ class TestBound:
         assert run(["bound", example1_file, "--vertices", ",", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["restricted_to"] == []
 
+    def test_edgeless_restriction_defines_no_capacity(self, example1_file, capsys):
+        # Like the zero-vertex case: vertices kept, but no edge among them.
+        assert run(["bound", example1_file, "--vertices", "A1"]) == 0
+        assert capsys.readouterr().out == (
+            "instance: 1 vertices, 0 edges (0 qualified, 0 unqualified)\n"
+            "restricted to vertices: A1\n"
+            "shannon bound: none (no edge: no capacity is defined)\n"
+        )
+        argv = ["bound", example1_file, "--vertices", "A1,A2", "--json", "--certificate"]
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "bound",
+            "rate_bound": None,
+            "entropy_bound": None,
+            "degenerate": True,
+            "restricted_to": ["A1", "A2"],
+            "certificate": None,
+        }
+
     def test_unknown_vertex_rejected(self, example1_file, capsys):
         code = run(["bound", example1_file, "--vertices", "A1,Q9"])
         assert code == 2
@@ -367,6 +386,21 @@ class TestAudit:
         assert code == 0
         assert payload["pass"] is True
         assert len(payload["lemmas"]) == 5
+
+
+    def test_enumeration_budget_leaves_audit_alone(
+        self, example1_file, tmp_path, monkeypatch, capsys
+    ):
+        # The audit reads ranks; the budget limits only `verify --oracle`.
+        target = tmp_path / "ex1.scheme"
+        assert run(["synth", example1_file, "-o", str(target)]) == 0
+        capsys.readouterr()
+        assert run(["audit", example1_file, str(target)]) == 0
+        unlimited = capsys.readouterr()
+        monkeypatch.setenv("CDS_ENUM_BUDGET", "1")
+        assert run(["audit", example1_file, str(target)]) == 0
+        assert capsys.readouterr() == unlimited
+        assert "lemma audit (rate-1/2 entropy identities):" in unlimited.out
 
 
 class TestDemo:

@@ -265,6 +265,27 @@ class TestMemory:
         assert peak <= 2 * one_byte_each
 
 
+# Example 1's rate-1/2 scheme over GF(5), as synthesized: vertex v sends
+# s + a z1 + b z2 with these (a, b).
+EXAMPLE1_NOISE = {
+    "A1": (1, 0), "A2": (2, 0), "A3": (3, 0), "A4": (0, 1),
+    "B1": (3, 0), "B2": (4, 0), "B3": (2, 0), "B4": (0, 2),
+}
+
+
+def example1_functions(constant=()) -> dict:
+    """Example 1's scheme as Python signal functions; the vertices in
+    ``constant`` send 0 instead."""
+
+    def signal(a, b):
+        return lambda s, z: ((s[0] + a * z[0] + b * z[1]) % 5,)
+
+    return {
+        v: (lambda s, z: (0,)) if v in constant else signal(a, b)
+        for v, (a, b) in EXAMPLE1_NOISE.items()
+    }
+
+
 class TestLemmaAudit:
     def test_synthesized_example1_passes_all(self):
         inst = builtin_example1_instance()
@@ -328,6 +349,39 @@ class TestLemmaAudit:
         report = lemma_audit(inst, tabulate(sch), 1)
         assert not report.passed
         assert not report.lemma("signal_size").passed
+
+    def test_scheme_audits_like_its_table(self):
+        rng = random.Random(4242)
+        for _ in range(10):
+            inst = random_feasible_instance(rng, max_vertices=8)
+            sch = synthesize_half_rate(inst)
+            assert lemma_audit(inst, sch, 1) == lemma_audit(inst, tabulate(sch), 1)
+
+    def test_scheme_missing_a_vertex_is_rejected(self):
+        inst = builtin_example1_instance()
+        sch = synthesize_half_rate(inst)
+        partial = LinearScheme(5, 1, 2, {v: m for v, m in sch.matrices.items() if v != "B4"})
+        with pytest.raises(ValueError, match="scheme is missing vertex B4"):
+            lemma_audit(inst, partial, 1)
+
+    def test_counts_path_audits_example1_like_the_linear_table(self):
+        inst = builtin_example1_instance()
+        sch = synthesize_half_rate(inst)
+        noise = {v: tuple(h.data[0].tolist()) for v, (_, h) in sch.matrices.items()}
+        assert noise == EXAMPLE1_NOISE
+        linear = lemma_audit(inst, tabulate(sch), 1)
+        table = SchemeTable.from_functions(5, 1, 2, example1_functions())
+        assert table.scheme is None
+        counted = lemma_audit(inst, table, 1)
+        assert linear.passed and counted.passed
+        assert [l.checked for l in counted.lemmas] == [l.checked for l in linear.lemmas]
+
+    def test_counts_path_flags_a_constant_signal(self):
+        inst = builtin_example1_instance()
+        table = SchemeTable.from_functions(5, 1, 2, example1_functions(constant={"A1"}))
+        report = lemma_audit(inst, table, 1)
+        assert not report.passed
+        assert [s for s, _ in report.lemma("signal_size").failures] == [("A1",)]
 
     def test_random_synthesized_schemes_pass(self):
         rng = random.Random(31337)

@@ -42,6 +42,7 @@ from cdskit.oracle import (
     check_correct,
     check_secure,
     joint_entropy,
+    joint_rank,
     tabulate,
 )
 from cdskit.scheme import (
@@ -50,6 +51,7 @@ from cdskit.scheme import (
     SchemeFormatError,
     VertexVerdict,
     alignment_report,
+    block_ranks,
     check_signal_alignment,
     format_scheme,
     noise_overlap_dim,
@@ -518,6 +520,26 @@ def test_linear_oracle_matches_sort_based_reference(sch):
         assert table.values[v].dtype == code_type(sch.p, table.signal_lens[v], table.size)
         assert table.values[v].tolist() == codes.tolist()
     check_oracle_against_references(table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_schemes(), st.data())
+def test_block_ranks_match_joint_ranks(sch, data):
+    """One elimination of X's blocks gives H(X|S) = rank H_X without the
+    secret's rows, and H(X) = rank [F_X|H_X]: the per-subset stacked
+    precodings agree, for several subsets of one size at once (a vertex
+    listed twice changes no rank)."""
+    size = data.draw(st.integers(1, 4))
+    vertices = st.lists(st.sampled_from(sch.vertices), min_size=size, max_size=size)
+    subsets = data.draw(st.lists(vertices, min_size=1, max_size=5))
+    table = tabulate(sch)
+    got = block_ranks(sch, [[sch.block_of[v] for v in names] for names in subsets])
+    L = sch.secret_len
+    want = [
+        (joint_rank(table, [*names, "S"]) - L, joint_rank(table, names))
+        for names in subsets
+    ]
+    assert got == want
 
 
 def test_pair_labels_past_two_bytes_match_references():

@@ -1,13 +1,21 @@
-"""The benchmark's tracer (perfbench/spans.py) wraps cdskit functions by
-(module, attribute) name, so every name it lists must still resolve: a
-name lost in an import cleanup would otherwise only show when a traced
-benchmark run fails."""
+"""The benchmark calls into cdskit from outside the package, so what it
+calls must still resolve: its tracer (perfbench/spans.py) wraps cdskit
+functions by (module, attribute) name, and its workloads call module
+functions with fixed arguments.  A name lost in an import cleanup, or a
+changed signature, would otherwise only show as a failed benchmark run
+or failed benchmark operations.  Both checks read the benchmark's source
+and import none of it."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+# The benchmark's callers and the cdskit modules whose calls are checked.
+CALLERS = ("workloads.py", "probe.py")
+CHECKED_MODULES = ("instance", "scheme", "oracle", "synthesis", "entropy_lp")
 
 
 def wrapped_names() -> dict:
@@ -30,3 +38,51 @@ def test_every_wrapped_name_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def module_calls(path: Path):
+    """(line, module, attribute, call) for every call of ``module.attribute``
+    in a file, where the module is one of CHECKED_MODULES imported by
+    ``from cdskit import ...`` (under any alias)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "cdskit"
+        for alias in node.names
+        if alias.name in CHECKED_MODULES
+    }
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in aliases
+        ):
+            yield node.lineno, aliases[func.value.id], func.attr, node
+
+
+def test_benchmark_calls_bind_to_current_signatures():
+    problems, checked = [], 0
+    for name in CALLERS:
+        for line, module, attr, call in module_calls(PERFBENCH / name):
+            where = f"{name}:{line} {module}.{attr}"
+            target = getattr(importlib.import_module(f"cdskit.{module}"), attr, None)
+            checked += 1
+            if not callable(target):
+                problems.append(f"{where}: no such function")
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            )
+            if starred:
+                continue  # the arguments are unknown until run time
+            try:
+                inspect.signature(target).bind(
+                    *call.args, **{k.arg: k.value for k in call.keywords}
+                )
+            except TypeError as exc:
+                problems.append(f"{where}: {exc}")
+    assert checked >= 10
+    assert problems == []
