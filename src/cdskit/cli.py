@@ -48,10 +48,10 @@ from .oracle import (
 from .scheme import (
     LinearScheme,
     SchemeFormatError,
-    alignment_report,
     format_scheme,
     parse_scheme,
     rate_report,
+    verify_and_align,
     verify_linear,
 )
 from .synthesis import (
@@ -152,13 +152,14 @@ def _load(path: str, kind: str, parse):
         raise _UsageError(f"{path}: {exc}") from None
 
 
-def _verified_pair(args):
-    """Load ``args.instance`` and ``args.scheme`` and verify the scheme by
-    ranks; a scheme that does not fit the instance is a usage error."""
+def _verified_pair(args, check):
+    """Load ``args.instance`` and ``args.scheme`` and run ``check`` (a rank
+    verification) on them; a scheme that does not fit the instance is a
+    usage error."""
     inst = _load(args.instance, "instance", parse_instance)
     sch = _load(args.scheme, "scheme", parse_scheme)
     try:
-        return inst, sch, verify_linear(inst, sch)
+        return inst, sch, check(inst, sch)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -296,7 +297,7 @@ def _cmd_synth(args) -> _Report:
 
 
 def _cmd_verify(args) -> _Report:
-    inst, sch, report = _verified_pair(args)
+    inst, sch, report = _verified_pair(args, verify_linear)
     # Without a qualified edge no pair must decode, so no rate bound
     # applies (signals may even be empty); rates are reported otherwise.
     rates = rate_report(inst, sch) if report.passed and inst.qualified else None
@@ -407,8 +408,7 @@ def _cmd_bound(args) -> _Report:
 
 
 def _cmd_audit(args) -> _Report:
-    inst, sch, report = _verified_pair(args)
-    alignment = alignment_report(inst, sch)
+    inst, sch, (report, alignment) = _verified_pair(args, verify_and_align)
     L = sch.secret_len
     skip_reason = None
     lemmas = None

@@ -5,13 +5,16 @@ One LP variable per nonempty subset of the ground set {S} + vertices
 cone, and the instance's decodability/security equalities as the CDS
 constraints.  Maximizing H(S) with all signal entropies normalized to 1
 gives an upper bound of optimum/2 on the symmetric communication rate.
+Every row has int coefficients and right-hand side.
 
 Solving is exact end to end: a floating-point proposal is only accepted
 after exact checks, and the dual multipliers are re-verified as a
-standalone converse certificate before they are ever rendered.  Ground
-sets of up to nine variables certify in under a second.  From ten on,
-the rounded duals can fail the exact check, and the rational tableau
-that takes over may then run for minutes.  The hard limit is twelve, and
+standalone converse certificate before they are ever rendered.  On a
+2-core machine (Python 3.11, SciPy 1.17) ground sets of seven, eight
+and nine variables certify in about 0.04, 0.13 and 0.7 s, most of it in
+HiGHS; ``cds bound`` adds about 0.7 s of interpreter start and SciPy
+import.  From ten on, the rounded duals can fail the exact check, and
+the rational tableau that takes over may then run for minutes.  The hard limit is twelve, and
 restricting to a vertex subset (which can only relax the bound) is the
 escape hatch for bigger graphs.
 """
@@ -58,12 +61,13 @@ class Constraint:
     """Sparse rational constraint over subset variables.
 
     ``coeffs`` maps subset bitmasks (over the ground set) to rational
-    coefficients; the relation is one of "<=", "=", ">=".
+    coefficients; the relation is one of "<=", "=", ">=".  The entropy
+    LP's own rows have int coefficients and right-hand sides.
     """
 
-    coeffs: tuple[tuple[int, Fraction], ...]
+    coeffs: tuple[tuple[int, int | Fraction], ...]
     relation: str
-    rhs: Fraction
+    rhs: int | Fraction
 
     def evaluate(self, primal) -> Fraction:
         """Left-hand side at a primal point indexed by mask - 1."""
@@ -84,7 +88,7 @@ class EntropyLp:
 
     ground: tuple[str, ...]
     constraints: tuple[Constraint, ...]
-    objective: tuple[tuple[int, Fraction], ...]
+    objective: tuple[tuple[int, int | Fraction], ...]
 
     @property
     def n_vars(self) -> int:
@@ -116,13 +120,11 @@ def elemental_inequalities(n: int) -> tuple[Constraint, ...]:
     """
     if n < 2 or n > GROUND_LIMIT:
         raise ValueError(f"ground-set size {n} outside [2, {GROUND_LIMIT}]")
-    zero = Fraction(0)
-    one = Fraction(1)
     out: list[Constraint] = []
     full = (1 << n) - 1
     for i in range(n):
         rest = full ^ (1 << i)
-        out.append(Constraint(((full, one), (rest, -one)), ">=", zero))
+        out.append(Constraint(((full, 1), (rest, -1)), ">=", 0))
     for i in range(n):
         for j in range(i + 1, n):
             others = [b for b in range(n) if b not in (i, j)]
@@ -131,14 +133,10 @@ def elemental_inequalities(n: int) -> tuple[Constraint, ...]:
                 for t, b in enumerate(others):
                     if pick >> t & 1:
                         k |= 1 << b
-                terms = [
-                    (k | 1 << i, one),
-                    (k | 1 << j, one),
-                    (k | 1 << i | 1 << j, -one),
-                ]
+                terms = [(k | 1 << i, 1), (k | 1 << j, 1), (k | 1 << i | 1 << j, -1)]
                 if k:
-                    terms.append((k, -one))
-                out.append(Constraint(tuple(terms), ">=", zero))
+                    terms.append((k, -1))
+                out.append(Constraint(tuple(terms), ">=", 0))
     return tuple(out)
 
 
@@ -157,21 +155,15 @@ def cds_constraints(inst: CdsInstance) -> tuple[Constraint, ...]:
         )
     idx = {name: 1 << i for i, name in enumerate(ground)}
     s_mask = idx["S"]
-    zero = Fraction(0)
-    one = Fraction(1)
     out: list[Constraint] = []
     for v, u in inst.qualified:
         pair = idx[v] | idx[u]
-        out.append(Constraint(((pair | s_mask, one), (pair, -one)), "=", zero))
+        out.append(Constraint(((pair | s_mask, 1), (pair, -1)), "=", 0))
     for v, u in inst.unqualified:
         pair = idx[v] | idx[u]
-        out.append(
-            Constraint(
-                ((pair | s_mask, one), (pair, -one), (s_mask, -one)), "=", zero
-            )
-        )
+        out.append(Constraint(((pair | s_mask, 1), (pair, -1), (s_mask, -1)), "=", 0))
     for v in inst.vertices:
-        out.append(Constraint(((idx[v], one),), "<=", one))
+        out.append(Constraint(((idx[v], 1),), "<=", 1))
     return tuple(out)
 
 
@@ -186,8 +178,8 @@ def build_entropy_lp(inst: CdsInstance) -> EntropyLp:
     # First, so that too large a ground set gets its error with the remedy.
     cds = cds_constraints(inst)
     elemental = elemental_inequalities(n)
-    cap = Constraint(((1, Fraction(1)),), "<=", Fraction(n))
-    objective = ((1, Fraction(1)),)  # maximize H(S); S is ground bit 0
+    cap = Constraint(((1, 1),), "<=", n)
+    objective = ((1, 1),)  # maximize H(S); S is ground bit 0
     return EntropyLp(ground, elemental + cds + (cap,), objective)
 
 

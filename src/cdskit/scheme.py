@@ -43,6 +43,7 @@ __all__ = [
     "check_signal_alignment",
     "path_overlap_lower_bound",
     "alignment_report",
+    "verify_and_align",
     "rate_report",
     "parse_scheme",
     "format_scheme",
@@ -247,7 +248,12 @@ def verify_linear(inst: CdsInstance, sch: LinearScheme) -> VerificationReport:
     The verdicts are frozen, so vertices or edges with the same verdict
     share one verdict object.
     """
-    vertex_ranks, edge_ranks = _rank_table(inst, sch)
+    return _verification(inst, sch, *_rank_table(inst, sch))
+
+
+def _verification(
+    inst: CdsInstance, sch: LinearScheme, vertex_ranks, edge_ranks
+) -> VerificationReport:
     L = sch.secret_len
     shared: dict[tuple, VertexVerdict | EdgeVerdict] = {}
     vertex_verdicts: dict[str, VertexVerdict] = {}
@@ -350,7 +356,19 @@ def alignment_report(inst: CdsInstance, sch: LinearScheme) -> AlignmentReport:
     rank([F|H]) equals rank(H), since the left kernel of [H_v; -H_u] lies
     inside that of [F_v; -F_u] exactly when the two ranks agree.
     """
-    vertex_ranks, edge_ranks = _rank_table(inst, sch)
+    return _alignment(inst, *_rank_table(inst, sch))
+
+
+def verify_and_align(
+    inst: CdsInstance, sch: LinearScheme
+) -> tuple[VerificationReport, AlignmentReport]:
+    """:func:`verify_linear` and :func:`alignment_report` from one rank
+    table, as ``cds audit`` prints them."""
+    ranks = _rank_table(inst, sch)
+    return _verification(inst, sch, *ranks), _alignment(inst, *ranks)
+
+
+def _alignment(inst: CdsInstance, vertex_ranks, edge_ranks) -> AlignmentReport:
     overlaps = {
         (v, u): vertex_ranks[v][0] + vertex_ranks[u][0] - edge_ranks[(v, u)][0]
         for v, u in inst.qualified

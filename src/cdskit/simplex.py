@@ -1,16 +1,23 @@
 """Exact linear programming over the rationals.
 
 Solves  maximize c.x  subject to mixed <=, =, >= constraints and x >= 0.
-Every feasibility and optimality decision is made in Fraction
-arithmetic; floating point only proposes.
+Every feasibility and optimality decision is exact; floating point only
+proposes.  Each constraint is stored once as an integer row: the given
+row times the positive lcm of its denominators (1 for a row with integer
+coefficients and right-hand side, such as every entropy-LP row).  The
+exact checks run on these rows in Python integers, after clearing the
+denominators of the primal point and of the duals.
 
 * HiGHS dual simplex (through SciPy) solves the LP in float64 and
-  proposes a primal point and row duals.  Each value is rounded to the
-  nearest rational whose denominator is at most ``_DENOM_CAP``, and the
-  pair is accepted only if it is an optimal pair exactly: the point is
-  nonnegative and satisfies every constraint, every dual has the sign
-  its relation requires, the weighted rows dominate the objective on
-  every column, and the two objective values coincide.
+  proposes a primal point and row duals.  Its input is unchanged by the
+  integer rows: an entry a/s goes in as the int quotient ``a / s``,
+  which is correctly rounded like ``float()`` of the Fraction.  Each
+  value HiGHS returns is rounded to the nearest rational whose
+  denominator is at most ``_DENOM_CAP``, and the pair is accepted only
+  if it is an optimal pair exactly: the point is nonnegative and
+  satisfies every constraint, every dual has the sign its relation
+  requires, the weighted rows dominate the objective on every column,
+  and the two objective values coincide.
 * Anything else -- a HiGHS status other than optimal, or a rounded pair
   that fails any check -- falls through to a sparse rational tableau
   with Dantzig pricing, a lexicographic ratio test, and Bland's rule
@@ -19,16 +26,17 @@ arithmetic; floating point only proposes.
   optima the rounding cannot reach, so floats never decide anything.
   Its optimal answers pass the same exact checks before they are returned.
 
-Constraints are canonicalized for the tableau so that rows with a
-right-hand side of the correct sign start out slack-basic; artificials
-(and hence phase 1) only appear for rows that genuinely exclude the
-origin.
+Constraints are canonicalized for the tableau, as Fraction rows built
+only when it runs, so that rows with a right-hand side of the correct
+sign start out slack-basic; artificials (and hence phase 1) only appear
+for rows that genuinely exclude the origin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 __all__ = ["LpSolution", "solve_lp"]
 
@@ -46,8 +54,10 @@ _STALL_LIMIT = 60
 # larger one is left to the exact tableau.
 _DENOM_CAP = 1 << 12
 
-# A parsed constraint: sparse coefficients, relation, right-hand side.
-_Row = tuple[dict[int, Fraction], str, Fraction]
+# A parsed constraint as an integer row: sparse coefficients, relation,
+# right-hand side, and the positive scale that cleared the given row's
+# denominators (the given row is this one divided by the scale).
+_Row = tuple[dict[int, int], str, int, int]
 
 
 @dataclass(frozen=True)
@@ -85,15 +95,21 @@ class _Canonical:
 
 
 def _parse(n_vars: int, constraints) -> list[_Row]:
-    """Validate the constraint triples and make their rows sparse."""
+    """Validate the constraint triples and turn each into an integer row."""
     parsed: list[_Row] = []
     for coeffs, r, b in constraints:
         if r not in (LESS, EQUAL, GREATER):
             raise ValueError(f"unknown relation {r!r}")
         row = _sparse(coeffs)
-        if any(j >= n_vars or j < 0 for j in row):
+        if row and (min(row) < 0 or max(row) >= n_vars):
             raise ValueError("constraint references an unknown variable")
-        parsed.append((row, r, Fraction(b)))
+        scale = 1
+        if type(b) is not int or any(type(v) is not int for v in row.values()):
+            b = Fraction(b)
+            scale = lcm(b.denominator, *(v.denominator for v in row.values()))
+            row = {j: _times(v, scale) for j, v in row.items()}
+            b = _times(b, scale)
+        parsed.append((row, r, b, scale))
     return parsed
 
 
@@ -102,7 +118,9 @@ def _canonicalize(n_vars: int, parsed: list[_Row]) -> _Canonical:
     rhs: list[Fraction] = []
     rel: list[str] = []
     parts: list[list[tuple[int, int]]] = []
-    for row, r, b in parsed:
+    for ints, r, b, scale in parsed:
+        row = {j: Fraction(v, scale) for j, v in ints.items()}
+        b = Fraction(b, scale)
         pieces = [(row, LESS, b), (row, GREATER, b)] if r == EQUAL else [(row, r, b)]
         own: list[tuple[int, int]] = []
         for a, rr, bb in pieces:
@@ -271,7 +289,7 @@ class _Tableau:
             stalled = 0 if gain > 0 else stalled + 1
 
 
-def _solve_exact(can: _Canonical, obj: dict[int, Fraction]) -> LpSolution:
+def _solve_exact(can: _Canonical, obj: dict[int, int | Fraction]) -> LpSolution:
     tab = _Tableau(can)
     ncols = can.ncols
     if can.artificial:
@@ -321,7 +339,9 @@ def _solve_exact(can: _Canonical, obj: dict[int, Fraction]) -> LpSolution:
 # HiGHS proposal, accepted only after exact checks
 
 
-def _propose(n_vars: int, obj: dict[int, Fraction], rows: list[_Row]) -> LpSolution | None:
+def _propose(
+    n_vars: int, obj: dict[int, int | Fraction], rows: list[_Row]
+) -> LpSolution | None:
     """Solve in floating point with HiGHS dual simplex, round the primal
     point and the row duals to rationals, and return them only if they
     pass every exact optimality check; None otherwise."""
@@ -337,17 +357,16 @@ def _propose(n_vars: int, obj: dict[int, Fraction], rows: list[_Row]) -> LpSolut
         ptr = [0]
         rhs: list[float] = []
         for i in indices:
-            a, rel, b = rows[i]
+            a, rel, b, scale = rows[i]
             sign = -1.0 if rel == GREATER else 1.0
-            for j, v in a.items():
-                cols.append(j)
-                data.append(sign * float(v))
+            cols.extend(a)
+            data += [sign * (v / scale) for v in a.values()]
             ptr.append(len(cols))
-            rhs.append(sign * float(b))
+            rhs.append(sign * (b / scale))
         return csr_matrix((data, cols, ptr), shape=(len(indices), n_vars)), rhs
 
-    ineq = [i for i, (_, rel, _) in enumerate(rows) if rel != EQUAL]
-    eq = [i for i, (_, rel, _) in enumerate(rows) if rel == EQUAL]
+    ineq = [i for i, row in enumerate(rows) if row[1] != EQUAL]
+    eq = [i for i, row in enumerate(rows) if row[1] == EQUAL]
     a_ub, b_ub = block(ineq)
     a_eq, b_eq = block(eq)
     cost = [0.0] * n_vars
@@ -383,36 +402,59 @@ def _rational(v: float) -> Fraction:
 
 def _certify(
     n_vars: int,
-    obj: dict[int, Fraction],
+    obj: dict[int, int | Fraction],
     rows: list[_Row],
     primal: list[Fraction],
     duals: list[Fraction],
 ) -> Fraction | None:
     """The common optimum if (primal, duals) is an optimal pair, exactly:
     x >= 0, every row holds, every dual has its row's sign, y^T A >= c
-    on every column and y.b = c.x.  None if any check fails."""
-    if any(x < 0 for x in primal):
+    on every column and y.b = c.x.  None if any check fails.
+
+    The checks run in integers on the integer rows: the point as D x,
+    with D the lcm of its denominators, and the dual of each integer row
+    (y_i over the row's scale) times E, the lcm of these duals' and the
+    objective's denominators.
+    """
+    d = lcm(*(x.denominator for x in primal))
+    xs = [_times(x, d) for x in primal]
+    if any(x < 0 for x in xs):
         return None
-    reduced = [-obj.get(j, _ZERO) for j in range(n_vars)]  # y^T A - c
-    dual_value = _ZERO
-    for (a, rel, b), y in zip(rows, duals):
-        lhs = sum((v * primal[j] for j, v in a.items()), _ZERO)
+    weights = [y if row[3] == 1 else y / row[3] for row, y in zip(rows, duals)]
+    e = lcm(
+        *(c.denominator for c in obj.values()), *(w.denominator for w in weights if w)
+    )
+    reduced = [0] * n_vars  # E (y^T A - c)
+    for j, c in obj.items():
+        reduced[j] = -_times(c, e)
+    dual_value = 0  # E y.b
+    for (a, rel, b, _), w in zip(rows, weights):
+        lhs = sum(v * xs[j] for j, v in a.items())
+        rhs = b * d
         if rel == LESS:
-            if lhs > b or y < 0:
-                return None
+            holds = lhs <= rhs
         elif rel == GREATER:
-            if lhs < b or y > 0:
-                return None
-        elif lhs != b:
+            holds = lhs >= rhs
+        else:
+            holds = lhs == rhs
+        if not holds:
             return None
-        if y:
+        if w:
+            k = _times(w, e)
+            if (rel == LESS and k < 0) or (rel == GREATER and k > 0):
+                return None
             for j, v in a.items():
-                reduced[j] += y * v
-            dual_value += y * b
+                reduced[j] += k * v
+            dual_value += k * b
     if any(r < 0 for r in reduced):
         return None
-    value = sum((c * primal[j] for j, c in obj.items()), _ZERO)
-    return value if value == dual_value else None
+    value = sum(_times(c, e) * xs[j] for j, c in obj.items())  # E D c.x
+    return Fraction(value, e * d) if value == dual_value * d else None
+
+
+def _times(q: int | Fraction, m: int) -> int:
+    """q * m, for a multiple m of q's denominator."""
+    return q.numerator * (m // q.denominator)
 
 
 def solve_lp(n_vars: int, objective, constraints, accelerate: bool = True) -> LpSolution:
@@ -449,11 +491,12 @@ def solve_lp(n_vars: int, objective, constraints, accelerate: bool = True) -> Lp
     return sol
 
 
-def _sparse(coeffs) -> dict[int, Fraction]:
-    """(index, value) pairs as a dict: repeats summed, zeros dropped."""
-    out: dict[int, Fraction] = {}
+def _sparse(coeffs) -> dict[int, int | Fraction]:
+    """(index, value) pairs as a dict: repeats summed, zeros dropped; an
+    int stays an int, any other number becomes a Fraction."""
+    out: dict[int, int | Fraction] = {}
     for j, c in coeffs:
-        if type(c) is not Fraction:
+        if type(c) is not int and type(c) is not Fraction:
             c = Fraction(c)
         if j in out:
             c += out[j]

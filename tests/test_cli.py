@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from cdskit import scheme
 from cdskit.cli import run
 from cdskit.instance import format_instance, parse_instance
 from cdskit.scheme import format_scheme, parse_scheme, verify_linear
@@ -365,6 +366,22 @@ class TestAudit:
         assert "signal-aligned" in out
         assert "lemma audit: skipped" in out
         assert "overall: PASS" in out
+
+    def test_verification_and_alignment_share_one_rank_table(
+        self, fig2_file, fig2_scheme_file, monkeypatch, capsys
+    ):
+        # fig2's lemma audit is skipped, so only the rank table ranks blocks.
+        calls = []
+        original = scheme.block_ranks
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(scheme, "block_ranks", counted)
+        assert run(["audit", fig2_file, fig2_scheme_file]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_example1_lemma_audit(self, example1_file, tmp_path, capsys):
         target = tmp_path / "ex1.scheme"

@@ -1,6 +1,7 @@
 """Tests for the entropy LP: elemental cone, CDS constraints, bounds and
 certificates."""
 
+import hashlib
 import itertools
 import time
 from fractions import Fraction
@@ -33,6 +34,11 @@ from cdskit.synthesis import (
 )
 
 F = Fraction
+
+
+def certificate_digest(res) -> str:
+    """sha256 of the rendered dual certificate."""
+    return hashlib.sha256(dual_certificate(res.solution, res.lp).encode()).hexdigest()
 
 
 def three_vertex() -> CdsInstance:
@@ -185,6 +191,18 @@ class TestShannonBound:
         assert res.rate_bound == F(5, 12)
         assert verify_certificate(res.solution, res.lp) == F(5, 6)
         assert elapsed < 20.0, f"ground 8 took {elapsed:.2f}s"
+        assert certificate_digest(res) == (
+            "1dd085da3ed1f3084169422d96a721755d693dbdf2f1da127ae954c8087ec524"
+        )
+
+    def test_example1_certificate_is_pinned(self):
+        # Ground 9.  Like fig2's golden certificate, the digest pins what
+        # HiGHS is given and which of its answers the exact checks accept.
+        res = shannon_bound(builtin_example1_instance())
+        assert res.rate_bound == F(1, 2)
+        assert certificate_digest(res) == (
+            "b82779887dfd60be47d727dc1e9ac46508af05c935f76a52912935d812cc4123"
+        )
 
 
 class TestCertificates:

@@ -1,5 +1,6 @@
 """Tests for the exact rational simplex."""
 
+import operator
 import random
 import subprocess
 import sys
@@ -281,3 +282,132 @@ class TestRandomized:
             assert sol.status == "optimal"
             assert sol.value == best
             done += 1
+
+
+def reference_certify(n, objective, constraints, primal, duals):
+    """Fraction reference for ``_certify``: c.x if (primal, duals) is an
+    exactly optimal pair, None otherwise."""
+    if any(x < 0 for x in primal):
+        return None
+    for coeffs, rel, rhs in constraints:
+        lhs = sum(F(c) * primal[j] for j, c in coeffs)
+        if not {"<=": operator.le, ">=": operator.ge, "=": operator.eq}[rel](lhs, rhs):
+            return None
+    value = sum(F(c) * primal[j] for j, c in objective)
+    try:
+        assert_certificate(n, objective, constraints, LpSolution("optimal", value, primal, duals))
+    except AssertionError:
+        return None
+    return value
+
+
+class TestCertify:
+    """Each check of the exact acceptance test, one fault at a time.
+
+    max x0/2 + x1/2 over
+      r0  x0/2 + x1/3 <= 5/6      r3  x2/3 = 1/3
+      r1  -x0/2 - x1/3 >= -5/6    r4  x3/2 >= 1/2
+      r2  x0 - x1 = 0             r5  2 x3/3 <= 4/3
+    with x4 in no row.  r0 and r1 are one half-plane, so weight moves
+    between them without changing y^T A or y.b; x2, x3 and x4 touch
+    neither the objective nor r0-r2.  Optimum 1 at x = (1, 1, 1, 1, 0)
+    with y = (6/5, 0, -1/10, 0, 0, 0).
+    """
+
+    N = 5
+    OBJECTIVE = [(0, F(1, 2)), (1, F(1, 2))]
+    CONSTRAINTS = [
+        ([(0, F(1, 2)), (1, F(1, 3))], "<=", F(5, 6)),
+        ([(0, F(-1, 2)), (1, F(-1, 3))], ">=", F(-5, 6)),
+        ([(0, 1), (1, -1)], "=", 0),
+        ([(2, F(1, 3))], "=", F(1, 3)),
+        ([(3, F(1, 2))], ">=", F(1, 2)),
+        ([(3, F(2, 3))], "<=", F(4, 3)),
+    ]
+    PRIMAL = (F(1), F(1), F(1), F(1), F(0))
+    DUALS = (F(6, 5), F(0), F(-1, 10), F(0), F(0), F(0))
+
+    def certify(self, primal=PRIMAL, duals=DUALS):
+        obj, cons = self.OBJECTIVE, self.CONSTRAINTS
+        got = simplex._certify(
+            self.N, simplex._sparse(obj), simplex._parse(self.N, cons), list(primal), list(duals)
+        )
+        assert got == reference_certify(self.N, obj, cons, tuple(primal), tuple(duals))
+        return got
+
+    def test_optimal_pair_is_accepted(self):
+        value = self.certify()
+        assert value == 1 and type(value) is Fraction
+        sol = solve_lp(self.N, self.OBJECTIVE, self.CONSTRAINTS)
+        assert sol.value == 1
+
+    @pytest.mark.parametrize(
+        "index, entry, fault",
+        [
+            (4, F(-1), "negative primal entry"),
+            (3, F(3), "violated <= row (r5)"),
+            (3, F(0), "violated >= row (r4)"),
+            (2, F(2), "violated = row (r3)"),
+        ],
+    )
+    def test_primal_fault_is_rejected(self, index, entry, fault):
+        primal = list(self.PRIMAL)
+        primal[index] = entry
+        assert self.certify(primal=primal) is None, fault
+
+    @pytest.mark.parametrize(
+        "changes, fault",
+        [
+            ({0: F(-1), 1: F(-11, 5)}, "negative dual on a <= row"),
+            ({0: F(11, 5), 1: F(1)}, "positive dual on a >= row"),
+            ({3: F(3), 4: F(-2)}, "column x3 has y^T A < c"),
+            ({5: F(3, 2)}, "c.x != y.b"),
+        ],
+    )
+    def test_dual_fault_is_rejected(self, changes, fault):
+        duals = list(self.DUALS)
+        for i, y in changes.items():
+            duals[i] = y
+        assert self.certify(duals=duals) is None, fault
+
+    def test_verdicts_match_the_fraction_reference(self):
+        rng = random.Random(577)
+        verdicts = {True: 0, False: 0}
+        for _ in range(200):
+            n = rng.randrange(1, 5)
+            objective = [(j, F(rng.randrange(-3, 4), rng.randrange(1, 4))) for j in range(n)]
+            cons = [
+                (
+                    [(j, F(rng.randrange(-3, 4), rng.randrange(1, 5))) for j in range(n)],
+                    rng.choice(["<=", "<=", "=", ">="]),
+                    F(rng.randrange(-1, 6), rng.randrange(1, 4)),
+                )
+                for _ in range(rng.randrange(1, 5))
+            ]
+            cons += [([(j, 1)], "<=", 10) for j in range(n)]
+            sol = solve_lp(n, objective, cons)
+            if sol.status == "optimal":
+                primal, duals = list(sol.primal), list(sol.duals)
+            else:
+                primal = [F(rng.randrange(0, 4), rng.randrange(1, 3)) for _ in range(n)]
+                duals = [F(rng.randrange(-2, 3), rng.randrange(1, 3)) for _ in cons]
+            fault = rng.randrange(6)
+            delta = F(rng.choice([-1, 1]), rng.randrange(1, 7))
+            if fault == 1:
+                primal[rng.randrange(n)] += delta
+            elif fault == 2:
+                duals[rng.randrange(len(duals))] += delta
+            elif fault == 3:
+                i = rng.randrange(len(duals))
+                duals[i] = -duals[i]
+            elif fault == 4:
+                i, k = rng.randrange(len(duals)), rng.randrange(len(duals))
+                duals[i], duals[k] = duals[k], duals[i]
+            elif fault == 5:
+                j = rng.randrange(n)
+                primal[j] = -primal[j]
+            obj, rows = simplex._sparse(objective), simplex._parse(n, cons)
+            got = simplex._certify(n, obj, rows, primal, duals)
+            assert got == reference_certify(n, objective, cons, tuple(primal), tuple(duals))
+            verdicts[got is not None] += 1
+        assert min(verdicts.values()) >= 40, verdicts

@@ -3,8 +3,12 @@ calls must still resolve: its tracer (perfbench/spans.py) wraps cdskit
 functions by (module, attribute) name, and its workloads call module
 functions with fixed arguments.  A name lost in an import cleanup, or a
 changed signature, would otherwise only show as a failed benchmark run
-or failed benchmark operations.  Both checks read the benchmark's source
-and import none of it."""
+or failed benchmark operations.  These checks read the benchmark's source
+and import none of it.  A wrapper also sees only the calls made through
+the name it replaced, so the last check counts, under wrappers of its
+own, the calls one ``shannon_bound`` makes through the entropy_lp names
+the tracer wraps: a call routed around them would leave their spans at
+zero."""
 
 import ast
 import importlib
@@ -86,3 +90,25 @@ def test_benchmark_calls_bind_to_current_signatures():
                 problems.append(f"{where}: {exc}")
     assert checked >= 10
     assert problems == []
+
+
+def test_shannon_bound_calls_each_wrapped_name_once(monkeypatch):
+    from cdskit import entropy_lp
+    from cdskit.instance import CdsInstance
+
+    names = [attr for module, attr in wrapped_names() if module == "cdskit.entropy_lp"]
+    assert {"build_entropy_lp", "solve_lp", "verify_certificate"} <= set(names)
+    calls = dict.fromkeys(names, 0)
+
+    def counted(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for attr in names:
+        monkeypatch.setattr(entropy_lp, attr, counted(attr, getattr(entropy_lp, attr)))
+    inst = CdsInstance.from_edges([("q", "A1", "B1"), ("u", "A1", "B2")])
+    entropy_lp.shannon_bound(inst)
+    assert calls == dict.fromkeys(names, 1)
