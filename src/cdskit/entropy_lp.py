@@ -184,11 +184,12 @@ def build_entropy_lp(inst: CdsInstance) -> EntropyLp:
 
 
 def simplex_solve(lp: EntropyLp) -> LpSolution:
-    """Solve the LP as given, exactly."""
-    constraints = [
+    """Solve the LP as given, exactly.  The constraint triples are
+    streamed: ``solve_lp`` reads them once, into its integer rows."""
+    constraints = (
         ([(m - 1, c) for m, c in con.coeffs], con.relation, con.rhs)
         for con in lp.constraints
-    ]
+    )
     objective = [(m - 1, c) for m, c in lp.objective]
     return solve_lp(lp.n_vars, objective, constraints)
 

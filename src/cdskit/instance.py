@@ -11,10 +11,13 @@ computation: the capacity is 1/2 iff no qualified edge joins two vertices
 of one unqualified component inside its qualified component.  Those
 components come from :func:`decompose` alone: one union-find pass over
 the qualified edges, then one over the unqualified edges whose ends share
-a qualified component.  With union by size and path halving both passes
-cost O((V + E) alpha(V)), linear for every practical purpose, so
-feasibility, synthesis and the lemma audit scale with the size of the
-graph.  Breadth-first search is used only to render a witness path.
+a qualified component.  Both passes run on integer vertex ids (the rank
+of each name in sorted order), with path halving and a union that keeps
+the smaller root, so every root is its component's least id.  Without
+union by size, path halving still bounds each pass by O(V + E log V)
+(Tarjan and van Leeuwen, 1984), so feasibility, synthesis and the lemma
+audit scale with the size of the graph.  Breadth-first search is used
+only to render a witness path.
 """
 
 from __future__ import annotations
@@ -289,38 +292,45 @@ def normalize_degenerate(inst: CdsInstance) -> tuple[CdsInstance, tuple[str, ...
 def decompose(inst: CdsInstance) -> tuple[Partition, Partition]:
     """The qualified components and the unqualified components inside them.
 
-    One union-find pass joins the ends of every qualified edge; a second
-    joins the ends of every unqualified edge whose ends share a qualified
-    component.  Both partitions cover every vertex (isolated vertices are
-    singleton blocks), with sorted members and blocks ordered by least
-    member; the second refines the first.
+    The sorted vertices are numbered 0..n-1, and two union-find passes
+    run on those integer ids: one joins the ends of every qualified edge,
+    the other the ends of every unqualified edge whose ends share a
+    qualified component.  A union hangs the larger root under the smaller
+    and finds halve their paths, so a parent id never exceeds its child's
+    and every root is its component's least id; one sweep in id order
+    then resolves each vertex to its root.  Both partitions cover every
+    vertex (isolated vertices are singleton blocks), with sorted members
+    and blocks ordered by least member; the second refines the first.
     """
     vertices = sorted(inst.vertices)
+    ids = {v: i for i, v in enumerate(vertices)}
 
-    def components(edges) -> Partition:
-        parent = {v: v for v in vertices}
-        size = dict.fromkeys(vertices, 1)
-
-        def find(v: str) -> str:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
+    def roots(edges) -> list[int]:
+        parent = list(range(len(vertices)))
         for a, b in edges:
-            small, large = sorted((find(a), find(b)), key=size.get)
-            if small != large:
-                parent[small] = large
-                size[large] += size[small]
-        blocks: dict[str, list[str]] = {}
-        for v in vertices:
-            blocks.setdefault(find(v), []).append(v)
-        return Partition(tuple(tuple(b) for b in blocks.values()))
+            a, b = ids[a], ids[b]
+            # Path halving: point each visited id at its grandparent, go there.
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+        for i, p in enumerate(parent):
+            parent[i] = parent[p]
+        return parent
 
-    qualified = components(inst.qualified)
-    comp_of = qualified.index_of
-    inner = (e for e in inst.unqualified if comp_of(e[0]) == comp_of(e[1]))
-    return qualified, components(inner)
+    def partition(root: list[int]) -> Partition:
+        blocks: dict[int, list[str]] = {}
+        for v, r in zip(vertices, root):
+            blocks.setdefault(r, []).append(v)
+        return Partition(tuple(map(tuple, blocks.values())))
+
+    qroot = roots(inst.qualified)
+    inner = (e for e in inst.unqualified if qroot[ids[e[0]]] == qroot[ids[e[1]]])
+    return partition(qroot), partition(roots(inner))
 
 
 def qualified_components(inst: CdsInstance) -> Partition:

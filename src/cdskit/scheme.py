@@ -399,11 +399,16 @@ def rate_report(
             "rate_report requires an instance with a qualified edge; "
             "without one no rate is defined"
         )
-    report = verify_linear(inst, sch)
-    if not report.passed:
+    if not verify_linear(inst, sch).passed:
         raise VerificationFailedError(
             "rate_report requires a scheme that passes verification"
         )
+    return _rates(sch, converse)
+
+
+def _rates(sch: LinearScheme, converse: Fraction | None = None) -> RateReport:
+    """:func:`rate_report` of a scheme already known to pass verification
+    over an instance with a qualified edge."""
     rate = Fraction(sch.secret_len, 2 * sch.max_signal_len())
     rz = Fraction(sch.secret_len, sch.noise_len) if sch.noise_len else None
     upper = converse if converse is not None else Fraction(1, 2)

@@ -37,6 +37,20 @@ def fig2_scheme_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def block_rank_calls(monkeypatch):
+    """The arguments of every ``scheme.block_ranks`` call, in order."""
+    calls = []
+    original = scheme.block_ranks
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(scheme, "block_ranks", counted)
+    return calls
+
+
 class TestCheck:
     def test_fig2_infeasible_with_witness(self, fig2_file, capsys):
         code = run(["check", fig2_file])
@@ -368,20 +382,26 @@ class TestAudit:
         assert "overall: PASS" in out
 
     def test_verification_and_alignment_share_one_rank_table(
-        self, fig2_file, fig2_scheme_file, monkeypatch, capsys
+        self, fig2_file, fig2_scheme_file, block_rank_calls, capsys
     ):
         # fig2's lemma audit is skipped, so only the rank table ranks blocks.
-        calls = []
-        original = scheme.block_ranks
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(scheme, "block_ranks", counted)
         assert run(["audit", fig2_file, fig2_scheme_file]) == 0
         assert "overall: PASS" in capsys.readouterr().out
-        assert len(calls) == 1
+        assert len(block_rank_calls) == 1
+
+    def test_verify_and_synth_rank_once(
+        self, fig2_file, fig2_scheme_file, example1_file, block_rank_calls, capsys
+    ):
+        # The rates come from the verification report already in hand.
+        for argv, rates in (
+            (["verify", fig2_file, fig2_scheme_file], "R = 2/5, R_Z = 4/9"),
+            (["synth", example1_file, "--reduce-randomness"], "R = 1/2, R_Z = 1/2"),
+        ):
+            block_rank_calls.clear()
+            assert run(argv) == 0
+            captured = capsys.readouterr()
+            assert rates in captured.out + captured.err
+            assert len(block_rank_calls) == 1, argv
 
     def test_example1_lemma_audit(self, example1_file, tmp_path, capsys):
         target = tmp_path / "ex1.scheme"

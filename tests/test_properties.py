@@ -12,6 +12,7 @@ import math
 import tempfile
 from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,18 @@ def general_instances(draw) -> CdsInstance:
     )
 
 
+@st.composite
+def direct_instances(draw) -> CdsInstance:
+    """General instances built with ``CdsInstance(...)`` directly, which
+    ``from_edges`` never yields: the vertex tuple is shuffled, and up to
+    three isolated vertices join it."""
+    inst = draw(general_instances())
+    rng = draw(st.randoms(use_true_random=True))
+    vertices = [*inst.vertices, *(f"w{k}" for k in range(rng.randint(0, 3)))]
+    rng.shuffle(vertices)
+    return CdsInstance(tuple(vertices), inst.qualified, inst.unqualified, False)
+
+
 def distances(start: str, edges) -> dict[str, int]:
     """Breadth-first distances from start over the given edges."""
     dist, queue = {start: 0}, deque([start])
@@ -154,9 +167,10 @@ def test_feasibility_matches_reference(inst):
 
 
 @settings(max_examples=200, deadline=None)
-@given(general_instances())
+@given(st.one_of(general_instances(), direct_instances()))
 def test_unqualified_blocks_partition_and_refine(inst):
-    comps, inner = reference_components(inst)
+    ordered = replace(inst, vertices=tuple(sorted(inst.vertices)))
+    comps, inner = reference_components(ordered)
     qualified = qualified_components(inst)
     assert qualified.blocks == comps
     all_blocks = []
