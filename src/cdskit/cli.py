@@ -6,6 +6,13 @@ an optional exhaustive-oracle cross-check), ``bound`` (exact Shannon-LP
 converse), ``audit`` (alignment diagnostics and the rate-1/2 lemma
 audit), and ``demo`` (write the built-in instance/scheme files).
 
+Each command imports only the layers it runs, inside its ``_cmd_*``
+function: ``check`` loads :mod:`cdskit.instance` alone and no NumPy;
+``synth``, ``verify``, ``audit`` and ``demo`` add :mod:`cdskit.gf` and
+:mod:`cdskit.scheme`, with :mod:`cdskit.synthesis` or :mod:`cdskit.oracle`
+only where they call them; only ``bound`` loads :mod:`cdskit.entropy_lp`,
+:mod:`cdskit.simplex` and, inside its LP solve, SciPy.
+
 Every ``_cmd_*`` function computes and returns one :class:`_Report`
 without printing: whether the command passed, its ``--json`` payload and
 its text lines.  :func:`run` alone prints a report, as JSON or as text,
@@ -24,43 +31,14 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .entropy_lp import dual_certificate, shannon_bound
-from .gf import GfMatrix
-from .instance import (
-    FeasibilityResult,
-    InstanceFormatError,
-    format_instance,
-    half_rate_feasible,
-    normalize_degenerate,
-    parse_instance,
-)
-from .oracle import (
-    DEFAULT_BUDGET,
-    BudgetError,
-    check_correct,
-    check_secure,
-    lemma_audit,
-    tabulate,
-)
-from .scheme import (
-    LinearScheme,
-    SchemeFormatError,
-    _rates,
-    format_scheme,
-    parse_scheme,
-    verify_and_align,
-    verify_linear,
-)
-from .synthesis import (
-    InfeasibleInstanceError,
-    builtin_instance,
-    builtin_fig2_scheme,
-    reduce_randomness,
-    synthesize_half_rate,
-)
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .instance import FeasibilityResult
+    from .scheme import LinearScheme
 
 __all__ = ["main", "run"]
 
@@ -140,24 +118,33 @@ def _pass(ok: bool) -> str:
 # Steps the commands share
 
 
-def _load(path: str, kind: str, parse):
-    """Read and parse an instance or scheme file; any failure is a usage error."""
+def _load(path: str, kind: str, parse, error: type[Exception]):
+    """Read and parse an instance or scheme file; a read failure, or the
+    ``error`` that ``parse`` raises on malformed text, is a usage error."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {kind} file {path}: {exc}") from None
     try:
         return parse(text)
-    except (InstanceFormatError, SchemeFormatError) as exc:
+    except error as exc:
         raise _UsageError(f"{path}: {exc}") from None
+
+
+def _load_instance(path: str):
+    from .instance import InstanceFormatError, parse_instance
+
+    return _load(path, "instance", parse_instance, InstanceFormatError)
 
 
 def _verified_pair(args, check):
     """Load ``args.instance`` and ``args.scheme`` and run ``check`` (a rank
     verification) on them; a scheme that does not fit the instance is a
     usage error."""
-    inst = _load(args.instance, "instance", parse_instance)
-    sch = _load(args.scheme, "scheme", parse_scheme)
+    from .scheme import SchemeFormatError, parse_scheme
+
+    inst = _load_instance(args.instance)
+    sch = _load(args.scheme, "scheme", parse_scheme, SchemeFormatError)
     try:
         return inst, sch, check(inst, sch)
     except ValueError as exc:
@@ -166,6 +153,8 @@ def _verified_pair(args, check):
 
 def _tabulate(sch: LinearScheme):
     """The oracle table of ``sch`` within ``CDS_ENUM_BUDGET`` realizations."""
+    from .oracle import DEFAULT_BUDGET, BudgetError, tabulate
+
     raw = os.environ.get("CDS_ENUM_BUDGET")
     budget = DEFAULT_BUDGET
     if raw is not None:
@@ -214,7 +203,9 @@ def _feasibility(
 
 
 def _cmd_check(args) -> _Report:
-    inst = _load(args.instance, "instance", parse_instance)
+    from .instance import FeasibilityResult, half_rate_feasible, normalize_degenerate
+
+    inst = _load_instance(args.instance)
     core, eliminated = normalize_degenerate(inst)
     counts = {
         "vertices": len(inst.vertices),
@@ -237,7 +228,12 @@ def _cmd_check(args) -> _Report:
 
 
 def _cmd_synth(args) -> _Report:
-    inst = _load(args.instance, "instance", parse_instance)
+    from .gf import GfMatrix
+    from .instance import normalize_degenerate
+    from .scheme import LinearScheme, _rates, format_scheme, verify_linear
+    from .synthesis import InfeasibleInstanceError, reduce_randomness, synthesize_half_rate
+
+    inst = _load_instance(args.instance)
     core, eliminated = normalize_degenerate(inst)
     try:
         if core.vertices:
@@ -297,6 +293,8 @@ def _cmd_synth(args) -> _Report:
 
 
 def _cmd_verify(args) -> _Report:
+    from .scheme import _rates, verify_linear
+
     inst, sch, report = _verified_pair(args, verify_linear)
     # Without a qualified edge no pair must decode, so no rate bound
     # applies (signals may even be empty); rates are reported otherwise.
@@ -318,6 +316,8 @@ def _cmd_verify(args) -> _Report:
         lines.append(_rate_text(rates))
     passed, oracle = report.passed, None
     if args.oracle:
+        from .oracle import check_correct, check_secure
+
         table = _tabulate(sch)
         mismatches = []
         for kind, (v, u) in inst.edges:
@@ -357,7 +357,9 @@ def _cmd_verify(args) -> _Report:
 
 
 def _cmd_bound(args) -> _Report:
-    inst = _load(args.instance, "instance", parse_instance)
+    from .entropy_lp import dual_certificate, shannon_bound
+
+    inst = _load_instance(args.instance)
     restricted = None
     if args.vertices:
         names = list(dict.fromkeys(v.strip() for v in args.vertices.split(",") if v.strip()))
@@ -408,6 +410,8 @@ def _cmd_bound(args) -> _Report:
 
 
 def _cmd_audit(args) -> _Report:
+    from .scheme import verify_and_align
+
     inst, sch, (report, alignment) = _verified_pair(args, verify_and_align)
     L = sch.secret_len
     skip_reason = None
@@ -421,6 +425,8 @@ def _cmd_audit(args) -> _Report:
             "the identities assume rate 1/2"
         )
     else:
+        from .oracle import lemma_audit
+
         lemmas = lemma_audit(inst, sch, L)
     # report.passed implies signal alignment: a zero leak on each unqualified edge.
     overlap_ok = all(a >= L for a in alignment.noise_overlaps.values())
@@ -484,6 +490,15 @@ def _cmd_audit(args) -> _Report:
 
 
 def _cmd_demo(args) -> _Report:
+    from .instance import format_instance
+    from .scheme import format_scheme
+    from .synthesis import (
+        builtin_fig2_scheme,
+        builtin_instance,
+        reduce_randomness,
+        synthesize_half_rate,
+    )
+
     name = args.name
     inst = builtin_instance(name)
     if name == "fig2":

@@ -408,9 +408,9 @@ def _feasibility(
     ok, violators = is_non_degenerate(inst)
     if not ok:
         raise DegenerateInstanceError(violators)
-    ublock_of = unqualified.index_of
-    internal = (e for e in inst.qualified if ublock_of(e[0]) == ublock_of(e[1]))
-    first = min(internal, key=lambda e: (qualified.index_of(e[0]), e), default=None)
+    ublock, qblock = unqualified._index, qualified._index
+    internal = (e for e in inst.qualified if ublock[e[0]] == ublock[e[1]])
+    first = min(internal, key=lambda e: (qblock[e[0]], e), default=None)
     if first is None:
         return FeasibilityResult(True)
     v, u = first

@@ -140,6 +140,31 @@ def _half_rate_scheme(plan: SynthesisPlan) -> LinearScheme:
     return _scheme_from_plan(plan, plan.p, identity)
 
 
+def _is_half_rate_scheme(sch: LinearScheme, plan: SynthesisPlan) -> bool:
+    """``sch == _half_rate_scheme(plan)``, read off the plan without
+    building that scheme: each of ``sch``'s blocks is compared once with
+    the pair (1, i e_m) of the plan's block i of component m.  Distinct
+    plan blocks have distinct pairs (i < p), so a block of ``sch`` that
+    serves two of them cannot equal both."""
+    m_count = plan.m_count
+    if (sch.p, sch.secret_len, sch.noise_len) != (plan.p, 1, m_count):
+        return False
+    if sch.block_of.keys() != plan._position.keys():
+        return False
+    owner: dict[int, tuple[int, int]] = {}  # block of sch -> plan's (m, i)
+    for v, k in sch.block_of.items():
+        position = plan.position(v)
+        if owner.setdefault(k, position) != position:
+            return False
+    for k, (m, i) in owner.items():
+        f, h = sch.blocks[k]
+        noise = [0] * m_count
+        noise[m - 1] = i
+        if f.to_lists() != [[1]] or h.to_lists() != [noise]:
+            return False
+    return True
+
+
 def synthesize_half_rate(inst: CdsInstance) -> LinearScheme:
     """Build the rate-1/2 scheme: one secret symbol, one noise symbol per
     qualified component, every signal a single symbol s + i * z_m."""
@@ -155,7 +180,7 @@ def reduce_randomness(inst: CdsInstance, sch: LinearScheme) -> LinearScheme:
     are already randomness-optimal and are returned unchanged.
     """
     plan = plan_synthesis(inst)
-    if sch != _half_rate_scheme(plan):
+    if not _is_half_rate_scheme(sch, plan):
         raise ValueError("scheme was not produced by synthesize_half_rate for inst")
     m_count = plan.m_count
     if m_count <= 2:

@@ -1,10 +1,15 @@
 """CLI contract tests: exit codes, deterministic text, JSON shapes."""
 
+import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cdskit
 from cdskit import scheme
 from cdskit.cli import run
 from cdskit.instance import format_instance, parse_instance
@@ -13,6 +18,7 @@ from cdskit.synthesis import (
     builtin_example1_instance,
     builtin_fig2_instance,
     builtin_fig2_scheme,
+    synthesize_half_rate,
 )
 
 
@@ -458,6 +464,129 @@ class TestDemo:
             ["verify", str(tmp_path / "fig2.cds"), str(tmp_path / "fig2.scheme")]
         )
         assert code == 0
+
+
+# The names ``cdskit`` exported when its __init__ imported every submodule,
+# by the submodule that defines them.
+_EXPORTED = {
+    "gf": (
+        "GfMatrix", "left_kernel", "rank", "rowspace_intersection_basis",
+        "rowspace_intersection_dim", "rref",
+    ),
+    "instance": (
+        "CdsInstance", "DegenerateInstanceError", "FeasibilityResult",
+        "InstanceFormatError", "Partition", "PathWitness", "format_instance",
+        "half_rate_feasible", "is_non_degenerate", "normalize_degenerate",
+        "parse_instance", "qualified_components", "unqualified_components_within",
+        "unqualified_path",
+    ),
+    "scheme": (
+        "AlignmentReport", "LinearScheme", "RateReport", "SchemeFormatError",
+        "VerificationReport", "alignment_report", "check_signal_alignment",
+        "format_scheme", "noise_overlap_dim", "parse_scheme",
+        "path_overlap_lower_bound", "rate_report", "verify_linear",
+    ),
+    "oracle": (
+        "BudgetError", "DEFAULT_BUDGET", "LemmaAuditReport", "SchemeTable",
+        "check_correct", "check_secure", "joint_entropy", "joint_rank",
+        "lemma_audit", "tabulate",
+    ),
+    "synthesis": (
+        "InfeasibleInstanceError", "SynthesisPlan", "builtin_example1_instance",
+        "builtin_fig2_instance", "builtin_fig2_scheme", "builtin_instance",
+        "plan_synthesis", "reduce_randomness", "synthesize_half_rate",
+    ),
+    "simplex": ("LpSolution", "solve_lp"),
+    "entropy_lp": (
+        "Constraint", "EntropyLp", "ShannonBoundResult", "build_entropy_lp",
+        "cds_constraints", "dual_certificate", "elemental_inequalities", "lp_dump",
+        "shannon_bound", "simplex_solve", "verify_certificate",
+    ),
+}
+
+# Run a command in this interpreter, then write the names of every module
+# loaded to the file named by the first argument.
+_PROBE = """
+import sys
+from cdskit.cli import run
+code = run(sys.argv[2:])
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    fh.write("\\n".join([str(code), *sys.modules]))
+"""
+
+_BASE = {"cdskit", "cdskit.cli"}
+_SCHEME = {"cdskit.instance", "cdskit.gf", "cdskit.scheme"}
+# argv, exit code, and the cdskit modules the command loads beyond _BASE.
+_LAYERS = [
+    ("check fig2.cds", 1, {"cdskit.instance"}),
+    ("check example1.cds --json", 0, {"cdskit.instance"}),
+    ("check missing.cds", 2, {"cdskit.instance"}),
+    ("frobnicate fig2.cds", 2, set()),
+    ("synth example1.cds --reduce-randomness", 0, _SCHEME | {"cdskit.synthesis"}),
+    ("verify fig2.cds fig2.scheme", 0, _SCHEME),
+    ("verify fig2.cds fig2.scheme --oracle", 0, _SCHEME | {"cdskit.oracle"}),
+    ("audit fig2.cds fig2.scheme", 0, _SCHEME),
+    ("audit example1.cds example1.scheme", 0, _SCHEME | {"cdskit.oracle"}),
+    ("demo example1 -o out", 0, _SCHEME | {"cdskit.synthesis"}),
+    ("bound fig2.cds", 0, {"cdskit.instance", "cdskit.simplex", "cdskit.entropy_lp"}),
+]
+
+
+class TestImports:
+    """Each command loads only the layers it runs, in a fresh interpreter."""
+
+    @staticmethod
+    def python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+        src = str(Path(cdskit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, *args],
+            cwd=cwd,
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            check=True,
+        )
+
+    def test_importing_the_package_loads_no_submodule(self):
+        code = "import sys, cdskit; print(*sorted(m for m in sys.modules if 'cdskit' in m))"
+        assert self.python("-c", code).stdout.split() == [b"cdskit"]
+
+    @pytest.mark.parametrize("argv, code, extra", _LAYERS, ids=[c[0] for c in _LAYERS])
+    def test_command_loads_only_its_layers(self, argv, code, extra, tmp_path):
+        inst = builtin_example1_instance()
+        files = {
+            "fig2.cds": format_instance(builtin_fig2_instance()),
+            "fig2.scheme": format_scheme(builtin_fig2_scheme()),
+            "example1.cds": format_instance(inst),
+            "example1.scheme": format_scheme(synthesize_half_rate(inst)),
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        self.python("-c", _PROBE, "modules.txt", *argv.split(), cwd=tmp_path)
+        exit_code, *modules = (tmp_path / "modules.txt").read_text().split("\n")
+        assert int(exit_code) == code
+        assert {m for m in modules if m.split(".")[0] == "cdskit"} == _BASE | extra
+        loaded = {m.split(".")[0] for m in modules}
+        command = argv.split()[0]
+        if command in ("check", "frobnicate"):
+            assert not loaded & {"numpy", "scipy"}
+        if command != "bound":
+            assert "scipy" not in loaded
+
+    def test_exported_names_resolve_to_their_submodules(self):
+        for module, names in _EXPORTED.items():
+            source = importlib.import_module(f"cdskit.{module}")
+            assert getattr(cdskit, module) is source
+            for name in names:
+                assert getattr(cdskit, name) is getattr(source, name), name
+        star = {}
+        exec("from cdskit import *", star)
+        star.pop("__builtins__")
+        expected = {*_EXPORTED, *(n for names in _EXPORTED.values() for n in names)}
+        assert set(star) == expected
+        assert set(cdskit.__all__) == expected
+        assert expected <= set(dir(cdskit))
+        assert not hasattr(cdskit, "no_such_name")
 
 
 class TestUsageErrors:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cdskit.gf import GfMatrix
 from cdskit.instance import (
     CdsInstance,
     DegenerateInstanceError,
@@ -14,6 +15,7 @@ from cdskit.instance import (
 )
 from cdskit.oracle import check_correct, check_secure, lemma_audit, tabulate
 from cdskit.scheme import (
+    LinearScheme,
     alignment_report,
     noise_overlap_dim,
     rate_report,
@@ -142,6 +144,14 @@ class TestSynthesizeHalfRate:
 
 
 class TestReduceRandomness:
+    @staticmethod
+    def four_components() -> CdsInstance:
+        edges = []
+        for i in range(1, 5):
+            edges.append(("q", f"A{i}", f"B{i}"))
+            edges.append(("u", f"A{i}", f"B{i % 4 + 1}"))
+        return CdsInstance.from_edges(edges)
+
     def test_example1_already_two_symbols(self):
         inst = builtin_example1_instance()
         sch = synthesize_half_rate(inst)
@@ -153,12 +163,7 @@ class TestReduceRandomness:
     def test_four_component_reduction(self):
         # Four qualified edges in separate components, two unqualified
         # blocks in each: M = 4, max U = 2, so p = 3 after reduction.
-        edges = []
-        for i in range(1, 5):
-            edges.append(("q", f"A{i}", f"B{i}"))
-            partner = i % 4 + 1
-            edges.append(("u", f"A{i}", f"B{partner}"))
-        inst = CdsInstance.from_edges(edges)
+        inst = self.four_components()
         plan = plan_synthesis(inst)
         assert plan.m_count == 4 and max(plan.u_counts) == 2
         sch = synthesize_half_rate(inst)
@@ -193,6 +198,67 @@ class TestReduceRandomness:
             after = verify_linear(inst, reduced)
             assert before.passed and after.passed
             assert oracle_check(inst, reduced)
+
+    def test_rejects_every_changed_scheme(self):
+        # M = 4 and p = 3: the synthesized scheme, an equal copy of one
+        # block, and schemes with one block changed or shared, a vertex
+        # dropped or added, or a changed secret length, p or noise_len.
+        # reduce_randomness accepts exactly those equal to the synthesized
+        # scheme.
+        inst = self.four_components()
+        sch = synthesize_half_rate(inst)
+        p, lz, mats = sch.p, sch.noise_len, sch.matrices
+
+        def with_pair(v, f_rows, h_rows):
+            pair = (GfMatrix.from_rows(p, f_rows, 1), GfMatrix.from_rows(p, h_rows, lz))
+            return LinearScheme(p, 1, lz, {**mats, v: pair})
+
+        def rebuilt(p, lz):
+            return LinearScheme(p, 1, lz, {
+                v: (GfMatrix.from_rows(p, f.to_lists(), 1),
+                    GfMatrix.from_rows(p, [r + [0] * (lz - sch.noise_len) for r in h.to_lists()], lz))
+                for v, (f, h) in mats.items()
+            })
+
+        f_b1, h_b1 = mats["B1"]  # block 2 of component 1: (1, 2 e_1)
+        assert h_b1.to_lists() == [[2, 0, 0, 0]]
+        accepted = [sch, with_pair("B1", f_b1.to_lists(), h_b1.to_lists())]
+        rejected = [
+            with_pair("B1", [[2]], h_b1.to_lists()),
+            with_pair("B1", f_b1.to_lists(), [[1, 0, 0, 0]]),  # A1's pair
+            with_pair("B1", f_b1.to_lists(), [[0, 2, 0, 0]]),
+            with_pair("B1", [[1], [1]], h_b1.to_lists() * 2),
+            LinearScheme(p, 1, lz, {**mats, "B1": mats["A1"]}),
+            LinearScheme(p, 1, lz, {v: m for v, m in mats.items() if v != "B1"}),
+            LinearScheme(p, 1, lz, {**mats, "C1": mats["A1"]}),
+            LinearScheme(p, 2, lz, {
+                v: (GfMatrix.from_rows(p, [r + [0] for r in f.to_lists()], 2), h)
+                for v, (f, h) in mats.items()
+            }),
+            rebuilt(5, lz),
+            rebuilt(p, lz + 1),
+        ]
+        for variant in accepted:
+            assert variant == sch
+            assert reduce_randomness(inst, variant).noise_len == 2
+        for variant in rejected:
+            assert variant != sch
+            with pytest.raises(ValueError, match="synthesize_half_rate"):
+                reduce_randomness(inst, variant)
+
+    def test_one_reduction_builds_one_scheme(self, monkeypatch):
+        inst = self.four_components()
+        sch = synthesize_half_rate(inst)
+        built = []
+        original = LinearScheme.__post_init__
+
+        def counted(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(LinearScheme, "__post_init__", counted)
+        reduced = reduce_randomness(inst, sch)
+        assert len(built) == 1 and built[0] is reduced
 
     def test_requires_synthesized_scheme(self):
         inst = builtin_example1_instance()
