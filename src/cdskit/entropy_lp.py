@@ -5,15 +5,18 @@ One LP variable per nonempty subset of the ground set {S} + vertices
 cone, and the instance's decodability/security equalities as the CDS
 constraints.  Maximizing H(S) with all signal entropies normalized to 1
 gives an upper bound of optimum/2 on the symmetric communication rate.
-Every row has int coefficients and right-hand side.
+Every row has int coefficients and right-hand side, and the LP is built
+as one integer matrix (:class:`~cdskit.simplex.IntRows`) by mask
+arithmetic; the Constraint tuples are derived from it only when read.
 
 Solving is exact end to end: a floating-point proposal is only accepted
 after exact checks, and the dual multipliers are re-verified as a
 standalone converse certificate before they are ever rendered.  On a
-2-core machine (Python 3.11, SciPy 1.17) ground sets of seven, eight
-and nine variables certify in about 0.04, 0.13 and 0.7 s, most of it in
-HiGHS; ``cds bound`` adds about 0.7 s of interpreter start and SciPy
-import.  From ten on, the rounded duals can fail the exact check, and
+2-core machine (Python 3.11, NumPy 2.4, SciPy 1.17) ground sets of
+seven, eight and nine variables are built, solved and certified in
+about 0.02, 0.065 and 0.45 s, all but 2-4 ms of it inside HiGHS;
+``cds bound`` adds about 0.65 s of interpreter start and SciPy import.
+From ten on, the rounded duals can fail the exact check, and
 the rational tableau that takes over may then run for minutes.  The hard limit is twelve, and
 restricting to a vertex subset (which can only relax the bound) is the
 escape hatch for bigger graphs.
@@ -23,9 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+
+import numpy as np
 
 from .instance import CdsInstance
-from .simplex import LpSolution, solve_lp
+from .simplex import CODE, RELATION, IntRows, LpSolution, _parse, solve_lp
 
 __all__ = [
     "Constraint",
@@ -82,13 +89,36 @@ class Constraint:
         return lhs == self.rhs
 
 
-@dataclass(frozen=True)
 class EntropyLp:
-    """LP over the 2^n - 1 subset-entropy variables of a ground set."""
+    """LP over the 2^n - 1 subset-entropy variables of a ground set.
 
-    ground: tuple[str, ...]
-    constraints: tuple[Constraint, ...]
-    objective: tuple[tuple[int, int | Fraction], ...]
+    The constraints may be given as Constraint tuples or as an
+    :class:`IntRows` matrix over the variables mask - 1.  ``rows`` and
+    ``constraints`` both read them, in the same order; whichever form was
+    not given is derived on first read.
+    """
+
+    def __init__(self, ground, constraints, objective):
+        self.ground: tuple[str, ...] = tuple(ground)
+        self.objective: tuple[tuple[int, int | Fraction], ...] = tuple(objective)
+        if isinstance(constraints, IntRows):
+            self.rows = constraints
+        else:
+            self.constraints = tuple(constraints)
+
+    @cached_property
+    def constraints(self) -> tuple[Constraint, ...]:
+        return _constraints(self.rows)
+
+    @cached_property
+    def rows(self) -> IntRows:
+        return _parse(
+            self.n_vars,
+            (
+                ([(m - 1, c) for m, c in con.coeffs], con.relation, con.rhs)
+                for con in self.constraints
+            ),
+        )
 
     @property
     def n_vars(self) -> int:
@@ -111,6 +141,80 @@ def ground_set(inst: CdsInstance) -> tuple[str, ...]:
     return ("S",) + tuple(sorted(inst.vertices))
 
 
+# A family of rows with a common term pattern: the masks of its terms,
+# one row per line; the coefficient of each term column; which terms each
+# row has (None: all); the rows' relation and right-hand side.
+_Block = tuple[np.ndarray | list, tuple[int, ...], np.ndarray | None, str, int]
+
+
+def _int_rows(blocks: list[_Block]) -> IntRows:
+    """The blocks' rows, in order, as one integer matrix over mask - 1."""
+    counts, cols, coefs, rels, rhs = [], [], [], [], []
+    for masks, pattern, present, relation, b in blocks:
+        masks = np.asarray(masks, dtype=np.int64).reshape(-1, len(pattern))
+        if present is None:
+            present = np.ones(masks.shape, dtype=bool)
+        counts.append(present.sum(axis=1))
+        cols.append(masks[present] - 1)  # row-major: term order within a row
+        coefs.append(np.broadcast_to(np.array(pattern, dtype=np.int64), masks.shape)[present])
+        rels.append(np.full(len(masks), CODE[relation], dtype=np.int8))
+        rhs.append(np.full(len(masks), b, dtype=np.int64))
+    count = np.concatenate(counts)
+    ptr = np.zeros(len(count) + 1, dtype=np.int64)
+    np.cumsum(count, out=ptr[1:])
+    return IntRows(
+        ptr,
+        np.concatenate(cols),
+        np.concatenate(coefs),
+        np.concatenate(rels),
+        np.concatenate(rhs),
+        np.ones(len(count), dtype=np.int64),
+    )
+
+
+def _constraints(rows: IntRows) -> tuple[Constraint, ...]:
+    """The matrix's rows as Constraint tuples over masks."""
+    ptr = rows.ptr.tolist()
+    masks, coefs = (rows.col + 1).tolist(), rows.coef.tolist()
+    out = []
+    for i, (code, b, s) in enumerate(
+        zip(rows.rel.tolist(), rows.rhs.tolist(), rows.scale.tolist())
+    ):
+        terms = zip(masks[ptr[i] : ptr[i + 1]], coefs[ptr[i] : ptr[i + 1]])
+        if s != 1:
+            terms, b = ((m, Fraction(c, s)) for m, c in terms), Fraction(b, s)
+        out.append(Constraint(tuple(terms), RELATION[code], b))
+    return tuple(out)
+
+
+def _elemental_blocks(n: int) -> list[_Block]:
+    """The elemental rows, built from mask arithmetic.
+
+    First H(X_i | rest) = H(full) - H(full - i) for each i.  Then, for
+    each i < j, I(X_i; X_j | X_K) with terms (K+i, K+j, K+i+j, K) for
+    the 2^(n-2) sets K in pick order: bit t of pick selects the t-th
+    smallest index other than i and j, so K is pick with zero bits
+    inserted at positions i and j.  The K term is absent when K is empty.
+    """
+    if n < 2 or n > GROUND_LIMIT:
+        raise ValueError(f"ground-set size {n} outside [2, {GROUND_LIMIT}]")
+    full = (1 << n) - 1
+    bits = 1 << np.arange(n, dtype=np.int64)
+    conditional = np.stack([np.full(n, full), full ^ bits], axis=1)
+    i, j = np.triu_indices(n, 1)
+    bi, bj = bits[i][:, None], bits[j][:, None]
+    k = np.arange(1 << (n - 2), dtype=np.int64)[None, :]
+    k = (k & (bi - 1)) | (k & ~(bi - 1)) << 1  # a zero bit at i
+    k = (k & (bj - 1)) | (k & ~(bj - 1)) << 1  # and at j (j > i)
+    mutual = np.stack([k | bi, k | bj, k | bi | bj, k], axis=2).reshape(-1, 4)
+    present = np.ones(mutual.shape, dtype=bool)
+    present[:, 3] = mutual[:, 3] != 0
+    return [
+        (conditional, (1, -1), None, ">=", 0),
+        (mutual, (1, 1, -1, -1), present, ">=", 0),
+    ]
+
+
 def elemental_inequalities(n: int) -> tuple[Constraint, ...]:
     """The minimal generating Shannon inequalities on n variables.
 
@@ -118,26 +222,26 @@ def elemental_inequalities(n: int) -> tuple[Constraint, ...]:
     C(n,2) * 2^(n-2) conditional mutual informations
     I(X_i; X_j | X_K) >= 0, K over subsets of the complement.
     """
-    if n < 2 or n > GROUND_LIMIT:
-        raise ValueError(f"ground-set size {n} outside [2, {GROUND_LIMIT}]")
-    out: list[Constraint] = []
-    full = (1 << n) - 1
-    for i in range(n):
-        rest = full ^ (1 << i)
-        out.append(Constraint(((full, 1), (rest, -1)), ">=", 0))
-    for i in range(n):
-        for j in range(i + 1, n):
-            others = [b for b in range(n) if b not in (i, j)]
-            for pick in range(1 << len(others)):
-                k = 0
-                for t, b in enumerate(others):
-                    if pick >> t & 1:
-                        k |= 1 << b
-                terms = [(k | 1 << i, 1), (k | 1 << j, 1), (k | 1 << i | 1 << j, -1)]
-                if k:
-                    terms.append((k, -1))
-                out.append(Constraint(tuple(terms), ">=", 0))
-    return tuple(out)
+    return _constraints(_int_rows(_elemental_blocks(n)))
+
+
+def _cds_blocks(inst: CdsInstance) -> list[_Block]:
+    """:func:`cds_constraints` as row blocks."""
+    ground = ground_set(inst)
+    if len(ground) > GROUND_LIMIT:
+        raise GroundSetTooLargeError(
+            f"ground set has {len(ground)} variables, limit {GROUND_LIMIT}; "
+            "restrict to a vertex subset"
+        )
+    idx = {name: 1 << i for i, name in enumerate(ground)}
+    s_mask = idx["S"]
+    qualified = [idx[v] | idx[u] for v, u in inst.qualified]
+    unqualified = [idx[v] | idx[u] for v, u in inst.unqualified]
+    return [
+        ([(pair | s_mask, pair) for pair in qualified], (1, -1), None, "=", 0),
+        ([(pair | s_mask, pair, s_mask) for pair in unqualified], (1, -1, -1), None, "=", 0),
+        ([idx[v] for v in inst.vertices], (1,), None, "<=", 1),
+    ]
 
 
 def cds_constraints(inst: CdsInstance) -> tuple[Constraint, ...]:
@@ -147,28 +251,12 @@ def cds_constraints(inst: CdsInstance) -> tuple[Constraint, ...]:
     H(v,u) + H(S).  Signal lengths are normalized to one p-ary symbol,
     so the rate bound is optimum/2.
     """
-    ground = ground_set(inst)
-    if len(ground) > GROUND_LIMIT:
-        raise GroundSetTooLargeError(
-            f"ground set has {len(ground)} variables, limit {GROUND_LIMIT}; "
-            "restrict to a vertex subset"
-        )
-    idx = {name: 1 << i for i, name in enumerate(ground)}
-    s_mask = idx["S"]
-    out: list[Constraint] = []
-    for v, u in inst.qualified:
-        pair = idx[v] | idx[u]
-        out.append(Constraint(((pair | s_mask, 1), (pair, -1)), "=", 0))
-    for v, u in inst.unqualified:
-        pair = idx[v] | idx[u]
-        out.append(Constraint(((pair | s_mask, 1), (pair, -1), (s_mask, -1)), "=", 0))
-    for v in inst.vertices:
-        out.append(Constraint(((idx[v], 1),), "<=", 1))
-    return tuple(out)
+    return _constraints(_int_rows(_cds_blocks(inst)))
 
 
 def build_entropy_lp(inst: CdsInstance) -> EntropyLp:
-    """Elemental cone + CDS constraints + an explicit cap H(S) <= n.
+    """Elemental cone + CDS constraints + an explicit cap H(S) <= n,
+    as one integer matrix.
 
     The cap only binds when no qualified edge ties the secret to the
     normalized signals, which shannon_bound reports as degenerate.
@@ -176,22 +264,17 @@ def build_entropy_lp(inst: CdsInstance) -> EntropyLp:
     ground = ground_set(inst)
     n = len(ground)
     # First, so that too large a ground set gets its error with the remedy.
-    cds = cds_constraints(inst)
-    elemental = elemental_inequalities(n)
-    cap = Constraint(((1, 1),), "<=", n)
+    cds = _cds_blocks(inst)
+    cap = ([1], (1,), None, "<=", n)
+    rows = _int_rows(_elemental_blocks(n) + cds + [cap])
     objective = ((1, 1),)  # maximize H(S); S is ground bit 0
-    return EntropyLp(ground, elemental + cds + (cap,), objective)
+    return EntropyLp(ground, rows, objective)
 
 
 def simplex_solve(lp: EntropyLp) -> LpSolution:
-    """Solve the LP as given, exactly.  The constraint triples are
-    streamed: ``solve_lp`` reads them once, into its integer rows."""
-    constraints = (
-        ([(m - 1, c) for m, c in con.coeffs], con.relation, con.rhs)
-        for con in lp.constraints
-    )
+    """Solve the LP as given, exactly, on its integer rows."""
     objective = [(m - 1, c) for m, c in lp.objective]
-    return solve_lp(lp.n_vars, objective, constraints)
+    return solve_lp(lp.n_vars, objective, lp.rows)
 
 
 @dataclass(frozen=True)
@@ -270,29 +353,34 @@ def verify_certificate(sol: LpSolution, lp: EntropyLp) -> Fraction:
     row must dominate the objective on every subset variable, and the
     weighted right-hand sides must recombine to the claimed optimum.
     Returns that optimum; raises CertificateError otherwise.
+
+    The check reads the LP's integer rows, in Python ints: each nonzero
+    weight over its row's scale, times the lcm E of those weights' and
+    the objective's denominators, combines the rows that carry one.
     """
     if sol.status != "optimal" or sol.duals is None:
         raise CertificateError("certificate requires an optimal solution")
-    if len(sol.duals) != len(lp.constraints):
+    rows = lp.rows
+    if len(sol.duals) != rows.m:
         raise CertificateError("dual vector does not match the constraint list")
-    combo: dict[int, Fraction] = {}
-    total = Fraction(0)
-    for con, y in zip(lp.constraints, sol.duals):
-        if y == 0:
-            continue
-        if con.relation == "<=" and y < 0:
+    carried = [i for i, y in enumerate(sol.duals) if y]
+    for i, code in zip(carried, rows.rel[carried].tolist()):
+        if code == CODE["<="] and sol.duals[i] < 0:
             raise CertificateError("negative weight on a <= constraint")
-        if con.relation == ">=" and y > 0:
+        if code == CODE[">="] and sol.duals[i] > 0:
             raise CertificateError("positive weight on a >= constraint")
-        for m, c in con.coeffs:
-            combo[m] = combo.get(m, Fraction(0)) + y * c
-        total += y * con.rhs
-    objective = dict(lp.objective)
-    for m in set(combo) | set(objective):
-        if combo.get(m, Fraction(0)) < objective.get(m, Fraction(0)):
-            raise CertificateError(
-                "weighted constraints do not dominate the objective"
-            )
+    weights = [Fraction(sol.duals[i], s) for i, s in zip(carried, rows.scale[carried].tolist())]
+    objective = [(m - 1, Fraction(c)) for m, c in lp.objective]
+    e = lcm(*(w.denominator for w in weights), *(c.denominator for _, c in objective))
+    k = np.array([w.numerator * (e // w.denominator) for w in weights], dtype=object)
+    combo = np.zeros(lp.n_vars, dtype=object)  # E (y^T A - c)
+    for j, c in objective:
+        combo[j] -= c.numerator * (e // c.denominator)
+    idx, counts = rows.entries(np.array(carried, dtype=np.int64))
+    np.add.at(combo, rows.col[idx], rows.coef[idx].astype(object) * np.repeat(k, counts))
+    if (combo < 0).any():
+        raise CertificateError("weighted constraints do not dominate the objective")
+    total = Fraction(int((k * rows.rhs[carried].astype(object)).sum()), e)
     if total != sol.value:
         raise CertificateError(
             f"weighted right-hand sides give {total}, optimum is {sol.value}"

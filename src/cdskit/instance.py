@@ -302,13 +302,19 @@ def decompose(inst: CdsInstance) -> tuple[Partition, Partition]:
     vertex (isolated vertices are singleton blocks), with sorted members
     and blocks ordered by least member; the second refines the first.
     """
+    return _decompose(inst)[:2]
+
+
+def _decompose(inst: CdsInstance) -> tuple[Partition, Partition, tuple[str, ...]]:
+    """:func:`decompose`, plus the vertices that meet no unqualified edge
+    (in ``inst.vertices`` order), marked in the pass that maps every
+    unqualified edge to ids."""
     vertices = sorted(inst.vertices)
     ids = {v: i for i, v in enumerate(vertices)}
 
     def roots(edges) -> list[int]:
         parent = list(range(len(vertices)))
         for a, b in edges:
-            a, b = ids[a], ids[b]
             # Path halving: point each visited id at its grandparent, go there.
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
@@ -328,9 +334,16 @@ def decompose(inst: CdsInstance) -> tuple[Partition, Partition]:
             blocks.setdefault(r, []).append(v)
         return Partition(tuple(map(tuple, blocks.values())))
 
-    qroot = roots(inst.qualified)
-    inner = (e for e in inst.unqualified if qroot[ids[e[0]]] == qroot[ids[e[1]]])
-    return partition(qroot), partition(roots(inner))
+    qroot = roots((ids[v], ids[u]) for v, u in inst.qualified)
+    touched = bytearray(len(vertices))
+    inner = []
+    for v, u in inst.unqualified:
+        a, b = ids[v], ids[u]
+        touched[a] = touched[b] = 1
+        if qroot[a] == qroot[b]:
+            inner.append((a, b))
+    violators = () if all(touched) else tuple(v for v in inst.vertices if not touched[ids[v]])
+    return partition(qroot), partition(roots(inner)), violators
 
 
 def qualified_components(inst: CdsInstance) -> Partition:
@@ -398,15 +411,17 @@ def half_rate_feasible(inst: CdsInstance) -> FeasibilityResult:
     the path runs from the larger-named endpoint to the smaller so that
     rendered witnesses are reproducible.
     """
-    return _feasibility(inst, *decompose(inst))
+    return _feasibility(inst, *_decompose(inst))
 
 
 def _feasibility(
-    inst: CdsInstance, qualified: Partition, unqualified: Partition
+    inst: CdsInstance,
+    qualified: Partition,
+    unqualified: Partition,
+    violators: tuple[str, ...],
 ) -> FeasibilityResult:
-    """:func:`half_rate_feasible` on the instance's :func:`decompose`."""
-    ok, violators = is_non_degenerate(inst)
-    if not ok:
+    """:func:`half_rate_feasible` on the instance's :func:`_decompose`."""
+    if violators:
         raise DegenerateInstanceError(violators)
     ublock, qblock = unqualified._index, qualified._index
     internal = (e for e in inst.qualified if ublock[e[0]] == ublock[e[1]])

@@ -94,11 +94,12 @@ def _images(m: np.ndarray, p: int) -> np.ndarray:
 
 
 def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a + b) mod p for residues a and b of a type that holds 2p - 2:
-    their sum is below 2p, so one conditional subtraction reduces it,
-    much faster than a division."""
+    """(a + b) mod p for residues a and b of an unsigned type that holds
+    2p - 2: their sum t is below 2p, so (a + b) mod p is the smaller of
+    t and t - p, much faster than a division.  For t < p the subtraction
+    wraps to 2^k - p + t, which is above t since the type holds p."""
     total = a + b
-    total -= (total >= p) * total.dtype.type(p)
+    np.minimum(total, total - total.dtype.type(p), out=total)
     return total
 
 

@@ -2,17 +2,24 @@
 
 Solves  maximize c.x  subject to mixed <=, =, >= constraints and x >= 0.
 Every feasibility and optimality decision is exact; floating point only
-proposes.  Each constraint is stored once as an integer row: the given
-row times the positive lcm of its denominators (1 for a row with integer
-coefficients and right-hand side, such as every entropy-LP row).  The
-exact checks run on these rows in Python integers, after clearing the
-denominators of the primal point and of the duals.
+proposes.  The constraints are held as one integer sparse matrix in CSR
+form (:class:`IntRows`): each given row times the positive lcm of its
+denominators (1 for a row with integer coefficients and right-hand side,
+such as every entropy-LP row), with relation codes and right-hand sides
+alongside.  ``solve_lp`` takes that matrix as built by its caller, or
+builds it from constraint triples; no step after that turns it back
+into per-row Python objects except the rational tableau.  The exact
+checks run on it as whole-array integer arithmetic, after clearing the
+denominators of the primal point and of the duals: in int64 when a
+bound on every intermediate value, checked at run time, stays below
+2^63, and otherwise in NumPy object arrays of Python ints.
 
 * HiGHS dual simplex (through SciPy) solves the LP in float64 and
   proposes a primal point and row duals.  Its input is unchanged by the
-  integer rows: an entry a/s goes in as the int quotient ``a / s``,
-  which is correctly rounded like ``float()`` of the Fraction.  Each
-  value HiGHS returns is rounded to the nearest rational whose
+  integer rows, byte for byte: the inequality and equality blocks are
+  cut out of the matrix, and an entry a/s goes in as the quotient of
+  the two ints, correctly rounded like ``float()`` of the Fraction.
+  Each value HiGHS returns is rounded to the nearest rational whose
   denominator is at most ``_DENOM_CAP``, and the pair is accepted only
   if it is an optimal pair exactly: the point is nonnegative and
   satisfies every constraint, every dual has the sign its relation
@@ -38,7 +45,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-__all__ = ["LpSolution", "solve_lp"]
+import numpy as np
+
+__all__ = ["IntRows", "LpSolution", "solve_lp"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -46,6 +55,9 @@ _ONE = Fraction(1)
 LESS = "<="
 EQUAL = "="
 GREATER = ">="
+# Relation codes in IntRows.rel: the sign of (lhs - rhs) a row allows.
+CODE = {LESS: -1, EQUAL: 0, GREATER: 1}
+RELATION = {code: r for r, code in CODE.items()}
 
 # Consecutive degenerate pivots tolerated before Bland's rule engages.
 _STALL_LIMIT = 60
@@ -54,10 +66,9 @@ _STALL_LIMIT = 60
 # larger one is left to the exact tableau.
 _DENOM_CAP = 1 << 12
 
-# A parsed constraint as an integer row: sparse coefficients, relation,
-# right-hand side, and the positive scale that cleared the given row's
-# denominators (the given row is this one divided by the scale).
-_Row = tuple[dict[int, int], str, int, int]
+# Intermediate values of the exact checks must stay below this in
+# magnitude to be computed in int64.
+_INT64_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -73,6 +84,46 @@ class LpSolution:
     value: Fraction | None = None
     primal: tuple[Fraction, ...] | None = None
     duals: tuple[Fraction, ...] | None = None
+
+
+@dataclass(frozen=True)
+class IntRows:
+    """Constraints as one integer sparse matrix, in CSR form.
+
+    Row i is ``sum(coef[k] * x[col[k]] for k in range(ptr[i], ptr[i+1]))
+    rel[i] rhs[i]``: the given constraint times the positive ``scale[i]``
+    that cleared its denominators.  ``ptr`` and ``col`` are int64 and
+    ``rel`` int8 (the codes of ``CODE``: -1 for <=, 0 for =, 1 for >=);
+    ``coef``, ``rhs`` and ``scale`` are int64, or object arrays of Python
+    ints where a value does not fit.
+    """
+
+    ptr: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
+    rel: np.ndarray
+    rhs: np.ndarray
+    scale: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return len(self.rel)
+
+    def entries(self, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(the positions in col/coef of the selected rows' entries, row
+        after row; each selected row's entry count)."""
+        starts = self.ptr[sel]
+        counts = self.ptr[sel + 1] - starts
+        offsets = np.cumsum(counts) - counts  # where each row starts in the output
+        return np.arange(counts.sum()) + np.repeat(starts - offsets, counts), counts
+
+
+def _int_array(values) -> np.ndarray:
+    """Python ints as int64, or as an object array if one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 @dataclass
@@ -94,11 +145,11 @@ class _Canonical:
         return len(self.rows)
 
 
-def _parse(n_vars: int, constraints) -> list[_Row]:
-    """Validate the constraint triples and turn each into an integer row."""
-    parsed: list[_Row] = []
+def _parse(n_vars: int, constraints) -> IntRows:
+    """Validate the constraint triples and gather them into integer rows."""
+    ptr, cols, coefs, rels, rhs, scales = [0], [], [], [], [], []
     for coeffs, r, b in constraints:
-        if r not in (LESS, EQUAL, GREATER):
+        if r not in CODE:
             raise ValueError(f"unknown relation {r!r}")
         row = _sparse(coeffs)
         if row and (min(row) < 0 or max(row) >= n_vars):
@@ -109,17 +160,33 @@ def _parse(n_vars: int, constraints) -> list[_Row]:
             scale = lcm(b.denominator, *(v.denominator for v in row.values()))
             row = {j: _times(v, scale) for j, v in row.items()}
             b = _times(b, scale)
-        parsed.append((row, r, b, scale))
-    return parsed
+        cols += row
+        coefs += row.values()
+        ptr.append(len(cols))
+        rels.append(CODE[r])
+        rhs.append(b)
+        scales.append(scale)
+    return IntRows(
+        np.array(ptr, dtype=np.int64),
+        np.array(cols, dtype=np.int64),
+        _int_array(coefs),
+        np.array(rels, dtype=np.int8),
+        _int_array(rhs),
+        _int_array(scales),
+    )
 
 
-def _canonicalize(n_vars: int, parsed: list[_Row]) -> _Canonical:
+def _canonicalize(n_vars: int, given: IntRows) -> _Canonical:
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
     rel: list[str] = []
     parts: list[list[tuple[int, int]]] = []
-    for ints, r, b, scale in parsed:
-        row = {j: Fraction(v, scale) for j, v in ints.items()}
+    ptr, cols, coefs = given.ptr.tolist(), given.col.tolist(), given.coef.tolist()
+    for i, (code, b, scale) in enumerate(
+        zip(given.rel.tolist(), given.rhs.tolist(), given.scale.tolist())
+    ):
+        r = RELATION[code]
+        row = {cols[k]: Fraction(coefs[k], scale) for k in range(ptr[i], ptr[i + 1])}
         b = Fraction(b, scale)
         pieces = [(row, LESS, b), (row, GREATER, b)] if r == EQUAL else [(row, r, b)]
         own: list[tuple[int, int]] = []
@@ -340,7 +407,7 @@ def _solve_exact(can: _Canonical, obj: dict[int, int | Fraction]) -> LpSolution:
 
 
 def _propose(
-    n_vars: int, obj: dict[int, int | Fraction], rows: list[_Row]
+    n_vars: int, obj: dict[int, int | Fraction], rows: IntRows
 ) -> LpSolution | None:
     """Solve in floating point with HiGHS dual simplex, round the primal
     point and the row duals to rationals, and return them only if they
@@ -349,24 +416,22 @@ def _propose(
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
 
-    def block(indices: list[int]):
-        if not indices:
+    def block(sel: np.ndarray):
+        """The selected rows as linprog's <= or = block: a >= row negated."""
+        if not len(sel):
             return None, None
-        data: list[float] = []
-        cols: list[int] = []
-        ptr = [0]
-        rhs: list[float] = []
-        for i in indices:
-            a, rel, b, scale = rows[i]
-            sign = -1.0 if rel == GREATER else 1.0
-            cols.extend(a)
-            data += [sign * (v / scale) for v in a.values()]
-            ptr.append(len(cols))
-            rhs.append(sign * (b / scale))
-        return csr_matrix((data, cols, ptr), shape=(len(indices), n_vars)), rhs
+        idx, counts = rows.entries(sel)
+        sign = np.where(rows.rel[sel] == CODE[GREATER], -1.0, 1.0)
+        data = np.repeat(sign, counts) * _quotients(
+            rows.coef[idx], np.repeat(rows.scale[sel], counts)
+        )
+        ptr = np.zeros(len(sel) + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        a = csr_matrix((data, rows.col[idx], ptr), shape=(len(sel), n_vars))
+        return a, sign * _quotients(rows.rhs[sel], rows.scale[sel])
 
-    ineq = [i for i, row in enumerate(rows) if row[1] != EQUAL]
-    eq = [i for i, row in enumerate(rows) if row[1] == EQUAL]
+    ineq = np.flatnonzero(rows.rel != CODE[EQUAL])
+    eq = np.flatnonzero(rows.rel == CODE[EQUAL])
     a_ub, b_ub = block(ineq)
     a_eq, b_eq = block(eq)
     cost = [0.0] * n_vars
@@ -378,15 +443,18 @@ def _propose(
     )
     if res.status != 0:
         return None
-    duals = [_ZERO] * len(rows)
+    # A marginal is d(min)/d(rhs); the maximum moves the other way,
+    # and a >= row entered linprog negated.
+    proposed = np.zeros(rows.m)
+    marginals = res.ineqlin.marginals
+    proposed[ineq] = np.where(rows.rel[ineq] == CODE[GREATER], marginals, -marginals)
+    proposed[eq] = -res.eqlin.marginals
+    duals = [_ZERO] * rows.m
+    carried = np.flatnonzero(proposed)  # a NaN is nonzero too
     try:
-        primal = [_rational(v) for v in res.x]
-        # A marginal is d(min)/d(rhs); the maximum moves the other way,
-        # and a >= row entered linprog negated.
-        for i, m in zip(ineq, res.ineqlin.marginals):
-            duals[i] = _rational(m if rows[i][1] == GREATER else -m)
-        for i, m in zip(eq, res.eqlin.marginals):
-            duals[i] = _rational(-m)
+        primal = _rationals(res.x)
+        for i, y in zip(carried.tolist(), _rationals(proposed[carried])):
+            duals[i] = y
     except (ValueError, OverflowError):  # a NaN or an infinity
         return None
     value = _certify(n_vars, obj, rows, primal, duals)
@@ -395,15 +463,37 @@ def _propose(
     return LpSolution("optimal", value, tuple(primal), tuple(duals))
 
 
-def _rational(v: float) -> Fraction:
-    """The nearest rational whose denominator is at most _DENOM_CAP."""
-    return Fraction(float(v)).limit_denominator(_DENOM_CAP) if v else _ZERO
+def _quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise as float64, each correctly rounded like the
+    true division of the two Python ints."""
+    exact = 1 << 53  # every int up to this is a float64
+    if (
+        num.dtype == np.int64
+        and den.dtype == np.int64
+        and max(_magnitude(num), _magnitude(den)) <= exact
+    ):
+        # Both sides convert to float64 exactly, and one IEEE division
+        # rounds their quotient correctly.
+        return num / den
+    return np.array([a / b for a, b in zip(num.tolist(), den.tolist())], dtype=np.float64)
+
+
+def _rationals(values: np.ndarray) -> list[Fraction]:
+    """Each value as the nearest rational whose denominator is at most
+    _DENOM_CAP, rounded once per distinct value: an LP's optimal point
+    repeats a few values many times."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    rounded = [
+        Fraction(v).limit_denominator(_DENOM_CAP) if v else _ZERO
+        for v in distinct.tolist()
+    ]
+    return [rounded[i] for i in inverse.tolist()]
 
 
 def _certify(
     n_vars: int,
     obj: dict[int, int | Fraction],
-    rows: list[_Row],
+    rows: IntRows,
     primal: list[Fraction],
     duals: list[Fraction],
 ) -> Fraction | None:
@@ -411,45 +501,60 @@ def _certify(
     x >= 0, every row holds, every dual has its row's sign, y^T A >= c
     on every column and y.b = c.x.  None if any check fails.
 
-    The checks run in integers on the integer rows: the point as D x,
-    with D the lcm of its denominators, and the dual of each integer row
-    (y_i over the row's scale) times E, the lcm of these duals' and the
-    objective's denominators.
+    The checks run in integers on the integer rows, as whole arrays: the
+    point as D x, with D the lcm of its denominators, and the dual w_i
+    of each integer row (y_i over the row's scale) times E, the lcm of
+    these duals' and the objective's denominators.  Every value they
+    form is at most (nnz + m + 1) * max(|A|, |b|, 1) * max(D, |D x|) *
+    max(1, |E c|, |E w|) in magnitude: below 2^63 they run in int64,
+    otherwise in Python ints.
     """
     d = lcm(*(x.denominator for x in primal))
     xs = [_times(x, d) for x in primal]
     if any(x < 0 for x in xs):
         return None
-    weights = [y if row[3] == 1 else y / row[3] for row, y in zip(rows, duals)]
-    e = lcm(
-        *(c.denominator for c in obj.values()), *(w.denominator for w in weights if w)
+    carried = np.array([i for i, y in enumerate(duals) if y], dtype=np.int64)
+    weights = [
+        duals[i] if s == 1 else duals[i] / s
+        for i, s in zip(carried.tolist(), rows.scale[carried].tolist())
+    ]
+    e = lcm(*(c.denominator for c in obj.values()), *(w.denominator for w in weights))
+    ks = [_times(w, e) for w in weights]
+    costs = {j: _times(c, e) for j, c in obj.items()}
+    # A bound on every value formed below, to choose int64 or Python ints.
+    bound = (
+        (len(rows.col) + rows.m + 1)
+        * max(_magnitude(rows.coef), _magnitude(rows.rhs), 1)
+        * max([d, *xs])
+        * max([1, *map(abs, ks), *map(abs, costs.values())])
     )
-    reduced = [0] * n_vars  # E (y^T A - c)
-    for j, c in obj.items():
-        reduced[j] = -_times(c, e)
-    dual_value = 0  # E y.b
-    for (a, rel, b, _), w in zip(rows, weights):
-        lhs = sum(v * xs[j] for j, v in a.items())
-        rhs = b * d
-        if rel == LESS:
-            holds = lhs <= rhs
-        elif rel == GREATER:
-            holds = lhs >= rhs
-        else:
-            holds = lhs == rhs
-        if not holds:
-            return None
-        if w:
-            k = _times(w, e)
-            if (rel == LESS and k < 0) or (rel == GREATER and k > 0):
-                return None
-            for j, v in a.items():
-                reduced[j] += k * v
-            dual_value += k * b
-    if any(r < 0 for r in reduced):
+    kind = np.int64 if bound < _INT64_LIMIT else object
+    coef, rhs = rows.coef.astype(kind, copy=False), rows.rhs.astype(kind, copy=False)
+    # Every row holds at D x: sign(lhs - D b) is one its relation allows.
+    terms = coef * np.array(xs, dtype=kind)[rows.col]
+    sums = np.zeros(len(terms) + 1, dtype=kind)
+    np.cumsum(terms, out=sums[1:])
+    excess = sums[rows.ptr[1:]] - sums[rows.ptr[:-1]] - rhs * d
+    if (excess * rows.rel < 0).any() or (excess[rows.rel == CODE[EQUAL]] != 0).any():
         return None
-    value = sum(_times(c, e) * xs[j] for j, c in obj.items())  # E D c.x
+    k = np.array(ks, dtype=kind)
+    if (k * rows.rel[carried] > 0).any():  # a <= row needs y >= 0, a >= row y <= 0
+        return None
+    reduced = np.zeros(n_vars, dtype=kind)  # E (y^T A - c)
+    for j, c in costs.items():
+        reduced[j] = -c
+    idx, counts = rows.entries(carried)
+    np.add.at(reduced, rows.col[idx], coef[idx] * np.repeat(k, counts))
+    if (reduced < 0).any():
+        return None
+    dual_value = int((k * rhs[carried]).sum())  # E y.b
+    value = sum(c * xs[j] for j, c in costs.items())  # E D c.x
     return Fraction(value, e * d) if value == dual_value * d else None
+
+
+def _magnitude(values: np.ndarray) -> int:
+    """The largest absolute value, as a Python int (0 if empty)."""
+    return max(abs(int(values.min())), abs(int(values.max()))) if len(values) else 0
 
 
 def _times(q: int | Fraction, m: int) -> int:
@@ -465,7 +570,8 @@ def solve_lp(n_vars: int, objective, constraints, accelerate: bool = True) -> Lp
         objective: sparse (var, coeff) pairs; a variable may repeat, and
             its coefficients are summed.
         constraints: triples (coeffs, relation, rhs) with coeffs in the
-            same form and relation one of "<=", "=", ">=".
+            same form and relation one of "<=", "=", ">="; or the same
+            rows already gathered as an :class:`IntRows`.
         accelerate: try the HiGHS proposal first; it is accepted only
             after full exact verification.  False goes straight to the
             rational tableau.
@@ -478,7 +584,12 @@ def solve_lp(n_vars: int, objective, constraints, accelerate: bool = True) -> Lp
     obj = _sparse(objective)
     if any(j >= n_vars or j < 0 for j in obj):
         raise ValueError("objective references an unknown variable")
-    rows = _parse(n_vars, constraints)
+    if isinstance(constraints, IntRows):
+        rows = constraints
+        if len(rows.col) and (rows.col.min() < 0 or rows.col.max() >= n_vars):
+            raise ValueError("constraint references an unknown variable")
+    else:
+        rows = _parse(n_vars, constraints)
     if accelerate and n_vars:  # linprog rejects a problem with no variables
         sol = _propose(n_vars, obj, rows)
         if sol is not None:

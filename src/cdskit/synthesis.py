@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gf import GfMatrix, is_prime
-from .instance import CdsInstance, FeasibilityResult, _feasibility, decompose
+from .instance import CdsInstance, FeasibilityResult, _decompose, _feasibility
 from .instance import half_rate_feasible  # noqa: F401  perfbench/spans.py traces it here
 from .scheme import LinearScheme, verify_linear
 
@@ -108,8 +108,8 @@ class SynthesisPlan:
 
 def plan_synthesis(inst: CdsInstance) -> SynthesisPlan:
     """Decompose a non-degenerate, feasible instance for synthesis."""
-    qualified, unqualified = decompose(inst)
-    result = _feasibility(inst, qualified, unqualified)
+    qualified, unqualified, violators = _decompose(inst)
+    result = _feasibility(inst, qualified, unqualified, violators)
     if not result.feasible:
         raise InfeasibleInstanceError(result)
     inner: list[list[tuple[str, ...]]] = [[] for _ in qualified.blocks]

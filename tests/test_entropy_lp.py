@@ -5,11 +5,14 @@ import hashlib
 import itertools
 import time
 from fractions import Fraction
+from functools import partial
 
+import numpy as np
 import pytest
 
 from cdskit.entropy_lp import (
     CertificateError,
+    Constraint,
     EntropyLp,
     GroundSetTooLargeError,
     build_entropy_lp,
@@ -23,7 +26,7 @@ from cdskit.entropy_lp import (
     simplex_solve,
     verify_certificate,
 )
-from cdskit.instance import CdsInstance
+from cdskit.instance import CdsInstance, parse_instance
 from cdskit.oracle import joint_rank, tabulate
 from cdskit.simplex import LpSolution
 from cdskit.synthesis import (
@@ -43,6 +46,84 @@ def certificate_digest(res) -> str:
 
 def three_vertex() -> CdsInstance:
     return CdsInstance.from_edges([("q", "A1", "B1"), ("u", "A1", "B2")])
+
+
+# The benchmark's LP ladder: one instance per ground-set size 4 to 9
+# (7 is fig2, 9 is example1).
+LADDER = {
+    4: "q v1 v2\nu v1 v3\nu v2 v3",
+    5: "q v1 v2\nq v2 v3\nq v3 v4\nu v1 v3\nu v2 v4\nu v1 v4",
+    6: "q v1 v2\nq v2 v3\nq v3 v4\nq v4 v5\nu v1 v3\nu v2 v4\nu v3 v5\nu v1 v4",
+    7: "q A1 B1\nq B1 A2\nq A2 B2\nq B2 A3\nq A3 B3\nu B2 A1\nu A1 B3\nu B3 A2\nu B1 A3",
+    8: "q v1 v2\nq v2 v3\nq v3 v4\nq v4 v5\nq v5 v6\nq v6 v7\n"
+    "u v1 v3\nu v2 v5\nu v4 v7\nu v3 v6\nu v1 v7",
+    9: "q A1 B1\nq B1 A2\nq A2 B2\nq B2 A3\nq A3 B3\nq A4 B4\n"
+    "u B1 A3\nu A2 B3\nu A1 B4\nu B3 A4\nu B2 A4",
+}
+
+
+def ladder_instance(ground: int) -> CdsInstance:
+    general = not LADDER[ground].startswith(("q A", "q B"))
+    return parse_instance(
+        "cds-instance v1" + (" general" if general else "") + "\n" + LADDER[ground] + "\n"
+    )
+
+
+# The ladder, fig2 and example1, by name.
+LP_INSTANCES = {
+    **{f"ladder{ground}": partial(ladder_instance, ground) for ground in LADDER},
+    "fig2": builtin_fig2_instance,
+    "example1": builtin_example1_instance,
+}
+
+
+def reference_elemental(n: int) -> tuple[Constraint, ...]:
+    """The elemental inequalities from a nested loop over i < j and the
+    sets K, in pick order."""
+    out = []
+    full = (1 << n) - 1
+    for i in range(n):
+        out.append(Constraint(((full, 1), (full ^ (1 << i), -1)), ">=", 0))
+    for i in range(n):
+        for j in range(i + 1, n):
+            others = [b for b in range(n) if b not in (i, j)]
+            for pick in range(1 << len(others)):
+                k = 0
+                for t, b in enumerate(others):
+                    if pick >> t & 1:
+                        k |= 1 << b
+                terms = [(k | 1 << i, 1), (k | 1 << j, 1), (k | 1 << i | 1 << j, -1)]
+                if k:
+                    terms.append((k, -1))
+                out.append(Constraint(tuple(terms), ">=", 0))
+    return tuple(out)
+
+
+def reference_entropy_constraints(inst: CdsInstance) -> tuple[Constraint, ...]:
+    """The entropy LP's rows, one Constraint at a time: the elemental
+    cone, the edge equalities, the normalizations and the cap."""
+    ground = ground_set(inst)
+    idx = {name: 1 << i for i, name in enumerate(ground)}
+    s_mask = idx["S"]
+    cds = []
+    for v, u in inst.qualified:
+        pair = idx[v] | idx[u]
+        cds.append(Constraint(((pair | s_mask, 1), (pair, -1)), "=", 0))
+    for v, u in inst.unqualified:
+        pair = idx[v] | idx[u]
+        cds.append(Constraint(((pair | s_mask, 1), (pair, -1), (s_mask, -1)), "=", 0))
+    for v in inst.vertices:
+        cds.append(Constraint(((idx[v], 1),), "<=", 1))
+    cap = Constraint(((1, 1),), "<=", len(ground))
+    return reference_elemental(len(ground)) + tuple(cds) + (cap,)
+
+
+def typed(constraints) -> list:
+    """Constraints with the type of every number, which == ignores."""
+    return [
+        (tuple((m, type(c), c) for m, c in con.coeffs), con.relation, type(con.rhs), con.rhs)
+        for con in constraints
+    ]
 
 
 class TestElemental:
@@ -67,6 +148,10 @@ class TestElemental:
             (0b100, F(-1)),
         }
         assert any(set(c.coeffs) == expected for c in cons)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_rows_match_the_nested_loop(self, n):
+        assert typed(elemental_inequalities(n)) == typed(reference_elemental(n))
 
     def test_conditional_entropy_rows_come_first(self):
         cons = elemental_inequalities(3)
@@ -103,6 +188,82 @@ class TestCdsConstraints:
 
     def test_ground_order(self, fig2):
         assert ground_set(fig2) == ("S", "A1", "A2", "A3", "B1", "B2", "B3")
+
+
+class TestIntegerRows:
+    """The LP is built as one integer matrix; its Constraint view and
+    what HiGHS is given are pinned."""
+
+    @pytest.mark.parametrize("name", LP_INSTANCES)
+    def test_constraints_match_the_row_by_row_build(self, name):
+        inst = LP_INSTANCES[name]()
+        lp = build_entropy_lp(inst)
+        assert typed(lp.constraints) == typed(reference_entropy_constraints(inst))
+        assert lp.rows.m == len(lp.constraints)
+        assert lp.objective == ((1, 1),)
+
+    def test_rows_derive_from_given_constraints(self):
+        lp = build_entropy_lp(builtin_fig2_instance())
+        again = EntropyLp(lp.ground, lp.constraints, lp.objective)
+        for field in ("ptr", "col", "coef", "rel", "rhs", "scale"):
+            assert np.array_equal(getattr(again.rows, field), getattr(lp.rows, field)), field
+        assert simplex_solve(again) == simplex_solve(lp)
+
+    # sha256 of linprog's arguments, recorded before the LP was held as
+    # integer arrays: every primal, dual and certificate follows from them.
+    HIGHS_INPUT = {
+        "ladder4": "bc6c936b80a705a2662024ef1d2d5d01eff672caafc47375b70cd0c280e95f2d",
+        "ladder5": "0d17556748ddcc3734fe7aecc1bd3ed9a7db2012982d6902c7017cc75b603c52",
+        "ladder6": "b0915eaad73d48d0b513806481fbea18e676f7e97c49f08b306066be9a13dd92",
+        "ladder7": "068d9a945a77140271a5e236abcc3254aed4d6b4afcc7e155a8e228616008b57",
+        "ladder8": "11b021c738f00972abc68b2ddb54d4838f96439a0385d4a09dd1d0483272e817",
+        "ladder9": "dff0663cac9865e6c747e4bce958e20f6b18d23add6aa7cdb477ab47536648a7",
+        "fig2": "068d9a945a77140271a5e236abcc3254aed4d6b4afcc7e155a8e228616008b57",
+        "example1": "dff0663cac9865e6c747e4bce958e20f6b18d23add6aa7cdb477ab47536648a7",
+    }
+
+    @staticmethod
+    def highs_input_digest(c, kwargs) -> str:
+        """sha256 over the cost, right-hand sides and CSR arrays (dtype,
+        shape and bytes of each), the matrices' type, bounds and method."""
+        h = hashlib.sha256()
+
+        def array(x):
+            if x is None:
+                h.update(b"none")
+                return
+            a = np.asarray(x)
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+
+        array(c)
+        array(kwargs["b_ub"])
+        array(kwargs["b_eq"])
+        for key in ("A_ub", "A_eq"):
+            m = kwargs[key]
+            if m is None:
+                h.update(b"none")
+                continue
+            h.update(f"{type(m).__name__}{m.shape}".encode())
+            array(m.data)
+            array(m.indices)
+            array(m.indptr)
+        h.update(repr((kwargs["bounds"], kwargs["method"])).encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("name", HIGHS_INPUT)
+    def test_highs_input_is_pinned(self, name, monkeypatch):
+        import scipy.optimize
+
+        linprog, seen = scipy.optimize.linprog, []
+
+        def spy(c, **kwargs):
+            seen.append(self.highs_input_digest(c, kwargs))
+            return linprog(c, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        shannon_bound(LP_INSTANCES[name]())
+        assert seen == [self.HIGHS_INPUT[name]]
 
 
 class TestSimplexSolveOnEntropyLps:
@@ -226,6 +387,36 @@ class TestCertificates:
         tampered = LpSolution("optimal", res.solution.value, res.solution.primal, tuple(bad))
         with pytest.raises(CertificateError):
             verify_certificate(tampered, res.lp)
+
+        # The array-built example1 LP (ground 9), one fault at a time.
+        res = shannon_bound(builtin_example1_instance())
+        sol, lp = res.solution, res.lp
+        assert verify_certificate(sol, lp) == 1
+
+        def tampered(changes=(), value=sol.value):
+            duals = list(sol.duals)
+            for i, y in changes:
+                duals[i] = y
+            return LpSolution("optimal", value, sol.primal, tuple(duals))
+
+        relations = [con.relation for con in lp.constraints]
+        ge, le = relations.index(">="), relations.index("<=")
+        with pytest.raises(CertificateError, match="positive weight on a >="):
+            verify_certificate(tampered([(ge, F(1))]), lp)
+        with pytest.raises(CertificateError, match="negative weight on a <="):
+            verify_certificate(tampered([(le, F(-1))]), lp)
+        # Row 0 is H(full) - H(full - X_0) >= 0: more weight of its sign
+        # leaves y.b alone and lowers only the column of the full set.
+        full = (1 << len(lp.ground)) - 1
+        assert lp.constraints[0].coeffs == ((full, 1), (full - 1, -1))
+        slack = sum(
+            (y * c for con, y in zip(lp.constraints, sol.duals) for m, c in con.coeffs if m == full),
+            F(0),
+        )
+        with pytest.raises(CertificateError, match="do not dominate"):
+            verify_certificate(tampered([(0, sol.duals[0] - slack - 1)]), lp)
+        with pytest.raises(CertificateError, match="weighted right-hand sides give"):
+            verify_certificate(tampered(value=sol.value + F(1, 6)), lp)
 
     def test_non_optimal_rejected(self):
         res = shannon_bound(three_vertex())

@@ -13,6 +13,7 @@ from cdskit.instance import CdsInstance
 from cdskit.oracle import (
     BudgetError,
     SchemeTable,
+    _add_mod,
     check_correct,
     check_secure,
     joint_entropy,
@@ -67,6 +68,31 @@ class TestTabulate:
             LinearScheme(2, 0, 1, {})
         with pytest.raises(ValueError, match="secret"):
             SchemeTable.from_functions(2, 0, 1, {})
+
+
+class TestAddMod:
+    """``_add_mod`` against ``(a + b) % p``, in value and in type."""
+
+    @staticmethod
+    def check(a: np.ndarray, b: np.ndarray, p: int) -> None:
+        residue = np.min_scalar_type(2 * p - 2)
+        a, b = a.astype(residue), b.astype(residue)
+        got = _add_mod(a[:, None], b[None, :], p)
+        want = (a.astype(np.int64)[:, None] + b.astype(np.int64)[None, :]) % p
+        assert got.dtype == residue
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("p", [2, 3, 127, 128, 129, 257])
+    def test_every_residue_pair(self, p):
+        residues = np.arange(p)
+        self.check(residues, residues, p)
+
+    def test_boundary_and_sampled_residues_of_a_16_bit_prime(self):
+        p = 65521
+        edges = np.array([0, 1, 2, p // 2, p // 2 + 1, p - 2, p - 1])
+        sample = np.random.default_rng(65521).integers(0, p, 4000)
+        values = np.concatenate([edges, sample])
+        self.check(values, values, p)
 
 
 class TestCheckCorrect:

@@ -26,6 +26,7 @@ from cdskit.gf import GfMatrix, _rref_array, hstack, prefix_ranks, rank, ranks, 
 from cdskit.instance import (
     QUALIFIED,
     CdsInstance,
+    DegenerateInstanceError,
     InstanceFormatError,
     format_instance,
     half_rate_feasible,
@@ -59,6 +60,7 @@ from cdskit.scheme import (
     parse_scheme,
     verify_linear,
 )
+from cdskit.synthesis import plan_synthesis
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 RANK_PRIMES = (2, 3, 5, 7, 11, 65521)
@@ -182,6 +184,21 @@ def test_unqualified_blocks_partition_and_refine(inst):
         all_blocks.extend(unq.blocks)
     flat = [v for b in all_blocks for v in b]
     assert sorted(flat) == sorted(inst.vertices) and len(set(flat)) == len(flat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(direct_instances())
+def test_degenerate_vertices_match_is_non_degenerate(inst):
+    # The feasibility pass finds the vertices without an unqualified edge
+    # while it decomposes; they must be is_non_degenerate's, in order.
+    ok, violators = is_non_degenerate(inst)
+    if ok:
+        assert half_rate_feasible(inst).feasible in (True, False)
+        return
+    for decide in (half_rate_feasible, plan_synthesis):
+        with pytest.raises(DegenerateInstanceError) as caught:
+            decide(inst)
+        assert caught.value.violators == violators
 
 
 @st.composite

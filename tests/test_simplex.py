@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cdskit import simplex
@@ -103,6 +104,17 @@ class TestProposalRounding:
         assert sol.value == F(1, 8191)
         assert sol.primal == (F(1, 8191),)
         assert_certificate(1, [(0, 1)], cons, sol)
+
+    def test_highs_entries_are_correctly_rounded_quotients(self):
+        # An entry a/s goes to HiGHS as the int true division a / s, also
+        # where a or s has more bits than a float64 holds.
+        num = [1, -7, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, -((1 << 53) + 1), (1 << 62) + 1]
+        den = [3, 7, 3, 3, 3, 7, 3]
+        cases = [([a], [b]) for a, b in zip(num, den)]
+        for a, b in [(num, den), ([(1 << 70) + 1, 5], [3, (1 << 65) + 1]), *cases]:
+            got = simplex._quotients(simplex._int_array(a), simplex._int_array(b))
+            assert got.dtype == np.float64
+            assert got.tolist() == [x / y for x, y in zip(a, b)]
 
     def test_importing_the_package_loads_no_scipy(self):
         code = (
@@ -369,6 +381,24 @@ class TestCertify:
         for i, y in changes.items():
             duals[i] = y
         assert self.certify(duals=duals) is None, fault
+
+    @pytest.mark.parametrize(
+        "objective, constraints, primal, duals, want",
+        [
+            # 2^62 * 4 wraps to 0 in int64, which would pass the row.
+            ([], [([(0, 1 << 62)], "<=", 1 << 62)], [F(4)], [F(0)], None),
+            # The right-hand side 3 * 2^63 does not fit in int64.
+            ([(0, 1)], [([(0, 1 << 62)], "<=", 3 << 63)], [F(6)], [F(1, 1 << 62)], F(6)),
+            # y.b = 2^62 * 4 = 2^64 wraps to 0 in int64.
+            ([(0, 1 << 62)], [([(0, 1)], "<=", 4)], [F(4)], [F(1 << 62)], F(1 << 64)),
+        ],
+    )
+    def test_values_beyond_int64_stay_exact(self, objective, constraints, primal, duals, want):
+        n = 1
+        got = simplex._certify(
+            n, simplex._sparse(objective), simplex._parse(n, constraints), primal, duals
+        )
+        assert got == want == reference_certify(n, objective, constraints, primal, duals)
 
     def test_verdicts_match_the_fraction_reference(self):
         rng = random.Random(577)
