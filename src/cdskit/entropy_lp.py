@@ -14,7 +14,7 @@ after exact checks, and the dual multipliers are re-verified as a
 standalone converse certificate before they are ever rendered.  On a
 2-core machine (Python 3.11, NumPy 2.4, SciPy 1.17) ground sets of
 seven, eight and nine variables are built, solved and certified in
-about 0.02, 0.065 and 0.45 s, all but 2-4 ms of it inside HiGHS;
+about 0.02, 0.065 and 0.45 s, all but 2-6 ms of it inside HiGHS;
 ``cds bound`` adds about 0.65 s of interpreter start and SciPy import.
 From ten on, the rounded duals can fail the exact check, and
 the rational tableau that takes over may then run for minutes.  The hard limit is twelve, and
@@ -24,7 +24,7 @@ escape hatch for bigger graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -95,16 +95,46 @@ class EntropyLp:
     The constraints may be given as Constraint tuples or as an
     :class:`IntRows` matrix over the variables mask - 1.  ``rows`` and
     ``constraints`` both read them, in the same order; whichever form was
-    not given is derived on first read.
+    not given is derived on first read.  Immutable, and equal to (and
+    hashed, and shown, like) the frozen triple (ground, constraints,
+    objective), whichever form the constraints came in.
     """
 
+    ground: tuple[str, ...]
+    objective: tuple[tuple[int, int | Fraction], ...]
+
     def __init__(self, ground, constraints, objective):
-        self.ground: tuple[str, ...] = tuple(ground)
-        self.objective: tuple[tuple[int, int | Fraction], ...] = tuple(objective)
+        # object.__setattr__ past the frozen __setattr__; on the cached
+        # properties it fills the cache.
+        object.__setattr__(self, "ground", tuple(ground))
+        object.__setattr__(self, "objective", tuple(objective))
         if isinstance(constraints, IntRows):
-            self.rows = constraints
+            object.__setattr__(self, "rows", constraints)
         else:
-            self.constraints = tuple(constraints)
+            object.__setattr__(self, "constraints", tuple(constraints))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.ground, self.constraints, self.objective)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"EntropyLp(ground={self.ground!r}, constraints={self.constraints!r}, "
+            f"objective={self.objective!r})"
+        )
 
     @cached_property
     def constraints(self) -> tuple[Constraint, ...]:

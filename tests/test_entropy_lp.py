@@ -1,6 +1,7 @@
 """Tests for the entropy LP: elemental cone, CDS constraints, bounds and
 certificates."""
 
+import dataclasses
 import hashlib
 import itertools
 import time
@@ -208,6 +209,27 @@ class TestIntegerRows:
         for field in ("ptr", "col", "coef", "rel", "rhs", "scale"):
             assert np.array_equal(getattr(again.rows, field), getattr(lp.rows, field)), field
         assert simplex_solve(again) == simplex_solve(lp)
+
+    def test_lp_is_a_frozen_value(self):
+        """An EntropyLp compares, hashes and prints as its (ground,
+        constraints, objective), whichever form the rows came in."""
+        lp = build_entropy_lp(builtin_fig2_instance())
+        again = EntropyLp(lp.ground, lp.constraints, lp.objective)
+        assert again == lp and hash(again) == hash(lp)
+        assert repr(lp) == (
+            f"EntropyLp(ground={lp.ground!r}, constraints={lp.constraints!r}, "
+            f"objective={lp.objective!r})"
+        )
+        assert EntropyLp(lp.ground, lp.constraints[:-1], lp.objective) != lp
+        assert EntropyLp(lp.ground, lp.constraints, ((1, 2),)) != lp
+        assert shannon_bound(builtin_fig2_instance()) == shannon_bound(builtin_fig2_instance())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lp.ground = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del lp.constraints
+        # The matrix has no value ==, so comparing two never asks NumPy
+        # for the truth of an array.
+        assert lp.rows == lp.rows and lp.rows != again.rows
 
     # sha256 of linprog's arguments, recorded before the LP was held as
     # integer arrays: every primal, dual and certificate follows from them.
