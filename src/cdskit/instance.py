@@ -9,23 +9,26 @@ two sides.  General mode lifts both restrictions.
 The feasibility test reduces the path-based obstruction to a component
 computation: the capacity is 1/2 iff no qualified edge joins two vertices
 of one unqualified component inside its qualified component.  Those
-components come from :func:`decompose` alone: one union-find pass over
-the qualified edges, then one over the unqualified edges whose ends share
-a qualified component.  Both passes run on integer vertex ids (the rank
-of each name in sorted order), with path halving and a union that keeps
-the smaller root, so every root is its component's least id.  Without
-union by size, path halving still bounds each pass by O(V + E log V)
-(Tarjan and van Leeuwen, 1984), so feasibility, synthesis and the lemma
-audit scale with the size of the graph.  Breadth-first search is used
-only to render a witness path.
+components come from two union-find passes: one over the qualified
+edges, then one over the unqualified edges whose ends share a qualified
+component.  Each instance numbers its vertices once, when it is built
+(id k is the k-th vertex in name order), and keeps the ends of its edges
+as those ids, so both passes run on integers without looking up a name.
+A union keeps the smaller root and finds halve their paths, so every
+root is its component's least id.  Without union by size, path halving
+still bounds each pass by O(V + E log V) (Tarjan and van Leeuwen, 1984),
+so feasibility, synthesis and the lemma audit scale with the size of the
+graph.  Breadth-first search is used only to render a witness path.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
+from array import array
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 __all__ = [
     "CdsInstance",
@@ -80,12 +83,33 @@ def _canon(v: str, u: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class CdsInstance:
-    """Immutable labeled graph of signals."""
+    """Immutable labeled graph of signals.
+
+    Building an instance numbers its vertices in name order: ``_order[k]``
+    is the index in ``vertices`` of the vertex with id k, and ``_ends``
+    lists the ids at both ends of every qualified edge, then of every
+    unqualified edge, as flat int64 arrays.  Equality, hashing and repr
+    read only the four public fields.
+    """
 
     vertices: tuple[str, ...]
     qualified: tuple[tuple[str, str], ...]
     unqualified: tuple[tuple[str, str], ...]
     bipartite: bool = True
+    _order: array = field(init=False, repr=False, compare=False)
+    _ends: array = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        vertices = self.vertices
+        order = sorted(range(len(vertices)), key=vertices.__getitem__)
+        ids = dict(zip(map(vertices.__getitem__, order), range(len(order))))
+        ends = chain.from_iterable(chain(self.qualified, self.unqualified))
+        try:
+            ends = array("q", map(ids.__getitem__, ends))
+        except KeyError as exc:
+            raise ValueError(f"edge end {exc.args[0]!r} is not a vertex") from None
+        object.__setattr__(self, "_order", array("q", order))
+        object.__setattr__(self, "_ends", ends)
 
     @classmethod
     def from_edges(cls, edges, bipartite: bool = True) -> "CdsInstance":
@@ -268,9 +292,11 @@ def format_instance(inst: CdsInstance) -> str:
 
 
 def is_non_degenerate(inst: CdsInstance) -> tuple[bool, tuple[str, ...]]:
-    """Every vertex must meet at least one unqualified edge."""
-    touched = {x for pair in inst.unqualified for x in pair}
-    violators = tuple(v for v in inst.vertices if v not in touched)
+    """Every vertex must meet at least one unqualified edge; the vertices
+    that meet none are listed in ``inst.vertices`` order."""
+    order = inst._order
+    missed = set(range(len(order))).difference(inst._ends[2 * len(inst.qualified) :])
+    violators = tuple(inst.vertices[i] for i in sorted(order[k] for k in missed))
     return (not violators, violators)
 
 
@@ -292,28 +318,29 @@ def normalize_degenerate(inst: CdsInstance) -> tuple[CdsInstance, tuple[str, ...
 def decompose(inst: CdsInstance) -> tuple[Partition, Partition]:
     """The qualified components and the unqualified components inside them.
 
-    The sorted vertices are numbered 0..n-1, and two union-find passes
-    run on those integer ids: one joins the ends of every qualified edge,
-    the other the ends of every unqualified edge whose ends share a
-    qualified component.  A union hangs the larger root under the smaller
-    and finds halve their paths, so a parent id never exceeds its child's
-    and every root is its component's least id; one sweep in id order
-    then resolves each vertex to its root.  Both partitions cover every
-    vertex (isolated vertices are singleton blocks), with sorted members
-    and blocks ordered by least member; the second refines the first.
+    Both partitions cover every vertex (isolated vertices are singleton
+    blocks), with sorted members and blocks ordered by least member; the
+    second refines the first.  They are read off :func:`_decompose`'s
+    roots in one sweep in id order, since ids follow the names.
     """
-    return _decompose(inst)[:2]
+    qroot, uroot = _decompose(inst)
+    return _partition(inst, qroot), _partition(inst, uroot)
 
 
-def _decompose(inst: CdsInstance) -> tuple[Partition, Partition, tuple[str, ...]]:
-    """:func:`decompose`, plus the vertices that meet no unqualified edge
-    (in ``inst.vertices`` order), marked in the pass that maps every
-    unqualified edge to ids."""
-    vertices = sorted(inst.vertices)
-    ids = {v: i for i, v in enumerate(vertices)}
+def _decompose(inst: CdsInstance) -> tuple[list[int], list[int]]:
+    """The root of every vertex id under the qualified edges, and under
+    the unqualified edges whose ends share a qualified component.
+
+    Two union-find passes over the edge ends ``inst`` keeps as ids, with
+    no sort and no name lookup.  A union hangs the larger root under the
+    smaller and finds halve their paths, so a parent id never exceeds its
+    child's and every root is its component's least id; one sweep in id
+    order then resolves each id to its root.
+    """
+    n, q, ends = len(inst.vertices), 2 * len(inst.qualified), inst._ends
 
     def roots(edges) -> list[int]:
-        parent = list(range(len(vertices)))
+        parent = list(range(n))
         for a, b in edges:
             # Path halving: point each visited id at its grandparent, go there.
             while parent[a] != a:
@@ -328,22 +355,22 @@ def _decompose(inst: CdsInstance) -> tuple[Partition, Partition, tuple[str, ...]
             parent[i] = parent[p]
         return parent
 
-    def partition(root: list[int]) -> Partition:
-        blocks: dict[int, list[str]] = {}
-        for v, r in zip(vertices, root):
-            blocks.setdefault(r, []).append(v)
-        return Partition(tuple(map(tuple, blocks.values())))
+    qroot = roots(zip(ends[0:q:2], ends[1:q:2]))
+    inner = zip(ends[q::2], ends[q + 1 :: 2])
+    return qroot, roots([(a, b) for a, b in inner if qroot[a] == qroot[b]])
 
-    qroot = roots((ids[v], ids[u]) for v, u in inst.qualified)
-    touched = bytearray(len(vertices))
-    inner = []
-    for v, u in inst.unqualified:
-        a, b = ids[v], ids[u]
-        touched[a] = touched[b] = 1
-        if qroot[a] == qroot[b]:
-            inner.append((a, b))
-    violators = () if all(touched) else tuple(v for v in inst.vertices if not touched[ids[v]])
-    return partition(qroot), partition(roots(inner)), violators
+
+def _partition(inst: CdsInstance, root: list[int]) -> Partition:
+    """The blocks of vertices that share a root, in id order."""
+    blocks: defaultdict[int, list[str]] = defaultdict(list)
+    for v, r in zip(_names(inst), root):
+        blocks[r].append(v)
+    return Partition(tuple(map(tuple, blocks.values())))
+
+
+def _names(inst: CdsInstance) -> list[str]:
+    """The vertex names in id order, which is name order."""
+    return list(map(inst.vertices.__getitem__, inst._order))
 
 
 def qualified_components(inst: CdsInstance) -> Partition:
@@ -377,30 +404,34 @@ def unqualified_path(
         raise ValueError("endpoints must lie in the block")
     if s == t:
         return PathWitness((s,), UNQUALIFIED)
-    adj: dict[str, list[str]] = {v: [] for v in block}
-    for a, b in inst.unqualified:
-        if a in block and b in block:
+    names = _names(inst)
+    inside = [v in block for v in names]
+    adj: dict[int, list[int]] = {k: [] for k, x in enumerate(inside) if x}
+    q, ends = 2 * len(inst.qualified), inst._ends
+    for a, b in zip(ends[q::2], ends[q + 1 :: 2]):
+        if inside[a] and inside[b]:
             adj[a].append(b)
             adj[b].append(a)
-    for v in adj:
-        adj[v].sort()
-    parent: dict[str, str] = {s: s}
-    queue = deque([s])
+    for k in adj:
+        adj[k].sort()  # ids follow the names
+    ids = {names[k]: k for k in adj}
+    source, target = ids.get(s, -1), ids.get(t, -2)  # -1, -2: not a vertex
+    parent: dict[int, int] = {source: source}
+    queue = deque([source] if source in adj else [])
     while queue:
         x = queue.popleft()
-        if x == t:
+        if x == target:
             break
         for y in adj[x]:
             if y not in parent:
                 parent[y] = x
                 queue.append(y)
-    if t not in parent:
+    if target not in parent:
         raise ValueError(f"no unqualified path from {s} to {t} inside the block")
-    path = [t]
-    while path[-1] != s:
+    path = [target]
+    while path[-1] != source:
         path.append(parent[path[-1]])
-    path.reverse()
-    return PathWitness(tuple(path), UNQUALIFIED)
+    return PathWitness(tuple(names[k] for k in reversed(path)), UNQUALIFIED)
 
 
 def half_rate_feasible(inst: CdsInstance) -> FeasibilityResult:
@@ -415,21 +446,27 @@ def half_rate_feasible(inst: CdsInstance) -> FeasibilityResult:
 
 
 def _feasibility(
-    inst: CdsInstance,
-    qualified: Partition,
-    unqualified: Partition,
-    violators: tuple[str, ...],
+    inst: CdsInstance, qroot: list[int], uroot: list[int]
 ) -> FeasibilityResult:
-    """:func:`half_rate_feasible` on the instance's :func:`_decompose`."""
-    if violators:
+    """:func:`half_rate_feasible` on the instance's :func:`_decompose`.
+
+    The witness is the first internal qualified edge by (qualified
+    component, edge): components are ordered by their least id, and
+    since ids follow the names, edges by their ends' ids.
+    """
+    ok, violators = is_non_degenerate(inst)
+    if not ok:
         raise DegenerateInstanceError(violators)
-    ublock, qblock = unqualified._index, qualified._index
-    internal = (e for e in inst.qualified if ublock[e[0]] == ublock[e[1]])
-    first = min(internal, key=lambda e: (qblock[e[0]], e), default=None)
-    if first is None:
+    q, ends = 2 * len(inst.qualified), inst._ends
+    pairs = zip(ends[0:q:2], ends[1:q:2])
+    internal = [(qroot[a], a, b) for a, b in pairs if uroot[a] == uroot[b]]
+    if not internal:
         return FeasibilityResult(True)
-    v, u = first
+    root, a, b = min(internal)
+    names = _names(inst)
+    v, u = names[a], names[b]
     start, end = (v, u) if v > u else (u, v)
-    path = unqualified_path(inst, qualified.block_of(v), start, end)
+    block = [x for x, r in zip(names, qroot) if r == root]
+    path = unqualified_path(inst, block, start, end)
     witness = PathWitness(path.vertices, UNQUALIFIED, (start, end))
     return FeasibilityResult(False, (start, end), witness)

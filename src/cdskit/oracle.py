@@ -30,12 +30,14 @@ one byte per realization, not eight.  Memory is what caps the budget.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .gf import GfMatrix, rank
-from .instance import CdsInstance, decompose
+from .instance import CdsInstance, _decompose, _names
 from .scheme import LinearScheme, block_ranks
 
 __all__ = [
@@ -436,30 +438,34 @@ class LemmaAuditReport:
         raise KeyError(name)
 
 
-def _entropies(table: SchemeTable | LinearScheme, plain, given_s):
+def _entropies(table: SchemeTable | LinearScheme, names, plain, given_s):
     """(H(X) for X in ``plain``, H(X|S) for X in ``given_s``, tolerance),
-    both dicts keyed by the vertex tuples X.
+    both dicts keyed by the sets X, each a sorted tuple of blocks.
 
-    A linear scheme's entropies are exact ranks of X's signal blocks
-    stacked, one stack per distinct set of blocks, eliminated in batches
-    of sets of one size: H(X) is rank [F_X|H_X], and since
-    H(X,S) = L + rank H_X and H(S) = L, H(X|S) is rank H_X.  Otherwise
-    they are combinatorial entropies, compared within 1e-9 (p-ary units).
+    A linear scheme's blocks are its signal blocks, and its entropies are
+    exact ranks of X's blocks stacked, one stack per distinct set,
+    eliminated in batches of sets of one size: H(X) is rank [F_X|H_X],
+    and since H(X,S) = L + rank H_X and H(S) = L, H(X|S) is rank H_X.
+    Otherwise each vertex id is its own block, named by ``names``, and
+    the entropies are combinatorial, compared within 1e-9 (p-ary units).
     """
     sch = table if isinstance(table, LinearScheme) else table.scheme
     if sch is None:
         hs = joint_entropy(table, ["S"])
-        h = {x: joint_entropy(table, x) for x in plain}
-        return h, {x: joint_entropy(table, [*x, "S"]) - hs for x in given_s}, 1e-9
+        h = {x: joint_entropy(table, [names[k] for k in x]) for x in set(plain)}
+        given = {
+            x: joint_entropy(table, [*(names[k] for k in x), "S"]) - hs
+            for x in set(given_s)
+        }
+        return h, given, 1e-9
 
-    key = {x: tuple(sorted({sch.block_of[v] for v in x})) for x in [*plain, *given_s]}
-    groups = set(key.values())
+    groups = {*plain, *given_s}
     ranks = {}
     for size in {len(g) for g in groups}:
         same = [g for g in groups if len(g) == size]
         ranks.update(zip(same, block_ranks(sch, same)))
-    h = {x: ranks[key[x]][1] for x in plain}
-    return h, {x: ranks[key[x]][0] for x in given_s}, 0
+    h = {x: ranks[x][1] for x in plain}
+    return h, {x: ranks[x][0] for x in given_s}, 0
 
 
 def lemma_audit(
@@ -475,11 +481,18 @@ def lemma_audit(
     component noise alignment (conditional on the secret), and edge and
     path signal alignment.  Every entropy the audit reads is computed up
     front, in one batch.
+
+    A subject's entropy depends only on its set of blocks.  Each vertex
+    id is mapped to its block once, each distinct set is ranked once, and
+    the path pairs of an unqualified component are keyed by the blocks
+    its vertices lie in: a block holding two of them, or two of its
+    blocks.  Pairs are listed only in a component where some set fails.
     """
     if isinstance(table, LinearScheme):
-        kind, lens = "scheme", {v: f.rows for v, (f, _) in table.matrices.items()}
+        sch, kind = table, "scheme"
+        lens = {v: f.rows for v, (f, _) in table.matrices.items()}
     else:
-        kind, lens = "table", table.signal_lens
+        sch, kind, lens = table.scheme, "table", table.signal_lens
     if L != table.secret_len:
         raise ValueError(f"L = {L} does not match the {kind}'s secret length")
     for v in inst.vertices:
@@ -490,11 +503,25 @@ def lemma_audit(
                 f"vertex {v} has signal length {lens[v]} != L = {L}; "
                 "the audited identities presuppose rate 1/2"
             )
-    on_qualified_edge = sorted({x for e in inst.qualified for x in e})
-    parts, unqualified = decompose(inst)
+    names = _names(inst)
+    blk = list(range(len(names))) if sch is None else [sch.block_of[v] for v in names]
+    qroot, uroot = _decompose(inst)
+    q, ends = 2 * len(inst.qualified), inst._ends
 
-    component_subsets: list[tuple[str, ...]] = []
-    for block in parts.blocks:
+    def pair(a: int, b: int) -> tuple[int, ...]:
+        """The sorted blocks of the vertex ids a and b."""
+        x, y = blk[a], blk[b]
+        return (x,) if x == y else (x, y) if x < y else (y, x)
+
+    singles = [(k,) for k in sorted(set(ends[:q]))]
+    edges = list(zip(ends[0:q:2], ends[1:q:2]))
+    inner = zip(ends[q::2], ends[q + 1 :: 2])
+    in_component = [(a, b) for a, b in inner if qroot[a] == qroot[b]]
+    components: dict[int, list[int]] = {}
+    for k, r in enumerate(qroot):
+        components.setdefault(r, []).append(k)
+    component_subsets: list[tuple[int, ...]] = []
+    for block in components.values():
         if len(block) < 2:
             continue  # trivial component: no qualified edge to anchor the lemma
         if 2 ** len(block) <= _SUBSET_ENUM_LIMIT:
@@ -504,42 +531,72 @@ def lemma_audit(
                 )
         else:
             # Boundary cases; intermediate subsets follow by monotonicity.
-            component_subsets += [(v,) for v in block] + [block]
-    in_component = [
-        (v, u) for v, u in inst.unqualified if parts.index_of(v) == parts.index_of(u)
-    ]
-    # Blocks grouped by qualified component (the sort is stable), so that
-    # failures are listed component by component.
-    on_paths = [
-        (v, w)
-        for sub in sorted(unqualified.blocks, key=lambda b: parts.index_of(b[0]))
-        for i, v in enumerate(sub)
-        for w in sub[i + 1 :]
-    ]
-    singles = [(v,) for v in on_qualified_edge]
+            component_subsets += [(v,) for v in block] + [tuple(block)]
+    # Unqualified components grouped by qualified component, each by least
+    # id, so that failures are listed component by component; with the
+    # distinct block sets of their vertex pairs.
+    paths: dict[int, list[int]] = {}
+    for k, r in enumerate(uroot):
+        paths.setdefault(r, []).append(k)
+    on_paths = []
+    for r in sorted(paths, key=lambda r: (qroot[r], r)):
+        count = Counter(blk[k] for k in paths[r])
+        distinct = sorted(count)
+        sets = [(b,) for b in distinct if count[b] > 1]
+        on_paths.append((paths[r], sets + list(combinations(distinct, 2))))
+
+    single_keys = [(blk[k],) for (k,) in singles]
+    edge_keys = [pair(a, b) for a, b in edges]
+    inner_keys = [pair(a, b) for a, b in in_component]
+    subset_keys = [tuple(sorted({blk[k] for k in x})) for x in component_subsets]
     h, h_s, tol = _entropies(
         table,
-        singles + in_component + on_paths,
-        singles + list(inst.qualified) + component_subsets,
+        names,
+        single_keys + inner_keys + [s for _, sets in on_paths for s in sets],
+        single_keys + edge_keys + subset_keys,
     )
+    # The sets whose entropy is not L, or exceeds L.
+    h_off = {x for x, val in h.items() if abs(val - L) > tol}
+    h_over = {x for x, val in h.items() if val > L + tol}
+    h_s_off = {x for x, val in h_s.items() if abs(val - L) > tol}
 
-    def failure(x, values, given="", fails="!="):
-        """(x, detail) if the entropy of x is not L ("!=") or exceeds L (">")."""
-        val = values[x]
-        off = abs(val - L) > tol if fails == "!=" else val > L + tol
-        return (x, f"H({','.join(x)}{given}) = {val} {fails} {L}") if off else None
+    def failure(x, val, given="", fails="!="):
+        x = tuple(names[k] for k in x)
+        return (x, f"H({','.join(x)}{given}) = {val} {fails} {L}")
 
-    def lemma(name, subjects, values, given="", fails="!="):
-        found = (failure(x, values, given, fails) for x in subjects)
-        return LemmaResult(name, len(subjects), tuple(f for f in found if f))
+    def lemma(name, subjects, keys, values, bad, given=""):
+        keyed = zip(subjects, keys)
+        found = tuple(failure(x, values[k], given) for x, k in keyed if k in bad)
+        return LemmaResult(name, len(subjects), found)
 
-    size = (failure(x, h) or failure(x, h_s, "|S") for x in singles)
+    size = [
+        failure(x, h[k]) if k in h_off else failure(x, h_s[k], "|S")
+        for x, k in zip(singles, single_keys)
+        if k in h_off or k in h_s_off
+    ]
+    over = []
+    for sub, sets in on_paths:
+        if not h_over.isdisjoint(sets):
+            for i, a in enumerate(sub):
+                over += [
+                    failure((a, b), h[pair(a, b)], fails=">")
+                    for b in sub[i + 1 :]
+                    if pair(a, b) in h_over
+                ]
+    checked = sum(len(sub) * (len(sub) - 1) // 2 for sub, _ in on_paths)
     return LemmaAuditReport(
         (
-            LemmaResult("signal_size", len(singles), tuple(f for f in size if f)),
-            lemma("edge_noise_alignment", inst.qualified, h_s, "|S"),
-            lemma("component_noise_alignment", component_subsets, h_s, "|S"),
-            lemma("edge_signal_alignment", in_component, h),
-            lemma("path_signal_alignment", on_paths, h, fails=">"),
+            LemmaResult("signal_size", len(singles), tuple(size)),
+            lemma("edge_noise_alignment", edges, edge_keys, h_s, h_s_off, "|S"),
+            lemma(
+                "component_noise_alignment",
+                component_subsets,
+                subset_keys,
+                h_s,
+                h_s_off,
+                "|S",
+            ),
+            lemma("edge_signal_alignment", in_component, inner_keys, h, h_off),
+            LemmaResult("path_signal_alignment", checked, tuple(over)),
         )
     )

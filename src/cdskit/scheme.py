@@ -26,7 +26,7 @@ from .gf import (
     vstack,
 )
 from .gf import rank  # noqa: F401  perfbench/spans.py traces it here
-from .instance import QUALIFIED, CdsInstance
+from .instance import QUALIFIED, UNQUALIFIED, CdsInstance
 
 __all__ = [
     "LinearScheme",
@@ -205,27 +205,40 @@ def block_ranks(sch: LinearScheme, groups) -> list[tuple[int, int]]:
     return out
 
 
+def _ids(inst: CdsInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 views of the instance's vertex ids: the index in
+    ``inst.vertices`` of each id, shape (V,), and the ids at both ends of
+    each edge of ``inst.qualified + inst.unqualified``, shape (E, 2)."""
+    order = np.frombuffer(inst._order, dtype=np.int64)
+    ends = np.frombuffer(inst._ends, dtype=np.int64).reshape(-1, 2)
+    order.flags.writeable = ends.flags.writeable = False
+    return order, ends
+
+
 def _rank_table(inst: CdsInstance, sch: LinearScheme):
     """(rank of H, rank of [F|H]) for every vertex and every edge's pair.
 
     Ranks depend only on the matrices, so the vertices of one block share
     its ranks, and edges whose ends lie in the same two blocks share
     theirs: :func:`block_ranks` eliminates, in one call, each block
-    (stacked on itself) and each distinct pair of blocks.  Returns two
-    dicts keyed by vertex and by edge.
+    (stacked on itself) and each distinct pair of blocks.  Each vertex is
+    mapped to its block once, and one index into the instance's id
+    arrays gives the blocks at both ends of every edge.  Returns two int
+    arrays of rank pairs: (V, 2) in ``inst.vertices`` order and (E, 2) in
+    ``inst.qualified + inst.unqualified`` order.
     """
     _require_vertices(inst.vertices, sch)
-    pairs = inst.qualified + inst.unqualified
-    ends = np.array([sch.block_of[x] for pair in pairs for x in pair], dtype=np.int64)
-    ends = ends.reshape(len(pairs), 2)
+    order, ends = _ids(inst)
+    block = np.array([sch.block_of[v] for v in inst.vertices], dtype=np.int64)
+    ends = block[order][ends]
     base = max(1, len(sch.blocks))
     combos, inverse = np.unique(ends[:, 0] * base + ends[:, 1], return_inverse=True)
     combos = np.stack(np.divmod(combos, base), axis=1)
     nblocks = len(sch.blocks)
     selves = np.arange(nblocks).repeat(2).reshape(nblocks, 2)
     ranks = block_ranks(sch, np.concatenate([selves, combos]))
-    vertex = {v: ranks[sch.block_of[v]] for v in inst.vertices}
-    return vertex, dict(zip(pairs, [ranks[nblocks + k] for k in inverse.tolist()]))
+    ranks = np.array(ranks, dtype=np.int64).reshape(-1, 2)
+    return ranks[block], ranks[nblocks + inverse]
 
 
 def verify_linear(inst: CdsInstance, sch: LinearScheme) -> VerificationReport:
@@ -254,28 +267,32 @@ def verify_linear(inst: CdsInstance, sch: LinearScheme) -> VerificationReport:
 def _verification(
     inst: CdsInstance, sch: LinearScheme, vertex_ranks, edge_ranks
 ) -> VerificationReport:
+    """The report on :func:`_rank_table`'s arrays: one verdict object per
+    distinct verdict, vertices keyed in ``inst.vertices`` order and edges
+    in ``inst.edges`` order, which is their ends' ids in order."""
+    leak = vertex_ranks[:, 1] - vertex_ranks[:, 0]
+    values, which = np.unique(leak, return_inverse=True)
+    vertex = [VertexVerdict(x == 0, x) for x in values.tolist()]
+    vertex_verdicts = dict(zip(inst.vertices, map(vertex.__getitem__, which.tolist())))
+    # Each edge's kind (1 if unqualified) and rank delta, as one code.
+    unqualified = np.arange(len(edge_ranks)) >= len(inst.qualified)
+    delta = edge_ranks[:, 1] - edge_ranks[:, 0]
+    values, which = np.unique(2 * delta + unqualified, return_inverse=True)
     L = sch.secret_len
-    shared: dict[tuple, VertexVerdict | EdgeVerdict] = {}
-    vertex_verdicts: dict[str, VertexVerdict] = {}
-    for v in inst.vertices:
-        noise, joint = vertex_ranks[v]
-        leak = joint - noise
-        w = shared.get((leak,))
-        if w is None:
-            w = shared[(leak,)] = VertexVerdict(leak == 0, leak)
-        vertex_verdicts[v] = w
-    edge_verdicts: dict[tuple[str, str], EdgeVerdict] = {}
-    for kind, e in inst.edges:
-        noise, joint = edge_ranks[e]
-        delta = joint - noise
-        w = shared.get((kind, delta))
-        if w is None:
-            want = L if kind == QUALIFIED else 0
-            w = shared[(kind, delta)] = EdgeVerdict(kind, delta == want, delta)
-        edge_verdicts[e] = w
-    passed = all(w.secure for w in vertex_verdicts.values()) and all(
-        e.ok for e in edge_verdicts.values()
+    edge = [
+        EdgeVerdict(UNQUALIFIED, d == 0, d) if u else EdgeVerdict(QUALIFIED, d == L, d)
+        for d, u in zip((values >> 1).tolist(), (values & 1).tolist())
+    ]
+    _, ends = _ids(inst)
+    by_name = np.argsort(ends[:, 0] * len(inst.vertices) + ends[:, 1], kind="stable")
+    pairs = inst.qualified + inst.unqualified
+    edge_verdicts = dict(
+        zip(
+            map(pairs.__getitem__, by_name.tolist()),
+            map(edge.__getitem__, which[by_name].tolist()),
+        )
     )
+    passed = all(w.secure for w in vertex) and all(w.ok for w in edge)
     return VerificationReport(vertex_verdicts, edge_verdicts, passed)
 
 
@@ -369,12 +386,15 @@ def verify_and_align(
 
 
 def _alignment(inst: CdsInstance, vertex_ranks, edge_ranks) -> AlignmentReport:
-    overlaps = {
-        (v, u): vertex_ranks[v][0] + vertex_ranks[u][0] - edge_ranks[(v, u)][0]
-        for v, u in inst.qualified
-    }
-    aligned = {e: edge_ranks[e][1] == edge_ranks[e][0] for e in inst.unqualified}
-    return AlignmentReport(overlaps, aligned)
+    order, ends = _ids(inst)
+    q = len(inst.qualified)
+    noise = vertex_ranks[order, 0]  # by vertex id
+    overlap = noise[ends[:q, 0]] + noise[ends[:q, 1]] - edge_ranks[:q, 0]
+    aligned = edge_ranks[q:, 1] == edge_ranks[q:, 0]
+    return AlignmentReport(
+        dict(zip(inst.qualified, overlap.tolist())),
+        dict(zip(inst.unqualified, aligned.tolist())),
+    )
 
 
 @dataclass(frozen=True)
@@ -448,6 +468,8 @@ def parse_scheme(text: str) -> LinearScheme:
     Signals whose row lines have the same text share one (F, H) pair of
     immutable matrices: a block of rows is validated and built the first
     time it appears, and only a block that passed every check is reused.
+    Every check :class:`LinearScheme` makes is made here first, on the
+    offending line, so building the scheme at the end raises nothing.
     """
     lines = []
     for no, ln in enumerate(text.splitlines(), start=1):
@@ -461,7 +483,7 @@ def parse_scheme(text: str) -> LinearScheme:
     def take_keyword(word: str) -> int:
         nonlocal idx
         if idx >= len(lines):
-            raise SchemeFormatError(f"missing '{word} <n>' line")
+            raise SchemeFormatError(f"missing '{word} <n>' line", lines[-1][0])
         no, ln = lines[idx]
         parts = ln.split()
         if len(parts) != 2 or parts[0] != word:
@@ -509,7 +531,7 @@ def parse_scheme(text: str) -> LinearScheme:
         f_rows, h_rows = [], []
         for _ in range(nrows):
             if idx >= len(lines):
-                raise SchemeFormatError(f"signal {name}: missing matrix rows")
+                raise SchemeFormatError(f"signal {name}: missing matrix rows", no)
             rno, row = lines[idx]
             if not row.startswith("F:") or "| H:" not in row:
                 raise SchemeFormatError("expected 'F: ... | H: ...'", rno)
@@ -533,7 +555,4 @@ def parse_scheme(text: str) -> LinearScheme:
             GfMatrix.from_rows(p, f_rows, secret_len),
             GfMatrix.from_rows(p, h_rows, noise_len),
         )
-    try:
-        return LinearScheme(p, secret_len, noise_len, matrices)
-    except ValueError as exc:
-        raise SchemeFormatError(str(exc)) from None
+    return LinearScheme(p, secret_len, noise_len, matrices)

@@ -19,7 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gf import GfMatrix, is_prime
-from .instance import CdsInstance, FeasibilityResult, _decompose, _feasibility
+from .instance import (
+    CdsInstance,
+    FeasibilityResult,
+    _decompose,
+    _feasibility,
+    _partition,
+)
 from .instance import half_rate_feasible  # noqa: F401  perfbench/spans.py traces it here
 from .scheme import LinearScheme, verify_linear
 
@@ -108,10 +114,11 @@ class SynthesisPlan:
 
 def plan_synthesis(inst: CdsInstance) -> SynthesisPlan:
     """Decompose a non-degenerate, feasible instance for synthesis."""
-    qualified, unqualified, violators = _decompose(inst)
-    result = _feasibility(inst, qualified, unqualified, violators)
+    qroot, uroot = _decompose(inst)
+    result = _feasibility(inst, qroot, uroot)
     if not result.feasible:
         raise InfeasibleInstanceError(result)
+    qualified, unqualified = _partition(inst, qroot), _partition(inst, uroot)
     inner: list[list[tuple[str, ...]]] = [[] for _ in qualified.blocks]
     for blk in unqualified.blocks:
         inner[qualified.index_of(blk[0])].append(blk)

@@ -631,6 +631,22 @@ class TestUsageErrors:
         assert run(["verify", fig2_file, str(bad)]) == 2
         assert line in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # The file ends inside a signal's rows: the signal line is cited.
+            ("secret 1\nnoise 0\nsignal A1 2\nF: 1 | H:\n", "line 5: signal A1: missing matrix rows"),
+            # The file ends before a header keyword: the last line read is cited.
+            ("", "line 2: missing 'secret <n>' line"),
+            ("secret 1\n# no noise\n\n", "line 3: missing 'noise <n>' line"),
+        ],
+    )
+    def test_truncated_scheme_cites_a_line(self, fig2_file, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.scheme"
+        bad.write_text(f"cds-scheme v1\nfield 2\n{text}")
+        assert run(["verify", fig2_file, str(bad)]) == 2
+        assert capsys.readouterr().err == f"cds: error: {bad}: {message}\n"
+
 
 # Whole outputs of a few commands on the built-ins, byte for byte: stdout,
 # stderr and the exit code.  The certificate lines name the dual weights

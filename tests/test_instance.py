@@ -138,6 +138,10 @@ class TestParsing:
         for inst in (fig2, example1):
             assert parse_instance(format_instance(inst)) == inst
 
+    def test_edge_end_must_be_a_vertex(self):
+        with pytest.raises(ValueError, match="edge end 'B2' is not a vertex"):
+            CdsInstance(("A1", "B1"), (("A1", "B1"),), (("A1", "B2"),), True)
+
 
 class TestNonDegenerate:
     def test_fig2_is_non_degenerate(self, fig2):

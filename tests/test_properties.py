@@ -9,7 +9,9 @@ files."""
 import io
 import itertools
 import math
+import pickle
 import tempfile
+from array import array
 from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -28,6 +30,7 @@ from cdskit.instance import (
     CdsInstance,
     DegenerateInstanceError,
     InstanceFormatError,
+    decompose,
     format_instance,
     half_rate_feasible,
     is_non_degenerate,
@@ -284,6 +287,47 @@ def instance_schemes(draw) -> tuple[CdsInstance, LinearScheme]:
     """An instance and a scheme with matrices for each of its vertices."""
     inst = draw(instances())
     return inst, draw(schemes(inst.vertices, RANK_PRIMES))
+
+
+def outcome(decide, inst):
+    """decide(inst), or the vertices of the DegenerateInstanceError it raises."""
+    try:
+        return decide(inst)
+    except DegenerateInstanceError as exc:
+        return exc.violators
+
+
+@settings(max_examples=100, deadline=None)
+@given(direct_instances(), st.data())
+def test_vertex_ids_do_not_depend_on_input_order(inst, data):
+    # An instance numbers its vertices in name order when it is built; the
+    # answers, and the key order of the reports, must not show through.
+    keep = data.draw(st.sets(st.sampled_from(inst.vertices)))
+    sch = data.draw(schemes(inst.vertices, RANK_PRIMES))
+    for x in (inst, inst.induced(keep), pickle.loads(pickle.dumps(inst))):
+        edges = [(kind, v, u) for kind, (v, u) in x.edges]
+        ordered = replace(
+            CdsInstance.from_edges(edges, bipartite=False), vertices=tuple(sorted(x.vertices))
+        )
+        assert decompose(x) == decompose(ordered)
+        feasible = outcome(half_rate_feasible, x)
+        if isinstance(feasible, tuple):  # degenerate: violators in x.vertices order
+            assert feasible == tuple(v for v in x.vertices if v in outcome(half_rate_feasible, ordered))
+        else:
+            assert feasible == half_rate_feasible(ordered)
+        report, alignment = verify_linear(x, sch), alignment_report(x, sch)
+        assert report == verify_linear(ordered, sch)
+        assert alignment == alignment_report(ordered, sch)
+        assert list(report.vertex_verdicts) == list(x.vertices)
+        assert list(report.edge_verdicts) == [e for _, e in x.edges]
+        assert list(alignment.noise_overlaps) == list(x.qualified)
+        assert list(alignment.signal_alignment) == list(x.unqualified)
+    twin = pickle.loads(pickle.dumps(inst))
+    assert (twin._order, twin._ends) == (inst._order, inst._ends)
+    for field_name in ("_order", "_ends"):
+        object.__setattr__(twin, field_name, array("q"))
+    assert twin == inst and hash(twin) == hash(inst) and repr(twin) == repr(inst)
+    assert "_order" not in repr(inst) and "_ends" not in repr(inst)
 
 
 @settings(max_examples=200, deadline=None)
@@ -777,8 +821,8 @@ def test_instance_text_parses_or_raises_format_error(text):
 def test_scheme_text_parses_or_raises_format_error(text):
     try:
         parse_scheme(text)
-    except SchemeFormatError:
-        pass
+    except SchemeFormatError as exc:
+        assert exc.line is not None
 
 
 # The command line on arbitrary files: format-like text, well-formed files,

@@ -334,6 +334,36 @@ class TestSchemeFiles:
         with pytest.raises(SchemeFormatError, match="missing matrix rows"):
             parse_scheme(text)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("secret 0\nnoise 0\n", "line 3: secret length must be at least 1"),
+            ("secret 1\nnoise -1\n", "line 4: noise length cannot be negative"),
+            ("secret 1\nnoise 1\nsignal A1 1\nF: 1 0 | H: 1\n", "line 6: expected 1 secret"),
+            ("secret 1\nnoise 1\nsignal A1 1\nF: 1 | H:\n", "line 6: expected 1 secret"),
+            ("secret 1\nnoise 1\nsignal A1 1\nF: 2 | H: 1\n", "line 6: residues"),
+        ],
+    )
+    def test_checks_precede_the_scheme(self, monkeypatch, body, message):
+        # LinearScheme checks the lengths and each block's field and shape;
+        # parse_scheme builds every block over its own field with one row
+        # per line, and checks the rest on the offending line before it
+        # builds the scheme, so no scheme is built from a bad file.
+        import cdskit.scheme
+
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            return LinearScheme(*args)
+
+        monkeypatch.setattr(cdskit.scheme, "LinearScheme", spy)
+        with pytest.raises(SchemeFormatError, match=message):
+            parse_scheme("cds-scheme v1\nfield 2\n" + body)
+        assert built == []
+        parse_scheme("cds-scheme v1\nfield 2\nsecret 1\nnoise 1\nsignal A1 0\n")
+        assert len(built) == 1
+
     def test_non_prime_field_rejected_with_line(self):
         text = "cds-scheme v1\n# GF(4) is not a prime field\nfield 4\nsecret 1\nnoise 0\n"
         with pytest.raises(SchemeFormatError, match="line 3: modulus 4 must be a prime"):

@@ -8,7 +8,9 @@ and import none of it.  A wrapper also sees only the calls made through
 the name it replaced, so the last check counts, under wrappers of its
 own, the calls one ``shannon_bound`` makes through the entropy_lp names
 the tracer wraps: a call routed around them would leave their spans at
-zero."""
+zero.  The graph-scale operations are counted the same way, so that their
+trace keeps its meaning from one version to the next, and so are the
+passes that each report or decision must make only once."""
 
 import ast
 import importlib
@@ -112,3 +114,87 @@ def test_shannon_bound_calls_each_wrapped_name_once(monkeypatch):
     inst = CdsInstance.from_edges([("q", "A1", "B1"), ("u", "A1", "B2")])
     entropy_lp.shannon_bound(inst)
     assert calls == dict.fromkeys(names, 1)
+
+
+def count_calls(monkeypatch, targets, name=lambda module, attr: attr) -> dict:
+    """Wrap each (module, attribute) so that its calls count under
+    ``name(module, attribute)``; the counts start at zero."""
+    calls = {}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module_name, attr in targets:
+        module = importlib.import_module(module_name)
+        key = name(module_name, attr)
+        calls[key] = 0
+        monkeypatch.setattr(module, attr, counted(key, getattr(module, attr)))
+    return calls
+
+
+def test_each_report_ranks_once_and_each_decision_decomposes_once(monkeypatch):
+    from cdskit import instance, scheme, synthesis
+
+    inst = synthesis.builtin_example1_instance()
+    sch = synthesis.synthesize_half_rate(inst)
+    calls = count_calls(
+        monkeypatch,
+        [("cdskit.scheme", "block_ranks"), ("cdskit.instance", "_decompose"), ("cdskit.synthesis", "_decompose")],
+    )
+    for run, once in (
+        (lambda: scheme.verify_linear(inst, sch), "block_ranks"),
+        (lambda: scheme.alignment_report(inst, sch), "block_ranks"),
+        (lambda: scheme.verify_and_align(inst, sch), "block_ranks"),
+        (lambda: instance.half_rate_feasible(inst), "_decompose"),
+        (lambda: synthesis.plan_synthesis(inst), "_decompose"),
+    ):
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        assert calls == {"block_ranks": 0, "_decompose": 0, once: 1}
+
+
+# The spans each graph-scale operation (perfbench/workloads.py) records,
+# with their calls, on example1 and, for the infeasible check, fig2.
+GRAPH_SCALE_SPANS = {
+    "parse": {"instance.parse": 1},
+    "check": {"instance.feasible": 1},
+    "check infeasible": {"instance.feasible": 1},
+    "synth": {"synthesis.synth": 1, "synthesis.plan": 1},
+    "reduce": {"synthesis.reduce": 1, "synthesis.plan": 1},
+    "verify": {"scheme.verify": 1},
+    "align": {"scheme.alignment": 1},
+    "format-parse": {"scheme.format": 1, "scheme.parse": 1},
+}
+
+
+def test_graph_scale_operations_keep_their_spans(monkeypatch):
+    from cdskit import instance, scheme, synthesis
+
+    wrapped = wrapped_names()
+    calls = count_calls(monkeypatch, wrapped, lambda module, attr: wrapped[module, attr])
+    text = instance.format_instance(synthesis.builtin_example1_instance())
+    inst = instance.parse_instance(text)
+    fig2 = synthesis.builtin_fig2_instance()
+    state = {}
+    ops = {
+        "parse": lambda: instance.parse_instance(text),
+        "check": lambda: instance.half_rate_feasible(inst),
+        "check infeasible": lambda: instance.half_rate_feasible(fig2),
+        "synth": lambda: state.setdefault("synth", synthesis.synthesize_half_rate(inst)),
+        "reduce": lambda: state.setdefault(
+            "reduced", synthesis.reduce_randomness(inst, state["synth"])
+        ),
+        "verify": lambda: scheme.verify_linear(inst, state["reduced"]),
+        "align": lambda: scheme.alignment_report(inst, state["reduced"]),
+        "format-parse": lambda: scheme.parse_scheme(scheme.format_scheme(state["reduced"])),
+    }
+    seen = {}
+    for op, run in ops.items():
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        seen[op] = {span: n for span, n in calls.items() if n}
+    assert seen == GRAPH_SCALE_SPANS
