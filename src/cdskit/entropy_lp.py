@@ -5,8 +5,8 @@ One LP variable per nonempty subset of the ground set {S} + vertices
 cone, and the instance's decodability/security equalities as the CDS
 constraints.  Maximizing H(S) with all signal entropies normalized to 1
 gives an upper bound of optimum/2 on the symmetric communication rate.
-Every row has int coefficients and right-hand side, and the LP is built
-as one integer matrix (:class:`~cdskit.simplex.IntRows`) by mask
+Every row has int coefficients and right-hand side, and the LP is held
+as one integer matrix (:class:`~cdskit.simplex.IntRows`), built by mask
 arithmetic; the Constraint tuples are derived from it only when read.
 
 Solving is exact end to end: a floating-point proposal is only accepted
@@ -16,23 +16,35 @@ standalone converse certificate before they are ever rendered.  On a
 seven, eight and nine variables are built, solved and certified in
 about 0.02, 0.065 and 0.45 s, all but 2-6 ms of it inside HiGHS;
 ``cds bound`` adds about 0.65 s of interpreter start and SciPy import.
-From ten on, the rounded duals can fail the exact check, and
-the rational tableau that takes over may then run for minutes.  The hard limit is twelve, and
-restricting to a vertex subset (which can only relax the bound) is the
-escape hatch for bigger graphs.
+Up to ground nine, every LP measured certifies through the proposal.
+At ground ten some do not, such as a nine-vertex qualified path with
+seven unqualified chords, and 13 of the 28 LPs that add one
+common-information variable to example1: their rounded duals fail the
+exact check, and the rational tableau that takes over may then run for
+minutes.  No ground-eleven LP has been certified.  The hard limit is
+twelve, and restricting to a vertex subset (which can only relax the
+bound) is the escape hatch for bigger graphs.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from typing import ClassVar
 
 import numpy as np
 
 from .instance import CdsInstance
-from .simplex import CODE, RELATION, IntRows, LpSolution, _parse, solve_lp
+from .simplex import (
+    CODE,
+    RELATION,
+    CertificateError,
+    IntRows,
+    LpSolution,
+    dual_bound,
+    solve_lp,
+)
 
 __all__ = [
     "Constraint",
@@ -57,10 +69,6 @@ GROUND_LIMIT = 12
 
 class GroundSetTooLargeError(ValueError):
     pass
-
-
-class CertificateError(AssertionError):
-    """The dual weights failed exact re-verification."""
 
 
 @dataclass(frozen=True)
@@ -89,35 +97,18 @@ class Constraint:
         return lhs == self.rhs
 
 
+@dataclass(frozen=True, eq=False)  # compared by value below; IntRows has no ==
 class EntropyLp:
-    """LP over the 2^n - 1 subset-entropy variables of a ground set.
-
-    The constraints may be given as Constraint tuples or as an
-    :class:`IntRows` matrix over the variables mask - 1.  ``rows`` and
-    ``constraints`` both read them, in the same order; whichever form was
-    not given is derived on first read.  Immutable, and equal to (and
-    hashed, and shown, like) the frozen triple (ground, constraints,
-    objective), whichever form the constraints came in.
+    """The LP max H(S) over the 2^n - 1 subset-entropy variables of a
+    ground set, under ``rows``, an :class:`IntRows` matrix over the
+    variables mask - 1.  ``constraints`` reads the same rows, in order,
+    as Constraint tuples.  Equal to (and hashed, and shown, like) the
+    triple (ground, constraints, objective).
     """
 
     ground: tuple[str, ...]
-    objective: tuple[tuple[int, int | Fraction], ...]
-
-    def __init__(self, ground, constraints, objective):
-        # object.__setattr__ past the frozen __setattr__; on the cached
-        # properties it fills the cache.
-        object.__setattr__(self, "ground", tuple(ground))
-        object.__setattr__(self, "objective", tuple(objective))
-        if isinstance(constraints, IntRows):
-            object.__setattr__(self, "rows", constraints)
-        else:
-            object.__setattr__(self, "constraints", tuple(constraints))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    rows: IntRows
+    objective: ClassVar[tuple[tuple[int, int], ...]] = ((1, 1),)  # H(S); S is bit 0
 
     def _key(self) -> tuple:
         return (self.ground, self.constraints, self.objective)
@@ -139,16 +130,6 @@ class EntropyLp:
     @cached_property
     def constraints(self) -> tuple[Constraint, ...]:
         return _constraints(self.rows)
-
-    @cached_property
-    def rows(self) -> IntRows:
-        return _parse(
-            self.n_vars,
-            (
-                ([(m - 1, c) for m, c in con.coeffs], con.relation, con.rhs)
-                for con in self.constraints
-            ),
-        )
 
     @property
     def n_vars(self) -> int:
@@ -296,9 +277,7 @@ def build_entropy_lp(inst: CdsInstance) -> EntropyLp:
     # First, so that too large a ground set gets its error with the remedy.
     cds = _cds_blocks(inst)
     cap = ([1], (1,), None, "<=", n)
-    rows = _int_rows(_elemental_blocks(n) + cds + [cap])
-    objective = ((1, 1),)  # maximize H(S); S is ground bit 0
-    return EntropyLp(ground, rows, objective)
+    return EntropyLp(ground, _int_rows(_elemental_blocks(n) + cds + [cap]))
 
 
 def simplex_solve(lp: EntropyLp) -> LpSolution:
@@ -361,8 +340,7 @@ def render_constraint(lp: EntropyLp, con: Constraint) -> str:
         mag = abs(c)
         coeff = "" if mag == 1 else f"{mag} "
         parts.append(f"{prefix}{coeff}{name}")
-    rel = {"<=": "<=", ">=": ">=", "=": "="}[con.relation]
-    return f"{' '.join(parts)} {rel} {con.rhs}"
+    return f"{' '.join(parts)} {con.relation} {con.rhs}"
 
 
 def lp_dump(lp: EntropyLp) -> str:
@@ -379,38 +357,19 @@ def lp_dump(lp: EntropyLp) -> str:
 def verify_certificate(sol: LpSolution, lp: EntropyLp) -> Fraction:
     """Exact converse-certificate check, independent of the solver path.
 
-    The weights must respect the constraint orientations, their combined
-    row must dominate the objective on every subset variable, and the
-    weighted right-hand sides must recombine to the claimed optimum.
-    Returns that optimum; raises CertificateError otherwise.
-
-    The check reads the LP's integer rows, in Python ints: each nonzero
-    weight over its row's scale, times the lcm E of those weights' and
-    the objective's denominators, combines the rows that carry one.
+    The weights must respect the constraint orientations and their
+    combined row must dominate the objective on every subset variable
+    (:func:`~cdskit.simplex.dual_bound`, in Python ints on the LP's
+    integer rows), and the weighted right-hand sides must recombine to
+    the claimed optimum.  Returns that optimum; raises CertificateError
+    otherwise.
     """
     if sol.status != "optimal" or sol.duals is None:
         raise CertificateError("certificate requires an optimal solution")
-    rows = lp.rows
-    if len(sol.duals) != rows.m:
+    if len(sol.duals) != lp.rows.m:
         raise CertificateError("dual vector does not match the constraint list")
-    carried = [i for i, y in enumerate(sol.duals) if y]
-    for i, code in zip(carried, rows.rel[carried].tolist()):
-        if code == CODE["<="] and sol.duals[i] < 0:
-            raise CertificateError("negative weight on a <= constraint")
-        if code == CODE[">="] and sol.duals[i] > 0:
-            raise CertificateError("positive weight on a >= constraint")
-    weights = [Fraction(sol.duals[i], s) for i, s in zip(carried, rows.scale[carried].tolist())]
-    objective = [(m - 1, Fraction(c)) for m, c in lp.objective]
-    e = lcm(*(w.denominator for w in weights), *(c.denominator for _, c in objective))
-    k = np.array([w.numerator * (e // w.denominator) for w in weights], dtype=object)
-    combo = np.zeros(lp.n_vars, dtype=object)  # E (y^T A - c)
-    for j, c in objective:
-        combo[j] -= c.numerator * (e // c.denominator)
-    idx, counts = rows.entries(np.array(carried, dtype=np.int64))
-    np.add.at(combo, rows.col[idx], rows.coef[idx].astype(object) * np.repeat(k, counts))
-    if (combo < 0).any():
-        raise CertificateError("weighted constraints do not dominate the objective")
-    total = Fraction(int((k * rows.rhs[carried].astype(object)).sum()), e)
+    objective = {m - 1: c for m, c in lp.objective}
+    total = dual_bound(lp.n_vars, objective, lp.rows, sol.duals)
     if total != sol.value:
         raise CertificateError(
             f"weighted right-hand sides give {total}, optimum is {sol.value}"

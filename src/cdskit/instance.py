@@ -115,9 +115,10 @@ class CdsInstance:
     def from_edges(cls, edges, bipartite: bool = True) -> "CdsInstance":
         """Build and validate an instance from (kind, v, u) triples."""
         seen: dict[tuple[str, str], str] = {}
+        names: set[str] = set()
         for kind, v, u in edges:
-            _add_edge(seen, kind, v, u, bipartite)
-        return _build(seen, bipartite)
+            _add_edge(seen, names, kind, v, u, bipartite)
+        return _build(seen, names, bipartite)
 
     @cached_property
     def edges(self) -> tuple[tuple[str, tuple[str, str]], ...]:
@@ -161,17 +162,21 @@ def _check_name(name: str, bipartite: bool, line: int | None) -> None:
 
 
 def _add_edge(
-    seen: dict, kind: str, v: str, u: str, bipartite: bool, line: int | None = None
+    seen: dict, names: set, kind: str, v: str, u: str, bipartite: bool, line: int | None = None
 ) -> None:
-    """Validate one edge against the edges in ``seen``, then record it.
+    """Validate one edge against the edges in ``seen``, then record it;
+    ``names`` holds the vertex names already validated, and takes in
+    each new one.
 
     The single validation routine for instances, whether built from
     triples or parsed from text; ``line`` tags the error when known.
     """
     if kind not in (QUALIFIED, UNQUALIFIED):
         raise InstanceFormatError(f"unknown edge kind {kind!r}", line)
-    _check_name(v, bipartite, line)
-    _check_name(u, bipartite, line)
+    for name in (v, u):
+        if name not in names:
+            _check_name(name, bipartite, line)
+            names.add(name)
     if v == u:
         raise InstanceFormatError(f"self-loop on {v}", line)
     if bipartite and v[0] == u[0]:
@@ -184,11 +189,10 @@ def _add_edge(
     seen[key] = kind
 
 
-def _build(seen: dict[tuple[str, str], str], bipartite: bool) -> CdsInstance:
+def _build(seen: dict[tuple[str, str], str], names: set, bipartite: bool) -> CdsInstance:
     qualified = tuple(sorted(k for k, kind in seen.items() if kind == QUALIFIED))
     unqualified = tuple(sorted(k for k, kind in seen.items() if kind == UNQUALIFIED))
-    names = sorted({x for pair in seen for x in pair})
-    return CdsInstance(tuple(names), qualified, unqualified, bipartite)
+    return CdsInstance(tuple(sorted(names)), qualified, unqualified, bipartite)
 
 
 @dataclass(frozen=True)
@@ -255,6 +259,7 @@ def parse_instance(text: str) -> CdsInstance:
     header_seen = False
     bipartite = True
     seen: dict[tuple[str, str], str] = {}
+    names: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -277,10 +282,10 @@ def parse_instance(text: str) -> CdsInstance:
         if len(tokens) != 3 or tokens[0] not in (QUALIFIED, UNQUALIFIED):
             raise InstanceFormatError("expected 'q <v> <u>' or 'u <v> <u>'", lineno)
         kind, v, u = tokens
-        _add_edge(seen, kind, v, u, bipartite, lineno)
+        _add_edge(seen, names, kind, v, u, bipartite, lineno)
     if not header_seen:
         raise InstanceFormatError("missing 'cds-instance v1' header", 1)
-    return _build(seen, bipartite)
+    return _build(seen, names, bipartite)
 
 
 def format_instance(inst: CdsInstance) -> str:

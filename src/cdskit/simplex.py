@@ -23,7 +23,8 @@ point and of the duals.
   if it is an optimal pair exactly: the point is nonnegative and
   satisfies every constraint, every dual has the sign its relation
   requires, the weighted rows dominate the objective on every column,
-  and the two objective values coincide.
+  and the two objective values coincide.  The dual half of these checks
+  is :func:`dual_bound`, which also re-verifies converse certificates.
 * Anything else -- a HiGHS status other than optimal, or a rounded pair
   that fails any check -- falls through to a sparse rational tableau
   with Dantzig pricing, a lexicographic ratio test, and Bland's rule
@@ -46,7 +47,7 @@ from math import lcm
 
 import numpy as np
 
-__all__ = ["IntRows", "LpSolution", "solve_lp"]
+__all__ = ["CertificateError", "IntRows", "LpSolution", "dual_bound", "solve_lp"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -64,6 +65,10 @@ _STALL_LIMIT = 60
 # entropy polytopes have small denominators; an optimum that needs a
 # larger one is left to the exact tableau.
 _DENOM_CAP = 1 << 12
+
+
+class CertificateError(AssertionError):
+    """The dual weights failed exact re-verification."""
 
 
 @dataclass(frozen=True)
@@ -495,47 +500,63 @@ def _certify(
     duals: list[Fraction],
 ) -> Fraction | None:
     """The common optimum if (primal, duals) is an optimal pair, exactly:
-    x >= 0, every row holds, every dual has its row's sign, y^T A >= c
-    on every column and y.b = c.x.  None if any check fails.
+    x >= 0, every row holds, the duals pass :func:`dual_bound` and
+    y.b = c.x.  None if any check fails.
 
-    The checks run in Python ints on the integer rows, as whole object
-    arrays: the point as D x, with D the lcm of its denominators, and
-    the dual w_i of each integer row (y_i over the row's scale) times E,
-    the lcm of these duals' and the objective's denominators.
+    The primal checks run in Python ints on the integer rows, as whole
+    object arrays, with the point as D x, D the lcm of its denominators.
     """
     d = lcm(*(x.denominator for x in primal))
     xs = [_times(x, d) for x in primal]
     if any(x < 0 for x in xs):
         return None
+    # Every row holds at D x: sign(lhs - D b) is one its relation allows.
+    terms = rows.coef.astype(object) * np.array(xs, dtype=object)[rows.col]
+    sums = np.zeros(len(terms) + 1, dtype=object)
+    np.cumsum(terms, out=sums[1:])
+    excess = sums[rows.ptr[1:]] - sums[rows.ptr[:-1]] - rows.rhs.astype(object) * d
+    if (excess * rows.rel < 0).any() or (excess[rows.rel == CODE[EQUAL]] != 0).any():
+        return None
+    try:
+        bound = dual_bound(n_vars, obj, rows, duals)
+    except CertificateError:
+        return None
+    value = Fraction(sum(c * xs[j] for j, c in obj.items()), d)  # c.x
+    return value if value == bound else None
+
+
+def dual_bound(
+    n_vars: int, obj: dict[int, int | Fraction], rows: IntRows, duals
+) -> Fraction:
+    """y.b, once the duals y are checked exactly to bound max c.x from
+    above: every dual has its row's sign, and y^T A >= c on every column.
+    CertificateError naming the first check that fails otherwise.
+
+    The checks run in Python ints on the integer rows, as whole object
+    arrays: the dual w_i of each integer row (y_i over the row's scale)
+    times E, the lcm of these duals' and the objective's denominators.
+    """
     carried = np.array([i for i, y in enumerate(duals) if y], dtype=np.int64)
     weights = [
-        duals[i] if s == 1 else duals[i] / s
+        duals[i] if s == 1 else Fraction(duals[i], s)
         for i, s in zip(carried.tolist(), rows.scale[carried].tolist())
     ]
     e = lcm(*(c.denominator for c in obj.values()), *(w.denominator for w in weights))
-    ks = [_times(w, e) for w in weights]
-    costs = {j: _times(c, e) for j, c in obj.items()}
-    coef, rhs = rows.coef.astype(object), rows.rhs.astype(object)
-    # Every row holds at D x: sign(lhs - D b) is one its relation allows.
-    terms = coef * np.array(xs, dtype=object)[rows.col]
-    sums = np.zeros(len(terms) + 1, dtype=object)
-    np.cumsum(terms, out=sums[1:])
-    excess = sums[rows.ptr[1:]] - sums[rows.ptr[:-1]] - rhs * d
-    if (excess * rows.rel < 0).any() or (excess[rows.rel == CODE[EQUAL]] != 0).any():
-        return None
-    k = np.array(ks, dtype=object)
-    if (k * rows.rel[carried] > 0).any():  # a <= row needs y >= 0, a >= row y <= 0
-        return None
+    k = np.array([_times(w, e) for w in weights], dtype=object)
+    rel = rows.rel[carried]
+    wrong = np.flatnonzero(k * rel > 0)  # a <= row needs y >= 0, a >= row y <= 0
+    if len(wrong):
+        if rel[wrong[0]] == CODE[LESS]:
+            raise CertificateError("negative weight on a <= constraint")
+        raise CertificateError("positive weight on a >= constraint")
     reduced = np.zeros(n_vars, dtype=object)  # E (y^T A - c)
-    for j, c in costs.items():
-        reduced[j] = -c
+    for j, c in obj.items():
+        reduced[j] = -_times(c, e)
     idx, counts = rows.entries(carried)
-    np.add.at(reduced, rows.col[idx], coef[idx] * np.repeat(k, counts))
+    np.add.at(reduced, rows.col[idx], rows.coef[idx].astype(object) * np.repeat(k, counts))
     if (reduced < 0).any():
-        return None
-    dual_value = int((k * rhs[carried]).sum())  # E y.b
-    value = sum(c * xs[j] for j, c in costs.items())  # E D c.x
-    return Fraction(value, e * d) if value == dual_value * d else None
+        raise CertificateError("weighted constraints do not dominate the objective")
+    return Fraction(int((k * rows.rhs[carried].astype(object)).sum()), e)
 
 
 def _magnitude(values: np.ndarray) -> int:
@@ -548,7 +569,7 @@ def _times(q: int | Fraction, m: int) -> int:
     return q.numerator * (m // q.denominator)
 
 
-def solve_lp(n_vars: int, objective, constraints, accelerate: bool = True) -> LpSolution:
+def solve_lp(n_vars: int, objective, constraints) -> LpSolution:
     """Maximize ``objective . x`` over x >= 0 under the constraints.
 
     Args:
@@ -558,9 +579,6 @@ def solve_lp(n_vars: int, objective, constraints, accelerate: bool = True) -> Lp
         constraints: triples (coeffs, relation, rhs) with coeffs in the
             same form and relation one of "<=", "=", ">="; or the same
             rows already gathered as an :class:`IntRows`.
-        accelerate: try the HiGHS proposal first; it is accepted only
-            after full exact verification.  False goes straight to the
-            rational tableau.
 
     Returns:
         LpSolution; primal and duals are present only when optimal, and
@@ -576,7 +594,7 @@ def solve_lp(n_vars: int, objective, constraints, accelerate: bool = True) -> Lp
             raise ValueError("constraint references an unknown variable")
     else:
         rows = _parse(n_vars, constraints)
-    if accelerate and n_vars:  # linprog rejects a problem with no variables
+    if n_vars:  # linprog rejects a problem with no variables
         sol = _propose(n_vars, obj, rows)
         if sol is not None:
             return sol

@@ -14,7 +14,6 @@ import pytest
 from cdskit.entropy_lp import (
     CertificateError,
     Constraint,
-    EntropyLp,
     GroundSetTooLargeError,
     build_entropy_lp,
     cds_constraints,
@@ -203,25 +202,20 @@ class TestIntegerRows:
         assert lp.rows.m == len(lp.constraints)
         assert lp.objective == ((1, 1),)
 
-    def test_rows_derive_from_given_constraints(self):
-        lp = build_entropy_lp(builtin_fig2_instance())
-        again = EntropyLp(lp.ground, lp.constraints, lp.objective)
-        for field in ("ptr", "col", "coef", "rel", "rhs", "scale"):
-            assert np.array_equal(getattr(again.rows, field), getattr(lp.rows, field)), field
-        assert simplex_solve(again) == simplex_solve(lp)
-
     def test_lp_is_a_frozen_value(self):
         """An EntropyLp compares, hashes and prints as its (ground,
-        constraints, objective), whichever form the rows came in."""
-        lp = build_entropy_lp(builtin_fig2_instance())
-        again = EntropyLp(lp.ground, lp.constraints, lp.objective)
+        constraints, objective)."""
+        fig2 = builtin_fig2_instance()
+        lp, again = build_entropy_lp(fig2), build_entropy_lp(fig2)
         assert again == lp and hash(again) == hash(lp)
         assert repr(lp) == (
             f"EntropyLp(ground={lp.ground!r}, constraints={lp.constraints!r}, "
             f"objective={lp.objective!r})"
         )
-        assert EntropyLp(lp.ground, lp.constraints[:-1], lp.objective) != lp
-        assert EntropyLp(lp.ground, lp.constraints, ((1, 2),)) != lp
+        # The same ground set without the last unqualified edge's row.
+        fewer = CdsInstance(fig2.vertices, fig2.qualified, fig2.unqualified[:-1])
+        assert build_entropy_lp(fewer).ground == lp.ground
+        assert build_entropy_lp(fewer) != lp
         assert shannon_bound(builtin_fig2_instance()) == shannon_bound(builtin_fig2_instance())
         with pytest.raises(dataclasses.FrozenInstanceError):
             lp.ground = ()
@@ -485,7 +479,7 @@ class TestRendering:
         assert "H(S,A1,B2) - H(S) - H(A1,B2) = 0" in dump
 
     def test_elemental_rendering(self):
-        cons = elemental_inequalities(3)
-        lp = EntropyLp(("S", "A1", "B1"), cons, ((1, F(1)),))
-        line = render_constraint(lp, cons[0])
+        lp = build_entropy_lp(CdsInstance.from_edges([("q", "A1", "B1")]))
+        assert lp.ground == ("S", "A1", "B1")
+        line = render_constraint(lp, elemental_inequalities(3)[0])
         assert line == "H(S,A1,B1) - H(A1,B1) >= 0"

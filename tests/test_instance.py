@@ -99,6 +99,25 @@ class TestParsing:
         assert built.value.line is None
         assert str(parsed.value) == f"line 5: {built.value}"
 
+    def test_each_name_is_checked_once(self, monkeypatch):
+        from cdskit import instance
+
+        checked, check = [], instance._check_name
+
+        def spy(name, bipartite, line):
+            checked.append(name)
+            check(name, bipartite, line)
+
+        monkeypatch.setattr(instance, "_check_name", spy)
+        edges = "q A1 B1\nu A1 B2\nq A2 B2\nu B1 A2\n"
+        assert parse_instance(f"cds-instance v1\n{edges}").vertices == ("A1", "A2", "B1", "B2")
+        assert checked == ["A1", "B1", "B2", "A2"]
+        checked.clear()
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(f"cds-instance v1\n{edges}q C1 B1\nq A3 C1\n")
+        assert str(err.value).startswith("line 6: vertex 'C1' has no side label")
+        assert checked == ["A1", "B1", "B2", "A2", "C1"]
+
     def test_duplicate_edge_rejected(self):
         with pytest.raises(InstanceFormatError, match="duplicate"):
             parse_instance("cds-instance v1\nq A1 B1\nu B1 A1\n")

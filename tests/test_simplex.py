@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cdskit import simplex
-from cdskit.simplex import LpSolution, solve_lp
+from cdskit.simplex import CertificateError, LpSolution, solve_lp
 
 F = Fraction
 
@@ -162,26 +162,36 @@ class TestDegenerate:
         assert sol.status == "optimal" and sol.value == 1
 
 
-class TestPureExactEngine:
-    """The rational tableau must agree with the accelerated path."""
+def decline(n_vars, obj, rows):
+    """A HiGHS proposal that is always turned down."""
+    return None
 
-    def test_beale_without_acceleration(self):
+
+class TestPureExactEngine:
+    """The rational tableau must agree with the accelerated path.  The
+    tests reach it by having the HiGHS proposal turned down."""
+
+    @pytest.fixture
+    def no_proposal(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_propose", decline)
+
+    def test_beale_without_acceleration(self, no_proposal):
         objective = [(0, F(3, 4)), (1, F(-150)), (2, F(1, 50)), (3, F(-6))]
         cons = [
             ([(0, F(1, 4)), (1, F(-60)), (2, F(-1, 25)), (3, F(9))], "<=", F(0)),
             ([(0, F(1, 2)), (1, F(-90)), (2, F(-1, 50)), (3, F(3))], "<=", F(0)),
             ([(2, F(1))], "<=", F(1)),
         ]
-        sol = solve_lp(4, objective, cons, accelerate=False)
+        sol = solve_lp(4, objective, cons)
         assert sol.status == "optimal" and sol.value == F(1, 20)
 
-    def test_statuses_without_acceleration(self):
+    def test_statuses_without_acceleration(self, no_proposal):
         infeasible = [([(0, F(1))], ">=", F(2)), ([(0, F(1))], "<=", F(1))]
-        assert solve_lp(1, [(0, F(1))], infeasible, accelerate=False).status == "infeasible"
+        assert solve_lp(1, [(0, F(1))], infeasible).status == "infeasible"
         unbounded = [([(0, F(1))], ">=", F(1))]
-        assert solve_lp(1, [(0, F(1))], unbounded, accelerate=False).status == "unbounded"
+        assert solve_lp(1, [(0, F(1))], unbounded).status == "unbounded"
 
-    def test_wrong_tableau_primal_is_rejected(self, monkeypatch):
+    def test_wrong_tableau_primal_is_rejected(self, monkeypatch, no_proposal):
         exact = simplex._solve_exact
 
         def shifted(can, obj):
@@ -191,9 +201,9 @@ class TestPureExactEngine:
 
         monkeypatch.setattr(simplex, "_solve_exact", shifted)
         with pytest.raises(AssertionError):
-            solve_lp(1, [(0, F(1))], [([(0, F(1))], "<=", F(1))], accelerate=False)
+            solve_lp(1, [(0, F(1))], [([(0, F(1))], "<=", F(1))])
 
-    def test_matches_accelerated_values_on_random_lps(self):
+    def test_matches_accelerated_values_on_random_lps(self, monkeypatch):
         rng = random.Random(1618)
         done = 0
         while done < 25:
@@ -210,7 +220,9 @@ class TestPureExactEngine:
             for j in range(n):
                 cons.append(([(j, F(1))], "<=", F(8)))
             fast = solve_lp(n, objective, cons)
-            slow = solve_lp(n, objective, cons, accelerate=False)
+            with monkeypatch.context() as patch:
+                patch.setattr(simplex, "_propose", decline)
+                slow = solve_lp(n, objective, cons)
             assert fast.status == slow.status
             if fast.status == "optimal":
                 assert fast.value == slow.value
@@ -296,6 +308,19 @@ class TestRandomized:
             done += 1
 
 
+def reference_dual_bound(n, objective, constraints, duals):
+    """Fraction reference for ``dual_bound``: y.b if every dual has its
+    row's sign and the weighted rows dominate the objective, else None."""
+    for (_, rel, _), y in zip(constraints, duals):
+        if (rel == "<=" and y < 0) or (rel == ">=" and y > 0):
+            return None
+    combo, total = recombine(constraints, duals)
+    obj = dict(objective)
+    if any(combo.get(j, F(0)) < obj.get(j, F(0)) for j in range(n)):
+        return None
+    return total
+
+
 def reference_certify(n, objective, constraints, primal, duals):
     """Fraction reference for ``_certify``: c.x if (primal, duals) is an
     exactly optimal pair, None otherwise."""
@@ -306,11 +331,7 @@ def reference_certify(n, objective, constraints, primal, duals):
         if not {"<=": operator.le, ">=": operator.ge, "=": operator.eq}[rel](lhs, rhs):
             return None
     value = sum(F(c) * primal[j] for j, c in objective)
-    try:
-        assert_certificate(n, objective, constraints, LpSolution("optimal", value, primal, duals))
-    except AssertionError:
-        return None
-    return value
+    return value if reference_dual_bound(n, objective, constraints, duals) == value else None
 
 
 class TestCertify:
@@ -439,5 +460,10 @@ class TestCertify:
             obj, rows = simplex._sparse(objective), simplex._parse(n, cons)
             got = simplex._certify(n, obj, rows, primal, duals)
             assert got == reference_certify(n, objective, cons, tuple(primal), tuple(duals))
+            try:
+                bound = simplex.dual_bound(n, obj, rows, duals)
+            except CertificateError:
+                bound = None
+            assert bound == reference_dual_bound(n, objective, cons, duals)
             verdicts[got is not None] += 1
         assert min(verdicts.values()) >= 40, verdicts

@@ -198,3 +198,40 @@ def test_graph_scale_operations_keep_their_spans(monkeypatch):
         run()
         seen[op] = {span: n for span, n in calls.items() if n}
     assert seen == GRAPH_SCALE_SPANS
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cdskit"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads, listed as
+    ``file:line name``.  A name written out in ``__all__`` is read, and
+    an import on a line marked ``# noqa: F401`` is exempt."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.List) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if "# noqa: F401" in lines[node.end_lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 9
+    assert [name for path in modules for name in unused_imports(path)] == []
