@@ -13,13 +13,27 @@ built from one, reads the ranks of signal blocks
 (:func:`cdskit.scheme.block_ranks`) and enumerates nothing; only a table
 of arbitrary signal functions is audited through counts.
 
-Both facts are counted in time linear in the table, with no sort.  The
-pair's joint value on each row is a label below the table's size
-(:func:`_labels`).  The rows are secret-major and the secret is uniform,
-so a row's secret is its block of p^L_Z rows.  Correctness scatters each row's secret to its
-label and gathers it back: a fiber holding two secrets loses one of them.
-Security counts each label per secret block with ``np.bincount`` and
-requires count(s, w) * p^L = count(w) on every row, in exact integers.
+Both facts are counted in time linear in the pair's grid, with no sort.
+A variable reads the noise digits its codes depend on: S reads none, Z
+reads all of them, a signal of a linear table reads the nonzero columns
+of its H_v, and a signal of arbitrary functions reads every digit.  The
+grid is the table restricted to the secret and the digits the pair reads,
+with every other digit at 0 (:func:`_grid`).  The unread digits are
+uniform and independent of the secret and of the pair, so every fiber
+of the full table is a fiber of the grid times each of their values:
+count(s, w) and count(w) on the table are those on the grid times the
+same power of p, and both facts hold on one iff they hold on the other.
+In the rate-1/2 construction each signal is the secret plus its own
+qualified component's noise, so a pair of signals reads the noise of
+one or two components however many there are.
+
+The pair's joint value on each grid row is a label below the table's
+size (:func:`_labels`).  The grid rows are secret-major and the secret
+is uniform, so a row's secret is its block.  Correctness scatters each
+row's secret to its label and gathers it back: a fiber holding two
+secrets loses one of them.  Security counts each label per secret block
+with ``np.bincount`` and requires count(s, w) * p^L = count(w) on every
+row, in exact integers.
 
 Every array of the table, and every residue, code and label derived from
 it, is held in the narrowest unsigned type that holds its largest
@@ -32,7 +46,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -278,17 +292,61 @@ def tabulate(sch: LinearScheme, budget: int = DEFAULT_BUDGET) -> SchemeTable:
     return SchemeTable(p, sch.secret_len, sch.noise_len, lens, values, scheme=sch)
 
 
+def _reads(table: SchemeTable, name: str) -> np.ndarray:
+    """The noise digits a variable's codes depend on, as a boolean mask:
+    none for S, all for Z and for a signal of arbitrary functions, and
+    the nonzero columns of H_v for a signal of a linear table."""
+    if name == "S":
+        return np.zeros(table.noise_len, dtype=bool)
+    if name == "Z" or table.scheme is None:
+        return np.ones(table.noise_len, dtype=bool)
+    return table.scheme.matrices[name][1].data.any(axis=0)
+
+
+def _grid(table: SchemeTable, names) -> tuple[list[tuple[np.ndarray, int]], int]:
+    """([(codes, alphabet size)] of the selected variables, rows) on the
+    grid of the secret and the noise digits they read, secret-major like
+    the table.  When they read every digit the grid is the table and the
+    codes are its own arrays.
+
+    Otherwise each code array is viewed with one axis for the secret and
+    one per run of read or unread digits, and the rows at 0 on the unread
+    runs are copied out: p^(L + read digits) of them.  The selected codes
+    are constant along every unread digit, so no value is lost.
+    """
+    read = np.zeros(table.noise_len, dtype=bool)
+    for name in names:
+        read |= _reads(table, name)
+    if read.all():
+        return [table.column(name) for name in names], table.size
+    p, secrets = table.p, table.p**table.secret_len
+    runs = [(r, len(list(run))) for r, run in groupby(read.tolist())]
+    shape = [secrets] + [p**n for _, n in runs]
+    at = (slice(None),) + tuple(slice(None) if r else 0 for r, _ in runs)
+    rows = secrets * p ** int(read.sum())
+    cols = []
+    for name in names:
+        if name == "S":
+            codes = np.arange(secrets, dtype=np.min_scalar_type(secrets - 1))
+            cols.append((np.repeat(codes, rows // secrets), secrets))
+        else:
+            codes = table.values[name].reshape(shape)[at].reshape(rows)
+            cols.append((codes, p ** table.signal_lens[name]))
+    return cols, rows
+
+
 def _labels(table: SchemeTable, names) -> tuple[np.ndarray, int]:
     """(codes, width): the selected variables' joint value on every row
-    as a label in [0, width), where width <= table.size, in the narrowest
-    unsigned type that holds width - 1.  The codes are a new array.
+    of their grid (:func:`_grid`) as a label in [0, width), where width
+    <= table.size, in the narrowest unsigned type that holds width - 1.
+    The codes are a new array.
 
     The code columns are combined in mixed radix when the product of
     their alphabet sizes is at most the table's size.  Otherwise (wide
     signals, or a joint alphabet larger than the table) the rows' joint
     values are numbered by identity, which sorts.
     """
-    cols = [table.column(name) for name in names]
+    cols, rows = _grid(table, names)
     width = math.prod(size for _, size in cols)
     if width > table.size:
         codes = [col for col, _ in cols]
@@ -299,7 +357,7 @@ def _labels(table: SchemeTable, names) -> tuple[np.ndarray, int]:
     # below width and so fits the label type.
     cols = [(col, size) for col, size in cols if size > 1]
     if not cols:
-        return np.zeros(table.size, dtype=label), width
+        return np.zeros(rows, dtype=label), width
     # Cast before multiplying: the product wraps in a narrower type.
     codes = cols[0][0].astype(label)
     for col, size in cols[1:]:
@@ -312,9 +370,11 @@ def check_correct(table: SchemeTable, v: str, u: str) -> bool:
     """Decodability, combinatorially: the secret is constant on every
     fiber of the pair (v, u).
 
-    Each row's secret (its block index) is scattered to the row's pair
-    label and gathered back; a fiber holding two secrets keeps only one,
-    so some row of it reads back another secret.
+    Counted on the pair's grid: each fiber of the table is a fiber of
+    the grid times every value of the unread noise digits, so it holds
+    the same secrets.  Each row's secret (its block index) is scattered
+    to the row's pair label and gathered back; a fiber holding two
+    secrets keeps only one, so some row of it reads back another secret.
     """
     pair, width = _labels(table, [v, u])
     secrets = table.p**table.secret_len
@@ -333,16 +393,19 @@ def check_secure(table: SchemeTable, v: str, u: str) -> bool:
 
     With S uniform over p^L secret-major blocks, P(s, w) = P(s) P(w)
     holds iff count(s, w) * p^L = count(w) for every secret s and every
-    value w, where count(w) sums count(s, w) over the secrets.
+    value w, where count(w) sums count(s, w) over the secrets.  Counted
+    on the pair's grid: both counts on the table are those on the grid
+    times the same power of p, so the identity holds on one iff it holds
+    on the other.
     """
     pair, width = _labels(table, [v, u])
     secrets = table.p**table.secret_len
-    if secrets * width > table.size:
+    if secrets * width > pair.size:
         # Number the values that occur.  A secure pair shows each of them
-        # in every block, so it cannot take more than p^L_Z of them.
+        # in every block, so it cannot take more than a block's rows.
         present = np.bincount(pair, minlength=width) > 0
         width = int(present.sum())
-        if secrets * width > table.size:
+        if secrets * width > pair.size:
             return False
         pair = (np.cumsum(present) - 1)[pair]
     joint_type = np.min_scalar_type(secrets * width - 1)
@@ -378,7 +441,11 @@ def joint_entropy(table: SchemeTable, subset) -> float:
     """Shannon entropy, base p, of the selected variables.
 
     For linear tables the combinatorial value must equal the precoding
-    rank exactly and the integer is returned; otherwise a float.
+    rank exactly and the integer is returned; otherwise a float.  The
+    values are counted on the variables' grid: a linear table's counts
+    there are uniform with count * p^rank = the grid's rows iff they are
+    on the table.  The float is computed from the table's counts, the
+    grid's times p^(unread digits), so it is the table's value exactly.
     """
     names = sorted(set(subset))
     if not names:
@@ -389,14 +456,15 @@ def joint_entropy(table: SchemeTable, subset) -> float:
     codes, _ = _labels(table, names)
     counts = np.bincount(codes)
     counts = counts[counts > 0]
-    total = table.size
     if table.scheme is not None:
         r = joint_rank(table, names)
-        if counts.min() != counts.max() or int(counts[0]) * table.p**r != total:
+        if counts.min() != counts.max() or int(counts[0]) * table.p**r != codes.size:
             raise AssertionError(
                 f"linear table entropy of {names} does not match rank {r}"
             )
         return float(r)
+    total = table.size
+    counts = counts * (total // codes.size)
     log_p = math.log(table.p)
     return float(
         math.log(total) / log_p

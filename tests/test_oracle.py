@@ -14,6 +14,7 @@ from cdskit.oracle import (
     BudgetError,
     SchemeTable,
     _add_mod,
+    _labels,
     check_correct,
     check_secure,
     joint_entropy,
@@ -265,19 +266,32 @@ class TestOracleEquivalence:
         assert joint_entropy(table, ["a"]) == 3
 
 
+def half_rate_scheme(components: int) -> LinearScheme:
+    """The rate-1/2 construction over GF(3) components: vertex w{m}_{i}
+    of component m sends s + i*z_m, a one-symbol code of alphabet 3."""
+    noise = np.eye(components, dtype=np.int64)
+    matrices = {
+        f"w{m}_{i}": (GfMatrix.from_rows(3, [[1]]), GfMatrix(3, i * noise[m : m + 1]))
+        for m in range(components)
+        for i in (1, 2)
+    }
+    return LinearScheme(3, 1, components, matrices)
+
+
+def half_rate_functions(components: int) -> dict:
+    """:func:`half_rate_scheme` as Python signal functions."""
+    return {
+        f"w{m}_{i}": lambda s, z, m=m, i=i: ((s[0] + i * z[m]) % 3,)
+        for m in range(components)
+        for i in (1, 2)
+    }
+
+
 class TestMemory:
     def test_half_rate_table_takes_one_byte_per_realization(self):
-        # The rate-1/2 construction over 11 GF(3) components: vertex i of
-        # component m sends s + i*z_m, a one-symbol code of alphabet 3.
-        # 22 vertices over 3^12 realizations were 89 MiB of int64 codes.
-        components = 11
-        noise = np.eye(components, dtype=np.int64)
-        matrices = {
-            f"w{m}_{i}": (GfMatrix.from_rows(3, [[1]]), GfMatrix(3, i * noise[m : m + 1]))
-            for m in range(components)
-            for i in (1, 2)
-        }
-        sch = LinearScheme(3, 1, components, matrices)
+        # 11 components: 22 vertices over 3^12 realizations were 89 MiB
+        # of int64 codes.
+        sch = half_rate_scheme(11)
         tracemalloc.start()
         try:
             table = tabulate(sch)
@@ -285,10 +299,47 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        one_byte_each = len(matrices) * table.size
+        one_byte_each = len(sch.matrices) * table.size
         assert table.size == 3**12
         assert sum(codes.nbytes for codes in table.values.values()) <= one_byte_each
         assert peak <= 2 * one_byte_each
+
+
+class TestPairGrid:
+    """A pair of signals is counted on the secret and the noise digits it
+    reads, not on the whole table."""
+
+    def test_pairs_of_a_3_to_the_12_table_count_27_and_9_rows(self):
+        table = tabulate(half_rate_scheme(11))
+        cross, inner = ("w0_1", "w1_2"), ("w3_1", "w3_2")
+        assert _labels(table, cross)[0].size == 3**3
+        assert _labels(table, inner)[0].size == 3**2
+        tracemalloc.start()
+        try:
+            correct, secure = check_correct(table, *cross), check_secure(table, *cross)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not correct and secure
+        # One byte per realization of one signal is 519 KiB; a 27-row
+        # grid takes a few hundred bytes plus NumPy's fixed overhead.
+        assert peak < 8 * 1024 < table.size
+        assert check_correct(table, *inner) and not check_secure(table, *inner)
+
+    def test_function_table_matches_the_linear_grids(self):
+        # Every signal of a table of functions reads every digit, so its
+        # checks count the whole table; the linear table's count grids.
+        components = 3
+        linear = tabulate(half_rate_scheme(components))
+        table = SchemeTable.from_functions(3, 1, components, half_rate_functions(components))
+        assert table.scheme is None and table.values.keys() == linear.values.keys()
+        for v, u in itertools.combinations(table.vertices, 2):
+            same = v.split("_")[0] == u.split("_")[0]
+            assert check_correct(table, v, u) == check_correct(linear, v, u) == same
+            assert check_secure(table, v, u) == check_secure(linear, v, u) == (not same)
+            for names in ([v, u], ["S", v], ["S", v, u]):
+                want = joint_entropy(linear, names)
+                assert joint_entropy(table, names) == pytest.approx(want, abs=1e-12)
 
 
 # Example 1's rate-1/2 scheme over GF(5), as synthesized: vertex v sends

@@ -44,6 +44,7 @@ from cdskit.oracle import (
     _all_vectors,
     _labels,
     _number_rows,
+    _reads,
     check_correct,
     check_secure,
     joint_entropy,
@@ -522,7 +523,9 @@ def oracle_schemes(draw) -> LinearScheme:
     wide, repeats its rows past 62 bits, so that it is numbered by
     identity and its pairs are labelled by sorting.  GF(2) signals of 8
     and 9 rows have alphabets of 256 and 512, on either side of the
-    uint8/uint16 boundary of the codes."""
+    uint8/uint16 boundary of the codes.  Each vertex reads no noise digit
+    of a drawn set, so that a pair's reads can leave gaps and the oracle
+    counts on grids smaller than the table."""
     p = draw(st.sampled_from(ORACLE_PRIMES))
     secret_len, noise_len = draw(st.integers(1, 3)), draw(st.integers(0, 4))
     assume(p ** (secret_len + noise_len) <= 1 << 12)
@@ -537,6 +540,8 @@ def oracle_schemes(draw) -> LinearScheme:
         if v == "w" and draw(st.booleans()):
             wide = int(62 / math.log2(p)) + 1
             m = np.resize(m, (wide, cols)) if rows else np.zeros((wide, cols), np.int64)
+        unread = draw(st.sets(st.integers(0, noise_len - 1))) if noise_len else set()
+        m[:, [secret_len + j for j in sorted(unread)]] = 0
         f, h = GfMatrix(p, m[:, :secret_len]), GfMatrix(p, m[:, secret_len:])
         matrices[v] = (f, h)
     return LinearScheme(p, secret_len, noise_len, matrices)
@@ -595,6 +600,22 @@ def test_linear_oracle_matches_sort_based_reference(sch):
         assert table.values[v].dtype == code_type(sch.p, table.signal_lens[v], table.size)
         assert table.values[v].tolist() == codes.tolist()
     check_oracle_against_references(table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_schemes())
+def test_codes_vary_along_exactly_the_read_digits(sch):
+    """A vertex's codes are constant along every noise digit it does not
+    read, and change at every row along every digit it reads."""
+    table = tabulate(sch)
+    shape = (sch.p**sch.secret_len,) + (sch.p,) * sch.noise_len
+    for v in sch.vertices:
+        codes = table.values[v].reshape(shape)
+        for digit, read in enumerate(_reads(table, v), start=1):
+            if read:
+                assert (codes != np.roll(codes, 1, axis=digit)).all()
+            else:
+                assert (codes == codes.take([0], axis=digit)).all()
 
 
 @settings(max_examples=100, deadline=None)
