@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, groupby
+from itertools import combinations
 
 import numpy as np
 
@@ -306,32 +306,25 @@ def _reads(table: SchemeTable, name: str) -> np.ndarray:
 def _grid(table: SchemeTable, names) -> tuple[list[tuple[np.ndarray, int]], int]:
     """([(codes, alphabet size)] of the selected variables, rows) on the
     grid of the secret and the noise digits they read, secret-major like
-    the table.  When they read every digit the grid is the table and the
-    codes are its own arrays.
+    the table.
 
-    Otherwise each code array is viewed with one axis for the secret and
-    one per run of read or unread digits, and the rows at 0 on the unread
-    runs are copied out: p^(L + read digits) of them.  The selected codes
-    are constant along every unread digit, so no value is lost.
+    Each code array is viewed with one axis for the secret and one per
+    noise digit, and the rows at 0 on every unread digit are taken:
+    p^(L + read digits) of them.  The selected codes are constant along
+    every unread digit, so no value is lost.  When they read every digit
+    the grid is the table and the codes are views of its own arrays.
     """
     read = np.zeros(table.noise_len, dtype=bool)
     for name in names:
         read |= _reads(table, name)
-    if read.all():
-        return [table.column(name) for name in names], table.size
-    p, secrets = table.p, table.p**table.secret_len
-    runs = [(r, len(list(run))) for r, run in groupby(read.tolist())]
-    shape = [secrets] + [p**n for _, n in runs]
-    at = (slice(None),) + tuple(slice(None) if r else 0 for r, _ in runs)
-    rows = secrets * p ** int(read.sum())
+    secrets = table.p**table.secret_len
+    shape = (secrets,) + (table.p,) * table.noise_len
+    at = (slice(None),) + tuple(slice(None) if r else 0 for r in read.tolist())
+    rows = secrets * table.p ** int(read.sum())
     cols = []
     for name in names:
-        if name == "S":
-            codes = np.arange(secrets, dtype=np.min_scalar_type(secrets - 1))
-            cols.append((np.repeat(codes, rows // secrets), secrets))
-        else:
-            codes = table.values[name].reshape(shape)[at].reshape(rows)
-            cols.append((codes, p ** table.signal_lens[name]))
+        col, size = table.column(name)
+        cols.append((col.reshape(shape)[at].reshape(rows), size))
     return cols, rows
 
 
