@@ -361,7 +361,7 @@ def _cmd_bound(args) -> _Report:
 
     inst = _load_instance(args.instance)
     restricted = None
-    if args.vertices:
+    if args.vertices is not None:
         names = list(dict.fromkeys(v.strip() for v in args.vertices.split(",") if v.strip()))
         unknown = [v for v in names if v not in inst.vertices]
         if unknown:

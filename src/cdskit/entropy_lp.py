@@ -179,7 +179,6 @@ def _int_rows(blocks: list[_Block]) -> IntRows:
         np.concatenate(coefs),
         np.concatenate(rels),
         np.concatenate(rhs),
-        np.ones(len(count), dtype=np.int64),
     )
 
 
@@ -188,12 +187,8 @@ def _constraints(rows: IntRows) -> tuple[Constraint, ...]:
     ptr = rows.ptr.tolist()
     masks, coefs = (rows.col + 1).tolist(), rows.coef.tolist()
     out = []
-    for i, (code, b, s) in enumerate(
-        zip(rows.rel.tolist(), rows.rhs.tolist(), rows.scale.tolist())
-    ):
+    for i, (code, b) in enumerate(zip(rows.rel.tolist(), rows.rhs.tolist())):
         terms = zip(masks[ptr[i] : ptr[i + 1]], coefs[ptr[i] : ptr[i + 1]])
-        if s != 1:
-            terms, b = ((m, Fraction(c, s)) for m, c in terms), Fraction(b, s)
         out.append(Constraint(tuple(terms), RELATION[code], b))
     return tuple(out)
 

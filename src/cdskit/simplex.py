@@ -3,22 +3,23 @@
 Solves  maximize c.x  subject to mixed <=, =, >= constraints and x >= 0.
 Every feasibility and optimality decision is exact; floating point only
 proposes.  The constraints are held as one integer sparse matrix in CSR
-form (:class:`IntRows`): each given row times the positive lcm of its
-denominators (1 for a row with integer coefficients and right-hand side,
-such as every entropy-LP row), with relation codes and right-hand sides
-alongside.  ``solve_lp`` takes that matrix as built by its caller, or
-builds it from constraint triples; no step after that turns it back
-into per-row Python objects except the rational tableau.  The exact
-checks run on it as whole-array integer arithmetic in NumPy object
-arrays of Python ints, after clearing the denominators of the primal
-point and of the duals.
+form (:class:`IntRows`), with relation codes and right-hand sides
+alongside, and every engine and check below reads that one matrix.
+``solve_lp`` takes it as built by its caller (every entropy-LP row has
+integer coefficients and right-hand side), or builds it from constraint
+triples: a rational triple is multiplied by the positive lcm of its
+denominators, its scale.  Scales live only at that boundary: the duals
+of the integer rows are multiplied back by them once, on the way out,
+so that the duals ``solve_lp`` returns are those of the given rows.
+The exact checks run on the matrix as whole-array integer arithmetic in
+NumPy object arrays of Python ints, after clearing the denominators of
+the primal point and of the duals.
 
 * HiGHS dual simplex (through SciPy) solves the LP in float64 and
-  proposes a primal point and row duals.  Its input is unchanged by the
-  integer rows, byte for byte: the inequality and equality blocks are
-  cut out of the matrix, and an entry a/s goes in as the quotient of
-  the two ints, correctly rounded like ``float()`` of the Fraction.
-  Each value HiGHS returns is rounded to the nearest rational whose
+  proposes a primal point and row duals.  It is given the inequality
+  and equality blocks cut out of the matrix, each integer cast to
+  float64, which rounds it correctly (int64 or Python int alike).  Each
+  value HiGHS returns is rounded to the nearest rational whose
   denominator is at most ``_DENOM_CAP``, and the pair is accepted only
   if it is an optimal pair exactly: the point is nonnegative and
   satisfies every constraint, every dual has the sign its relation
@@ -27,16 +28,12 @@ point and of the duals.
   is :func:`dual_bound`, which also re-verifies converse certificates.
 * Anything else -- a HiGHS status other than optimal, or a rounded pair
   that fails any check -- falls through to a sparse rational tableau
-  with Dantzig pricing, a lexicographic ratio test, and Bland's rule
-  after degenerate stalls, which terminates from any start.  That
-  tableau is the sole authority on infeasible and unbounded LPs and on
-  optima the rounding cannot reach, so floats never decide anything.
-  Its optimal answers pass the same exact checks before they are returned.
-
-Constraints are canonicalized for the tableau, as Fraction rows built
-only when it runs, so that rows with a right-hand side of the correct
-sign start out slack-basic; artificials (and hence phase 1) only appear
-for rows that genuinely exclude the origin.
+  (:class:`_Tableau`, built straight from the matrix) with Dantzig
+  pricing, a lexicographic ratio test, and Bland's rule after degenerate
+  stalls, which terminates from any start.  That tableau is the sole
+  authority on infeasible and unbounded LPs and on optima the rounding
+  cannot reach, so floats never decide anything.  Its optimal answers
+  pass the same exact checks before they are returned.
 """
 
 from __future__ import annotations
@@ -75,9 +72,11 @@ class CertificateError(AssertionError):
 class LpSolution:
     """Outcome of a solve.
 
-    ``duals`` are oriented with the original constraints: nonnegative for
-    <=, nonpositive for >=, unrestricted for equalities.  For a maximum,
-    sum(duals[i] * rhs[i]) equals ``value``.
+    ``duals`` are those of the rows as ``solve_lp`` was given them (for
+    triples, of the given rational rows, not of their integer multiples),
+    oriented with the constraints: nonnegative for <=, nonpositive for
+    >=, unrestricted for equalities.  For a maximum, sum(duals[i] *
+    rhs[i]) equals ``value``.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -91,10 +90,9 @@ class IntRows:
     """Constraints as one integer sparse matrix, in CSR form.
 
     Row i is ``sum(coef[k] * x[col[k]] for k in range(ptr[i], ptr[i+1]))
-    rel[i] rhs[i]``: the given constraint times the positive ``scale[i]``
-    that cleared its denominators.  ``ptr`` and ``col`` are int64 and
-    ``rel`` int8 (the codes of ``CODE``: -1 for <=, 0 for =, 1 for >=);
-    ``coef``, ``rhs`` and ``scale`` are int64, or object arrays of Python
+    rel[i] rhs[i]``, in integers throughout.  ``ptr`` and ``col`` are
+    int64 and ``rel`` int8 (the codes of ``CODE``: -1 for <=, 0 for =,
+    1 for >=); ``coef`` and ``rhs`` are int64, or object arrays of Python
     ints where a value does not fit.
     """
 
@@ -103,7 +101,6 @@ class IntRows:
     coef: np.ndarray
     rel: np.ndarray
     rhs: np.ndarray
-    scale: np.ndarray
 
     @property
     def m(self) -> int:
@@ -126,27 +123,10 @@ def _int_array(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-@dataclass
-class _Canonical:
-    """<=-rows with rhs >= 0 (slack-basic) and >=-rows with rhs > 0."""
-
-    n_vars: int
-    rows: list[dict[int, Fraction]]
-    rhs: list[Fraction]
-    rel: list[str]
-    parts: list[list[tuple[int, int]]]  # original i -> [(canonical row, sign)]
-    slack_col: list[int]
-    art_col: list[int | None]
-    ncols: int
-    artificial: set[int]
-
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
-
-def _parse(n_vars: int, constraints) -> IntRows:
-    """Validate the constraint triples and gather them into integer rows."""
+def _parse(n_vars: int, constraints) -> tuple[IntRows, list[int]]:
+    """Validate the constraint triples and gather them into integer rows:
+    each triple times its scale, the positive lcm of its denominators.
+    Returns the rows and the scales."""
     ptr, cols, coefs, rels, rhs, scales = [0], [], [], [], [], []
     for coeffs, r, b in constraints:
         if r not in CODE:
@@ -166,59 +146,14 @@ def _parse(n_vars: int, constraints) -> IntRows:
         rels.append(CODE[r])
         rhs.append(b)
         scales.append(scale)
-    return IntRows(
+    rows = IntRows(
         np.array(ptr, dtype=np.int64),
         np.array(cols, dtype=np.int64),
         _int_array(coefs),
         np.array(rels, dtype=np.int8),
         _int_array(rhs),
-        _int_array(scales),
     )
-
-
-def _canonicalize(n_vars: int, given: IntRows) -> _Canonical:
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    rel: list[str] = []
-    parts: list[list[tuple[int, int]]] = []
-    ptr, cols, coefs = given.ptr.tolist(), given.col.tolist(), given.coef.tolist()
-    for i, (code, b, scale) in enumerate(
-        zip(given.rel.tolist(), given.rhs.tolist(), given.scale.tolist())
-    ):
-        r = RELATION[code]
-        row = {cols[k]: Fraction(coefs[k], scale) for k in range(ptr[i], ptr[i + 1])}
-        b = Fraction(b, scale)
-        pieces = [(row, LESS, b), (row, GREATER, b)] if r == EQUAL else [(row, r, b)]
-        own: list[tuple[int, int]] = []
-        for a, rr, bb in pieces:
-            sign = 1
-            if (rr == LESS and bb < 0) or (rr == GREATER and bb <= 0):
-                a = {j: -v for j, v in a.items()}
-                bb = -bb
-                rr = GREATER if rr == LESS else LESS
-                sign = -1
-            else:
-                a = dict(a)
-            own.append((len(rows), sign))
-            rows.append(a)
-            rhs.append(bb)
-            rel.append(rr)
-        parts.append(own)
-    m = len(rows)
-    slack_col = [0] * m
-    art_col: list[int | None] = [None] * m
-    ncols = n_vars
-    for i in range(m):
-        slack_col[i] = ncols
-        ncols += 1
-    for i in range(m):
-        if rel[i] == GREATER:
-            art_col[i] = ncols
-            ncols += 1
-    artificial = {c for c in art_col if c is not None}
-    return _Canonical(
-        n_vars, rows, rhs, rel, parts, slack_col, art_col, ncols, artificial
-    )
+    return rows, scales
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +161,48 @@ def _canonicalize(n_vars: int, given: IntRows) -> _Canonical:
 
 
 class _Tableau:
-    """Sparse row tableau with an incrementally maintained price row."""
+    """Sparse row tableau with an incrementally maintained price row.
 
-    def __init__(self, can: _Canonical):
-        self.ncols = can.ncols
+    Built straight from the integer rows in canonical form, so that rows
+    whose right-hand side has the correct sign start out slack-basic, and
+    artificials (and hence phase 1) only appear for rows that genuinely
+    exclude the origin.  An = row becomes a <= row and a >= row, in that
+    order; a <= row with rhs < 0, or a >= row with rhs <= 0, is negated
+    into the other relation.  Canonical row k has slack column n_vars + k
+    (+1 on a <= row, -1 on a >= row), and the >= rows' artificials follow
+    in row order.  A slack's reduced cost prices its row's dual, so
+    ``parts[i]`` holds (k, sign) for each canonical row k of given row i,
+    whose dual is sum(sign * d[n_vars + k]) at an optimal price row d.
+    """
+
+    def __init__(self, n_vars: int, rows: IntRows):
         self.rows: list[dict[int, Fraction]] = []
-        self.rhs: list[Fraction] = list(can.rhs)
+        self.rhs: list[Fraction] = []
         self.basis: list[int] = []
-        for i in range(can.m):
-            row = dict(can.rows[i])
-            row[can.slack_col[i]] = _ONE if can.rel[i] == LESS else -_ONE
-            if can.art_col[i] is not None:
-                row[can.art_col[i]] = _ONE
-                self.basis.append(can.art_col[i])
-            else:
-                self.basis.append(can.slack_col[i])
-            self.rows.append(row)
+        self.parts: list[list[tuple[int, int]]] = []
+        # Past every slack column: an = row makes two canonical rows.
+        first_art = n_vars + rows.m + int((rows.rel == CODE[EQUAL]).sum())
+        self.ncols = first_art
+        ptr, cols, coefs = rows.ptr.tolist(), rows.col.tolist(), rows.coef.tolist()
+        for i, (code, b) in enumerate(zip(rows.rel.tolist(), rows.rhs.tolist())):
+            own: list[tuple[int, int]] = []
+            for r in (CODE[LESS], CODE[GREATER]) if code == CODE[EQUAL] else (code,):
+                sign = -1 if (b < 0 if r == CODE[LESS] else b <= 0) else 1
+                k = len(self.rows)
+                row = {cols[p]: Fraction(sign * coefs[p]) for p in range(ptr[i], ptr[i + 1])}
+                if sign * r == CODE[LESS]:
+                    row[n_vars + k] = _ONE
+                    self.basis.append(n_vars + k)
+                else:
+                    row[n_vars + k] = -_ONE
+                    row[self.ncols] = _ONE
+                    self.basis.append(self.ncols)
+                    self.ncols += 1
+                own.append((k, -r))
+                self.rows.append(row)
+                self.rhs.append(Fraction(sign * b))
+            self.parts.append(own)
+        self.artificial = range(first_art, self.ncols)
 
     @property
     def m(self) -> int:
@@ -356,50 +317,43 @@ class _Tableau:
             stalled = 0 if gain > 0 else stalled + 1
 
 
-def _solve_exact(can: _Canonical, obj: dict[int, int | Fraction]) -> LpSolution:
-    tab = _Tableau(can)
-    ncols = can.ncols
-    if can.artificial:
-        cost1 = [_ZERO] * ncols
-        for c in can.artificial:
+def _solve_exact(
+    n_vars: int, obj: dict[int, int | Fraction], rows: IntRows
+) -> LpSolution:
+    tab = _Tableau(n_vars, rows)
+    if tab.artificial:
+        cost1 = [_ZERO] * tab.ncols
+        for c in tab.artificial:
             cost1[c] = -_ONE
         d1, _ = tab.price(cost1)
-        status = tab.run(d1, list(range(ncols)))
+        status = tab.run(d1, list(range(tab.ncols)))
         # Phase-1 objective is bounded above by zero, so never unbounded.
         assert status == "optimal"
         _, value1 = tab.price(cost1)
         if value1 != 0:
             return LpSolution("infeasible")
         for i in range(tab.m):
-            if tab.basis[i] in can.artificial:
+            if tab.basis[i] in tab.artificial:
                 for j, v in sorted(tab.rows[i].items()):
-                    if j not in can.artificial and v:
+                    if j not in tab.artificial and v:
                         tab.pivot(d1, i, j)
                         break
-    cost2 = [_ZERO] * ncols
+    cost2 = [_ZERO] * tab.ncols
     for j, c in obj.items():
         cost2[j] = c
     d2, _ = tab.price(cost2)
-    allowed = [j for j in range(ncols) if j not in can.artificial]
-    if tab.run(d2, allowed) == "unbounded":
+    # Every column but the artificials, which come last.
+    if tab.run(d2, list(range(tab.artificial.start))) == "unbounded":
         return LpSolution("unbounded")
-    primal = [_ZERO] * can.n_vars
+    primal = [_ZERO] * n_vars
     for i, b in enumerate(tab.basis):
-        if b < can.n_vars:
+        if b < n_vars:
             primal[b] = tab.rhs[i]
     _, value = tab.price(cost2)
-    duals: list[Fraction] = []
-    for own in can.parts:
-        y = _ZERO
-        for idx, sign in own:
-            # Slack prices the row dual for <= rows; the surplus prices
-            # its negation, so both orientations read y_i off d2.
-            delta = d2[can.slack_col[idx]]
-            if can.rel[idx] == GREATER:
-                delta = -delta
-            y += sign * delta
-        duals.append(y)
-    return LpSolution("optimal", value, tuple(primal), tuple(duals))
+    duals = tuple(
+        sum((sign * d2[n_vars + k] for k, sign in own), _ZERO) for own in tab.parts
+    )
+    return LpSolution("optimal", value, tuple(primal), duals)
 
 
 # ---------------------------------------------------------------------------
@@ -422,21 +376,22 @@ def _propose(
             return None, None
         idx, counts = rows.entries(sel)
         sign = np.where(rows.rel[sel] == CODE[GREATER], -1.0, 1.0)
-        data = np.repeat(sign, counts) * _quotients(
-            rows.coef[idx], np.repeat(rows.scale[sel], counts)
-        )
+        data = np.repeat(sign, counts) * rows.coef[idx].astype(np.float64)
         ptr = np.zeros(len(sel) + 1, dtype=np.int64)
         np.cumsum(counts, out=ptr[1:])
         a = csr_matrix((data, rows.col[idx], ptr), shape=(len(sel), n_vars))
-        return a, sign * _quotients(rows.rhs[sel], rows.scale[sel])
+        return a, sign * rows.rhs[sel].astype(np.float64)
 
     ineq = np.flatnonzero(rows.rel != CODE[EQUAL])
     eq = np.flatnonzero(rows.rel == CODE[EQUAL])
-    a_ub, b_ub = block(ineq)
-    a_eq, b_eq = block(eq)
-    cost = [0.0] * n_vars
-    for j, c in obj.items():
-        cost[j] = -float(c)  # linprog minimizes
+    try:
+        a_ub, b_ub = block(ineq)
+        a_eq, b_eq = block(eq)
+        cost = [0.0] * n_vars
+        for j, c in obj.items():
+            cost[j] = -float(c)  # linprog minimizes
+    except OverflowError:  # a value beyond float64's range
+        return None
     res = linprog(
         cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
         bounds=(0, None), method="highs-ds",
@@ -461,21 +416,6 @@ def _propose(
     if value is None:
         return None
     return LpSolution("optimal", value, tuple(primal), tuple(duals))
-
-
-def _quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den elementwise as float64, each correctly rounded like the
-    true division of the two Python ints."""
-    exact = 1 << 53  # every int up to this is a float64
-    if (
-        num.dtype == np.int64
-        and den.dtype == np.int64
-        and max(_magnitude(num), _magnitude(den)) <= exact
-    ):
-        # Both sides convert to float64 exactly, and one IEEE division
-        # rounds their quotient correctly.
-        return num / den
-    return np.array([a / b for a, b in zip(num.tolist(), den.tolist())], dtype=np.float64)
 
 
 def _rationals(values: np.ndarray) -> list[Fraction]:
@@ -532,15 +472,12 @@ def dual_bound(
     above: every dual has its row's sign, and y^T A >= c on every column.
     CertificateError naming the first check that fails otherwise.
 
-    The checks run in Python ints on the integer rows, as whole object
-    arrays: the dual w_i of each integer row (y_i over the row's scale)
-    times E, the lcm of these duals' and the objective's denominators.
+    ``duals`` are those of the integer rows themselves.  The checks run
+    in Python ints, as whole object arrays: each dual times E, the lcm of
+    the duals' and the objective's denominators.
     """
     carried = np.array([i for i, y in enumerate(duals) if y], dtype=np.int64)
-    weights = [
-        duals[i] if s == 1 else Fraction(duals[i], s)
-        for i, s in zip(carried.tolist(), rows.scale[carried].tolist())
-    ]
+    weights = [duals[i] for i in carried.tolist()]
     e = lcm(*(c.denominator for c in obj.values()), *(w.denominator for w in weights))
     k = np.array([_times(w, e) for w in weights], dtype=object)
     rel = rows.rel[carried]
@@ -557,11 +494,6 @@ def dual_bound(
     if (reduced < 0).any():
         raise CertificateError("weighted constraints do not dominate the objective")
     return Fraction(int((k * rows.rhs[carried].astype(object)).sum()), e)
-
-
-def _magnitude(values: np.ndarray) -> int:
-    """The largest absolute value, as a Python int (0 if empty)."""
-    return max(abs(int(values.min())), abs(int(values.max()))) if len(values) else 0
 
 
 def _times(q: int | Fraction, m: int) -> int:
@@ -588,22 +520,28 @@ def solve_lp(n_vars: int, objective, constraints) -> LpSolution:
     obj = _sparse(objective)
     if any(j >= n_vars or j < 0 for j in obj):
         raise ValueError("objective references an unknown variable")
+    scales = None
     if isinstance(constraints, IntRows):
         rows = constraints
         if len(rows.col) and (rows.col.min() < 0 or rows.col.max() >= n_vars):
             raise ValueError("constraint references an unknown variable")
     else:
-        rows = _parse(n_vars, constraints)
+        rows, scales = _parse(n_vars, constraints)
+    sol = None
     if n_vars:  # linprog rejects a problem with no variables
         sol = _propose(n_vars, obj, rows)
-        if sol is not None:
-            return sol
-    sol = _solve_exact(_canonicalize(n_vars, rows), obj)
-    if sol.status == "optimal" and (
-        _certify(n_vars, obj, rows, sol.primal, sol.duals) != sol.value
-    ):
-        raise AssertionError("the rational tableau's answer fails the exact checks")
-    return sol
+    if sol is None:
+        sol = _solve_exact(n_vars, obj, rows)
+        if sol.status == "optimal" and (
+            _certify(n_vars, obj, rows, sol.primal, sol.duals) != sol.value
+        ):
+            raise AssertionError("the rational tableau's answer fails the exact checks")
+    if scales is None or sol.duals is None:
+        return sol
+    # Row i is the given triple times scales[i], so the given triple's
+    # dual is scales[i] times the row's.
+    duals = tuple(y * s for y, s in zip(sol.duals, scales))
+    return LpSolution(sol.status, sol.value, sol.primal, duals)
 
 
 def _sparse(coeffs) -> dict[int, int | Fraction]:

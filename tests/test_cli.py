@@ -343,8 +343,9 @@ class TestBound:
             "restricted_to": None,
             "certificate": None,
         }
-        assert run(["bound", example1_file, "--vertices", ",", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["restricted_to"] == []
+        for names in (",", ""):
+            assert run(["bound", example1_file, "--vertices", names, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["restricted_to"] == []
 
     def test_edgeless_restriction_defines_no_capacity(self, example1_file, capsys):
         # Like the zero-vertex case: vertices kept, but no edge among them.

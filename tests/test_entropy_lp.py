@@ -26,6 +26,7 @@ from cdskit.entropy_lp import (
     simplex_solve,
     verify_certificate,
 )
+from cdskit import simplex
 from cdskit.instance import CdsInstance, parse_instance
 from cdskit.oracle import joint_rank, tabulate
 from cdskit.simplex import LpSolution
@@ -301,6 +302,24 @@ class TestSimplexSolveOnEntropyLps:
         sol = simplex_solve(lp)
         assert sol.status == "optimal"
         assert sol.value == F(5, 6)
+
+    def test_tableau_alone_certifies_a_ground_five_lp(self, monkeypatch):
+        # The rational tableau, with the HiGHS proposal turned down, on a
+        # whole entropy LP.  Its duals are pinned: sha256 of their repr,
+        # recorded while the tableau still copied the rows into a
+        # separate Fraction form.
+        inst = CdsInstance.from_edges(
+            [("q", "A1", "B1"), ("u", "A1", "B2"), ("q", "B2", "A2"), ("u", "A2", "B1")]
+        )
+        lp = build_entropy_lp(inst)
+        assert len(lp.ground) == 5 and simplex_solve(lp).value == 1
+        monkeypatch.setattr(simplex, "_propose", lambda n_vars, obj, rows: None)
+        sol = simplex_solve(lp)
+        assert sol.value == 1 == verify_certificate(sol, lp)
+        assert sum(1 for y in sol.duals if y) == 8
+        assert hashlib.sha256(repr(sol.duals).encode()).hexdigest() == (
+            "48f763affe72ddafdc332a3b9b9a7c8e97b936acdf07ffb5f25a89e0e9f2242c"
+        )
 
     def test_optimal_point_is_monotone(self):
         # Monotonicity is implied by the elemental cone; spot-check it on

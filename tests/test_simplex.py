@@ -6,7 +6,6 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from cdskit import simplex
@@ -105,16 +104,33 @@ class TestProposalRounding:
         assert sol.primal == (F(1, 8191),)
         assert_certificate(1, [(0, 1)], cons, sol)
 
-    def test_highs_entries_are_correctly_rounded_quotients(self):
-        # An entry a/s goes to HiGHS as the int true division a / s, also
-        # where a or s has more bits than a float64 holds.
+    def test_highs_entries_are_the_rounded_integers(self, monkeypatch):
+        # An integer entry goes to HiGHS as float() of the int, also where
+        # it has more bits than a float64 holds (int64 rows) or does not
+        # fit in int64 (object rows).  An entry beyond float64's range
+        # leaves the LP to the tableau.
+        import scipy.optimize
+
+        linprog, seen = scipy.optimize.linprog, []
+
+        def spy(c, **kwargs):
+            seen.append(kwargs)
+            return linprog(c, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
         num = [1, -7, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, -((1 << 53) + 1), (1 << 62) + 1]
-        den = [3, 7, 3, 3, 3, 7, 3]
-        cases = [([a], [b]) for a, b in zip(num, den)]
-        for a, b in [(num, den), ([(1 << 70) + 1, 5], [3, (1 << 65) + 1]), *cases]:
-            got = simplex._quotients(simplex._int_array(a), simplex._int_array(b))
-            assert got.dtype == np.float64
-            assert got.tolist() == [x / y for x, y in zip(a, b)]
+        for entries in (num, num + [(1 << 70) + 1]):
+            cons = [([(j, a)], "<=", a) for j, a in enumerate(entries)]
+            seen.clear()
+            assert solve_lp(len(entries), [], cons).status == "optimal"
+            (kwargs,) = seen
+            assert kwargs["A_ub"].data.tolist() == [float(a) for a in entries]
+            assert kwargs["b_ub"].tolist() == [float(a) for a in entries]
+        seen.clear()
+        cons = [([(0, F(1, 3**700)), (1, 1)], "<=", 1)]
+        sol = solve_lp(2, [(1, 1)], cons)
+        assert sol.value == 1 and not seen
+        assert_certificate(2, [(1, 1)], cons, sol)
 
     def test_importing_the_package_loads_no_scipy(self):
         code = (
@@ -184,6 +200,7 @@ class TestPureExactEngine:
         ]
         sol = solve_lp(4, objective, cons)
         assert sol.status == "optimal" and sol.value == F(1, 20)
+        assert_certificate(4, objective, cons, sol)
 
     def test_statuses_without_acceleration(self, no_proposal):
         infeasible = [([(0, F(1))], ">=", F(2)), ([(0, F(1))], "<=", F(1))]
@@ -194,8 +211,8 @@ class TestPureExactEngine:
     def test_wrong_tableau_primal_is_rejected(self, monkeypatch, no_proposal):
         exact = simplex._solve_exact
 
-        def shifted(can, obj):
-            sol = exact(can, obj)
+        def shifted(n_vars, obj, rows):
+            sol = exact(n_vars, obj, rows)
             primal = (sol.primal[0] + 1, *sol.primal[1:])
             return LpSolution(sol.status, sol.value, primal, sol.duals)
 
@@ -334,6 +351,13 @@ def reference_certify(n, objective, constraints, primal, duals):
     return value if reference_dual_bound(n, objective, constraints, duals) == value else None
 
 
+def integer_form(n, constraints, duals):
+    """The triples as ``solve_lp`` holds them, integer rows, and the
+    given rows' duals as those rows' duals (each over its row's scale)."""
+    rows, scales = simplex._parse(n, constraints)
+    return rows, [F(y) / s for y, s in zip(duals, scales)]
+
+
 class TestCertify:
     """Each check of the exact acceptance test, one fault at a time.
 
@@ -362,17 +386,22 @@ class TestCertify:
 
     def certify(self, primal=PRIMAL, duals=DUALS):
         obj, cons = self.OBJECTIVE, self.CONSTRAINTS
-        got = simplex._certify(
-            self.N, simplex._sparse(obj), simplex._parse(self.N, cons), list(primal), list(duals)
-        )
+        rows, int_duals = integer_form(self.N, cons, duals)
+        got = simplex._certify(self.N, simplex._sparse(obj), rows, list(primal), int_duals)
         assert got == reference_certify(self.N, obj, cons, tuple(primal), tuple(duals))
         return got
 
-    def test_optimal_pair_is_accepted(self):
+    def test_optimal_pair_is_accepted(self, monkeypatch):
         value = self.certify()
         assert value == 1 and type(value) is Fraction
-        sol = solve_lp(self.N, self.OBJECTIVE, self.CONSTRAINTS)
-        assert sol.value == 1
+        # Each engine's duals are those of the given rows, whose scales
+        # run up to 6.
+        obj, cons = self.OBJECTIVE, self.CONSTRAINTS
+        for propose in (simplex._propose, decline):
+            monkeypatch.setattr(simplex, "_propose", propose)
+            sol = solve_lp(self.N, obj, cons)
+            assert sol.value == 1
+            assert reference_certify(self.N, obj, cons, sol.primal, sol.duals) == 1
 
     @pytest.mark.parametrize(
         "index, entry, fault",
@@ -416,9 +445,8 @@ class TestCertify:
     )
     def test_values_beyond_int64_stay_exact(self, objective, constraints, primal, duals, want):
         n = 1
-        got = simplex._certify(
-            n, simplex._sparse(objective), simplex._parse(n, constraints), primal, duals
-        )
+        rows, int_duals = integer_form(n, constraints, duals)
+        got = simplex._certify(n, simplex._sparse(objective), rows, primal, int_duals)
         assert got == want == reference_certify(n, objective, constraints, primal, duals)
 
     def test_verdicts_match_the_fraction_reference(self):
@@ -457,11 +485,12 @@ class TestCertify:
             elif fault == 5:
                 j = rng.randrange(n)
                 primal[j] = -primal[j]
-            obj, rows = simplex._sparse(objective), simplex._parse(n, cons)
-            got = simplex._certify(n, obj, rows, primal, duals)
+            obj = simplex._sparse(objective)
+            rows, int_duals = integer_form(n, cons, duals)
+            got = simplex._certify(n, obj, rows, primal, int_duals)
             assert got == reference_certify(n, objective, cons, tuple(primal), tuple(duals))
             try:
-                bound = simplex.dual_bound(n, obj, rows, duals)
+                bound = simplex.dual_bound(n, obj, rows, int_duals)
             except CertificateError:
                 bound = None
             assert bound == reference_dual_bound(n, objective, cons, duals)
