@@ -261,7 +261,7 @@ def _cmd_synth(args) -> _Report:
     full = LinearScheme(p, 1, noise_len, matrices)
     core_report = verify_linear(core, sch) if sch is not None else None
     # As in verify: without a qualified edge no rate is defined.
-    rates = _rates(sch) if sch is not None and core.qualified else None
+    rates = _rates(core, sch) if sch is not None and core.qualified else None
 
     scheme_text = format_scheme(full)
     if args.output is not None:
@@ -298,7 +298,7 @@ def _cmd_verify(args) -> _Report:
     inst, sch, report = _verified_pair(args, verify_linear)
     # Without a qualified edge no pair must decode, so no rate bound
     # applies (signals may even be empty); rates are reported otherwise.
-    rates = _rates(sch) if report.passed and inst.qualified else None
+    rates = _rates(inst, sch) if report.passed and inst.qualified else None
     lines = [_instance_header(inst), _scheme_header(sch)]
     for v, w in sorted(report.vertex_verdicts.items()):
         lines.append(f"vertex {v}: {'secure' if w.secure else f'LEAKS {w.leak_rank}'}")

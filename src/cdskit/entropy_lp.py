@@ -146,6 +146,10 @@ class EntropyLp:
             name for i, name in enumerate(self.ground) if mask >> i & 1
         )
 
+    def term(self, mask: int) -> str:
+        """The entropy of a subset as rendered, e.g. ``H(S,A1)``."""
+        return "H(" + ",".join(self.subset_names(mask)) + ")"
+
 
 def ground_set(inst: CdsInstance) -> tuple[str, ...]:
     """The secret first, then the signals in name order."""
@@ -327,7 +331,7 @@ def render_constraint(lp: EntropyLp, con: Constraint) -> str:
     neg = sorted([t for t in con.coeffs if t[1] < 0], key=lambda t: t[0])
     parts: list[str] = []
     for mask, c in pos + neg:
-        name = "H(" + ",".join(lp.subset_names(mask)) + ")"
+        name = lp.term(mask)
         if not parts:
             prefix = "-" if c < 0 else ""
         else:
@@ -340,10 +344,7 @@ def render_constraint(lp: EntropyLp, con: Constraint) -> str:
 
 def lp_dump(lp: EntropyLp) -> str:
     """One constraint per line, for external cross-checking."""
-    obj = " + ".join(
-        ("" if c == 1 else f"{c} ") + "H(" + ",".join(lp.subset_names(m)) + ")"
-        for m, c in lp.objective
-    )
+    obj = " + ".join(("" if c == 1 else f"{c} ") + lp.term(m) for m, c in lp.objective)
     lines = [f"# maximize {obj}"]
     lines += [render_constraint(lp, con) for con in lp.constraints]
     return "\n".join(lines) + "\n"
@@ -376,9 +377,7 @@ def dual_certificate(sol: LpSolution, lp: EntropyLp) -> str:
     """Render the dual weights as a converse proof, re-verifying them
     exactly before emitting anything."""
     verify_certificate(sol, lp)
-    obj_name = " + ".join(
-        "H(" + ",".join(lp.subset_names(m)) + ")" for m, _ in lp.objective
-    )
+    obj_name = " + ".join(lp.term(m) for m, _ in lp.objective)
     lines = [
         f"dual certificate: {obj_name} <= {sol.value} (verified exactly)",
         "weighted constraints (weight * constraint):",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -206,9 +206,6 @@ class Partition:
         index = {v: i for i, b in enumerate(self.blocks) for v in b}
         object.__setattr__(self, "_index", index)
 
-    def block_of(self, v: str) -> tuple[str, ...]:
-        return self.blocks[self._index[v]]
-
     def index_of(self, v: str) -> int:
         return self._index[v]
 
@@ -366,11 +363,18 @@ def _decompose(inst: CdsInstance) -> tuple[list[int], list[int]]:
 
 
 def _partition(inst: CdsInstance, root: list[int]) -> Partition:
-    """The blocks of vertices that share a root, in id order."""
-    blocks: defaultdict[int, list[str]] = defaultdict(list)
-    for v, r in zip(_names(inst), root):
-        blocks[r].append(v)
-    return Partition(tuple(map(tuple, blocks.values())))
+    """The blocks of vertices that share a root, as names."""
+    names = _names(inst)
+    return Partition(tuple(tuple(map(names.__getitem__, b)) for b in _blocks(root)))
+
+
+def _blocks(root: list[int]) -> list[list[int]]:
+    """The ids grouped by their :func:`_decompose` root: each block in
+    ascending order, the blocks in order of their least id, their root."""
+    blocks: dict[int, list[int]] = {k: [] for k, r in enumerate(root) if k == r}
+    for k, r in enumerate(root):
+        blocks[r].append(k)
+    return list(blocks.values())
 
 
 def _names(inst: CdsInstance) -> list[str]:

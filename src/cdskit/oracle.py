@@ -51,7 +51,7 @@ from itertools import combinations
 import numpy as np
 
 from .gf import GfMatrix, rank
-from .instance import CdsInstance, _decompose, _names
+from .instance import CdsInstance, _blocks, _decompose, _names
 from .scheme import LinearScheme, block_ranks
 
 __all__ = [
@@ -78,6 +78,14 @@ _SUBSET_ENUM_LIMIT = 64
 
 class BudgetError(ValueError):
     """The (secret, noise) space is too large to enumerate."""
+
+
+def _realizations(p: int, secret_len: int, noise_len: int, budget: int) -> int:
+    """The number of realizations, p^(L+L_Z); BudgetError past ``budget``."""
+    total = p ** (secret_len + noise_len)
+    if total > budget:
+        raise BudgetError(f"p^(L+L_Z) = {total} exceeds the enumeration budget {budget}")
+    return total
 
 
 def _all_vectors(p: int, n: int) -> np.ndarray:
@@ -235,11 +243,7 @@ class SchemeTable:
         """
         if secret_len < 1:
             raise ValueError("secret length must be at least 1")
-        total = p ** (secret_len + noise_len)
-        if total > budget:
-            raise BudgetError(
-                f"p^(L+L_Z) = {total} exceeds the enumeration budget {budget}"
-            )
+        total = _realizations(p, secret_len, noise_len, budget)
         s_vecs = _all_vectors(p, secret_len)
         z_vecs = _all_vectors(p, noise_len)
         values: dict[str, np.ndarray] = {}
@@ -272,12 +276,8 @@ def tabulate(sch: LinearScheme, budget: int = DEFAULT_BUDGET) -> SchemeTable:
     their sum mod p, so each digit is one (p^L, p^L_Z) broadcast sum,
     folded into the vertex's code before the next is formed.
     """
-    total = sch.p ** (sch.secret_len + sch.noise_len)
-    if total > budget:
-        raise BudgetError(
-            f"p^(L+L_Z) = {total} exceeds the enumeration budget {budget}"
-        )
     p = sch.p
+    total = _realizations(p, sch.secret_len, sch.noise_len, budget)
 
     def digits(fs: np.ndarray, hz: np.ndarray):
         for a, b in zip(fs, hz):
@@ -578,11 +578,8 @@ def lemma_audit(
     edges = list(zip(ends[0:q:2], ends[1:q:2]))
     inner = zip(ends[q::2], ends[q + 1 :: 2])
     in_component = [(a, b) for a, b in inner if qroot[a] == qroot[b]]
-    components: dict[int, list[int]] = {}
-    for k, r in enumerate(qroot):
-        components.setdefault(r, []).append(k)
     component_subsets: list[tuple[int, ...]] = []
-    for block in components.values():
+    for block in _blocks(qroot):
         if len(block) < 2:
             continue  # trivial component: no qualified edge to anchor the lemma
         if 2 ** len(block) <= _SUBSET_ENUM_LIMIT:
@@ -596,15 +593,12 @@ def lemma_audit(
     # Unqualified components grouped by qualified component, each by least
     # id, so that failures are listed component by component; with the
     # distinct block sets of their vertex pairs.
-    paths: dict[int, list[int]] = {}
-    for k, r in enumerate(uroot):
-        paths.setdefault(r, []).append(k)
     on_paths = []
-    for r in sorted(paths, key=lambda r: (qroot[r], r)):
-        count = Counter(blk[k] for k in paths[r])
+    for sub in sorted(_blocks(uroot), key=lambda b: (qroot[b[0]], b[0])):
+        count = Counter(blk[k] for k in sub)
         distinct = sorted(count)
         sets = [(b,) for b in distinct if count[b] > 1]
-        on_paths.append((paths[r], sets + list(combinations(distinct, 2))))
+        on_paths.append((sub, sets + list(combinations(distinct, 2))))
 
     single_keys = [(blk[k],) for (k,) in singles]
     edge_keys = [pair(a, b) for a, b in edges]

@@ -399,7 +399,7 @@ def _alignment(inst: CdsInstance, vertex_ranks, edge_ranks) -> AlignmentReport:
 
 @dataclass(frozen=True)
 class RateReport:
-    rate: Fraction  # L / (2 max N_v)
+    rate: Fraction  # L / (2 max N_v), v over the instance's vertices
     randomness_rate: Fraction | None  # L / L_Z, None when noiseless
     bounds: tuple[Fraction, Fraction]
 
@@ -423,13 +423,16 @@ def rate_report(
         raise VerificationFailedError(
             "rate_report requires a scheme that passes verification"
         )
-    return _rates(sch, converse)
+    return _rates(inst, sch, converse)
 
 
-def _rates(sch: LinearScheme, converse: Fraction | None = None) -> RateReport:
+def _rates(
+    inst: CdsInstance, sch: LinearScheme, converse: Fraction | None = None
+) -> RateReport:
     """:func:`rate_report` of a scheme already known to pass verification
-    over an instance with a qualified edge."""
-    rate = Fraction(sch.secret_len, 2 * sch.max_signal_len())
+    over an instance with a qualified edge.  The rate reads only the
+    instance's signals: verification ignores any other vertex of ``sch``."""
+    rate = Fraction(sch.secret_len, 2 * max(map(sch.signal_len, inst.vertices)))
     rz = Fraction(sch.secret_len, sch.noise_len) if sch.noise_len else None
     upper = converse if converse is not None else Fraction(1, 2)
     if rate > upper:

@@ -16,22 +16,22 @@ here as data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .gf import GfMatrix, is_prime
 from .instance import (
     CdsInstance,
     FeasibilityResult,
+    _blocks,
     _decompose,
     _feasibility,
-    _partition,
+    _names,
 )
 from .instance import half_rate_feasible  # noqa: F401  perfbench/spans.py traces it here
 from .scheme import LinearScheme, verify_linear
 
 __all__ = [
     "SynthesisPlan",
-    "ComponentPlan",
     "InfeasibleInstanceError",
     "plan_synthesis",
     "synthesize_half_rate",
@@ -68,36 +68,14 @@ def next_prime_above(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class ComponentPlan:
-    block: tuple[str, ...]
-    unqualified_blocks: tuple[tuple[str, ...], ...]
-
-    @property
-    def u_count(self) -> int:
-        return len(self.unqualified_blocks)
-
-
-@dataclass(frozen=True)
 class SynthesisPlan:
-    """Component decomposition driving the rate-1/2 construction.
+    """The plan the rate-1/2 scheme is read from: ``components[m - 1]``
+    holds the unqualified blocks of qualified component m, as tuples of
+    names, each in order of least vertex.  Block i of component m sends
+    s + i z_m, so p > max(U_1, ..., U_M) keeps each i distinct and nonzero."""
 
-    Component m (1-based) contributes noise symbol z_m; the i-th
-    unqualified block inside it uses coefficient i, so coefficients must
-    stay distinct and nonzero mod p: p > max(U_1, ..., U_M).
-    """
-
-    components: tuple[ComponentPlan, ...]
+    components: tuple[tuple[tuple[str, ...], ...], ...]
     p: int
-    _position: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        position = {
-            v: (m, i)
-            for m, comp in enumerate(self.components, start=1)
-            for i, blk in enumerate(comp.unqualified_blocks, start=1)
-            for v in blk
-        }
-        object.__setattr__(self, "_position", position)
 
     @property
     def m_count(self) -> int:
@@ -105,26 +83,22 @@ class SynthesisPlan:
 
     @property
     def u_counts(self) -> tuple[int, ...]:
-        return tuple(c.u_count for c in self.components)
-
-    def position(self, v: str) -> tuple[int, int]:
-        """(m, i), both 1-based, of the vertex's component and block."""
-        return self._position[v]
+        return tuple(map(len, self.components))
 
 
 def plan_synthesis(inst: CdsInstance) -> SynthesisPlan:
-    """Decompose a non-degenerate, feasible instance for synthesis."""
+    """The plan of a non-degenerate, feasible instance: the unqualified
+    blocks of one :func:`_decompose`, grouped by their least id's qualified root."""
     qroot, uroot = _decompose(inst)
     result = _feasibility(inst, qroot, uroot)
     if not result.feasible:
         raise InfeasibleInstanceError(result)
-    qualified, unqualified = _partition(inst, qroot), _partition(inst, uroot)
-    inner: list[list[tuple[str, ...]]] = [[] for _ in qualified.blocks]
-    for blk in unqualified.blocks:
-        inner[qualified.index_of(blk[0])].append(blk)
-    comps = [ComponentPlan(b, tuple(u)) for b, u in zip(qualified.blocks, inner)]
-    max_u = max((c.u_count for c in comps), default=0)
-    return SynthesisPlan(tuple(comps), next_prime_above(max_u))
+    names = _names(inst)
+    comps: dict[int, list[tuple[str, ...]]] = {}
+    for blk in _blocks(uroot):
+        comps.setdefault(qroot[blk[0]], []).append(tuple(map(names.__getitem__, blk)))
+    u_max = max(map(len, comps.values()), default=0)
+    return SynthesisPlan(tuple(map(tuple, comps.values())), next_prime_above(u_max))
 
 
 def _scheme_from_plan(plan: SynthesisPlan, p: int, bases) -> LinearScheme:
@@ -134,10 +108,10 @@ def _scheme_from_plan(plan: SynthesisPlan, p: int, bases) -> LinearScheme:
     secret = GfMatrix.from_rows(p, [[1]], 1)
     matrices = {}
     for comp, base in zip(plan.components, bases):
-        for i, blk in enumerate(comp.unqualified_blocks, start=1):
-            noise = GfMatrix.from_rows(p, [[i * b for b in base]], noise_len)
+        for i, blk in enumerate(comp, start=1):
+            pair = (secret, GfMatrix.from_rows(p, [[i * b for b in base]], noise_len))
             for v in blk:
-                matrices[v] = (secret, noise)
+                matrices[v] = pair
     return LinearScheme(p, 1, noise_len, matrices)
 
 
@@ -148,27 +122,26 @@ def _half_rate_scheme(plan: SynthesisPlan) -> LinearScheme:
 
 
 def _is_half_rate_scheme(sch: LinearScheme, plan: SynthesisPlan) -> bool:
-    """``sch == _half_rate_scheme(plan)``, read off the plan without
-    building that scheme: each of ``sch``'s blocks is compared once with
-    the pair (1, i e_m) of the plan's block i of component m.  Distinct
-    plan blocks have distinct pairs (i < p), so a block of ``sch`` that
-    serves two of them cannot equal both."""
+    """``sch == _half_rate_scheme(plan)`` without building that scheme:
+    equal vertex counts, and every vertex of plan block (m, i) in a block
+    of ``sch`` whose pair is (1, i e_m).  Distinct plan blocks have
+    distinct pairs (i < p), so no block of ``sch`` passes for two."""
     m_count = plan.m_count
     if (sch.p, sch.secret_len, sch.noise_len) != (plan.p, 1, m_count):
         return False
-    if sch.block_of.keys() != plan._position.keys():
+    if len(sch.block_of) != sum(len(blk) for comp in plan.components for blk in comp):
         return False
-    owner: dict[int, tuple[int, int]] = {}  # block of sch -> plan's (m, i)
-    for v, k in sch.block_of.items():
-        position = plan.position(v)
-        if owner.setdefault(k, position) != position:
-            return False
-    for k, (m, i) in owner.items():
-        f, h = sch.blocks[k]
-        noise = [0] * m_count
-        noise[m - 1] = i
-        if f.to_lists() != [[1]] or h.to_lists() != [noise]:
-            return False
+    for m, comp in enumerate(plan.components):
+        for i, blk in enumerate(comp, start=1):
+            owners = {sch.block_of.get(v) for v in blk}
+            if None in owners:
+                return False
+            noise = [0] * m_count
+            noise[m] = i
+            for k in owners:
+                f, h = sch.blocks[k]
+                if f.to_lists() != [[1]] or h.to_lists() != [noise]:
+                    return False
     return True
 
 

@@ -247,6 +247,20 @@ class TestVerify:
         assert code == 1
         assert "overall: FAIL" in out
 
+    def test_rate_reads_only_the_instance_signals(self, tmp_path, capsys):
+        # C9 is not a vertex of the instance: verification ignores it, and
+        # so does the rate, although it is the scheme's longest signal.
+        inst, sch = tmp_path / "i.cds", tmp_path / "s.scheme"
+        inst.write_text("cds-instance v1\nq A1 B1\nu A1 B2\nu A2 B1\nq A2 B2\n")
+        signals = {"A1": "1 | H: 1 0", "A2": "1 | H: 0 1", "B1": "2 | H: 1 0", "B2": "2 | H: 0 1"}
+        body = "".join(f"signal {v} 1\nF: {row}\n" for v, row in signals.items())
+        body += "signal C9 3\nF: 1 | H: 0 0\nF: 0 | H: 1 0\nF: 0 | H: 0 1\n"
+        sch.write_text("cds-scheme v1\nfield 3\nsecret 1\nnoise 2\n" + body)
+        assert run(["verify", str(inst), str(sch)]) == 0
+        out = capsys.readouterr().out
+        assert "max signal length 3\n" in out
+        assert out.endswith("overall: PASS\nR = 1/2, R_Z = 1/2, bounds [1/2, 1/2]\n")
+
     @pytest.mark.parametrize("rows", [0, 1])
     def test_no_qualified_edge_has_no_rate(self, tmp_path, capsys, rows):
         # Empty signals (rate L/0) and zero signals shorter than the secret

@@ -65,6 +65,7 @@ from cdskit.scheme import (
     verify_linear,
 )
 from cdskit.synthesis import plan_synthesis
+from gen import random_feasible_instance
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 RANK_PRIMES = (2, 3, 5, 7, 11, 65521)
@@ -205,6 +206,23 @@ def test_degenerate_vertices_match_is_non_degenerate(inst):
         assert caught.value.violators == violators
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=True).map(random_feasible_instance))
+def test_plan_groups_the_blocks_of_decompose(inst):
+    # The plan reads its components off the union-find's roots; decompose's
+    # two Partitions must give the same grouping of names: for each
+    # qualified block in order, the unqualified blocks whose first member
+    # falls in it.
+    qualified, unqualified = decompose(inst)
+    want = tuple(
+        tuple(b for b in unqualified.blocks if qualified.index_of(b[0]) == k)
+        for k in range(len(qualified.blocks))
+    )
+    plan = plan_synthesis(inst)
+    assert plan.components == want
+    assert plan.u_counts == tuple(map(len, want))
+
+
 @st.composite
 def instances(draw) -> CdsInstance:
     """Bipartite or general instances with at least one edge."""
@@ -262,24 +280,34 @@ def residues(p: int):
     return st.one_of(st.sampled_from(sorted({0, 1, p - 1})), st.integers(0, p - 1))
 
 
+def residue_array(rng, p: int, rows: int, cols: int) -> np.ndarray:
+    """Residues mod p from one seeded generator, each entry drawn as
+    :func:`residues` draws it: from {0, 1, p - 1} or from all residues,
+    with even odds.  Several times cheaper than an entry-wise Hypothesis
+    draw."""
+    special = sorted({0, 1, p - 1})
+    entries = [
+        rng.choice(special) if rng.random() < 0.5 else rng.randrange(p)
+        for _ in range(rows * cols)
+    ]
+    return np.array(entries, dtype=np.int64).reshape(rows, cols)
+
+
 @st.composite
 def schemes(draw, names=None, primes=PRIMES) -> LinearScheme:
-    """A scheme over the given vertex names, or over drawn ones."""
+    """A scheme over the given vertex names, or over drawn ones.  Signal
+    lengths and entries come from one seeded generator."""
     p = draw(st.sampled_from(primes))
     secret_len = draw(st.integers(1, 3))
     noise_len = draw(st.integers(0, 3))
     name = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
-
-    def matrix(rows: int, cols: int) -> GfMatrix:
-        # Every entry drawn on its own (no fill value), as nested lists
-        # would draw them, but with less overhead per entry.
-        elements = arrays(np.int64, (rows, cols), elements=residues(p), fill=st.nothing())
-        return GfMatrix(p, draw(elements))
-
+    rng = draw(st.randoms(use_true_random=True))
     matrices = {}
     for v in draw(st.sets(name, max_size=4)) if names is None else names:
-        rows = draw(st.integers(0, 3))
-        matrices[v] = (matrix(rows, secret_len), matrix(rows, noise_len))
+        rows = rng.randint(0, 3)
+        matrices[v] = tuple(
+            GfMatrix(p, residue_array(rng, p, rows, cols)) for cols in (secret_len, noise_len)
+        )
     return LinearScheme(p, secret_len, noise_len, matrices)
 
 
@@ -525,7 +553,8 @@ def oracle_schemes(draw) -> LinearScheme:
     and 9 rows have alphabets of 256 and 512, on either side of the
     uint8/uint16 boundary of the codes.  Each vertex reads no noise digit
     of a drawn set, so that a pair's reads can leave gaps and the oracle
-    counts on grids smaller than the table."""
+    counts on grids smaller than the table.  The entries come from one
+    seeded generator."""
     p = draw(st.sampled_from(ORACLE_PRIMES))
     secret_len, noise_len = draw(st.integers(1, 3)), draw(st.integers(0, 4))
     assume(p ** (secret_len + noise_len) <= 1 << 12)
@@ -533,10 +562,11 @@ def oracle_schemes(draw) -> LinearScheme:
     row_counts = st.integers(0, 4)
     if p == 2:
         row_counts |= st.sampled_from((8, 9))
+    rng = draw(st.randoms(use_true_random=True))
     matrices = {}
     for v in ("a", "b", "w"):
         rows = draw(row_counts)
-        m = draw(arrays(np.int64, (rows, cols), elements=residues(p)))
+        m = residue_array(rng, p, rows, cols)
         if v == "w" and draw(st.booleans()):
             wide = int(62 / math.log2(p)) + 1
             m = np.resize(m, (wide, cols)) if rows else np.zeros((wide, cols), np.int64)

@@ -266,6 +266,24 @@ class TestAlignmentReport:
         assert report.noise_overlaps == {} and report.signal_alignment == {}
 
 
+def extra_signal_scheme() -> tuple[CdsInstance, LinearScheme]:
+    """A rate-1/2 scheme on two qualified edges, plus a 3-row signal C9
+    on a vertex the instance lacks, which verification ignores."""
+    inst = CdsInstance.from_edges(
+        [("q", "A1", "B1"), ("u", "A1", "B2"), ("u", "A2", "B1"), ("q", "A2", "B2")]
+    )
+    rows = {"A1": (1, [1, 0]), "A2": (1, [0, 1]), "B1": (2, [1, 0]), "B2": (2, [0, 1])}
+    matrices = {
+        v: (GfMatrix.from_rows(3, [[f]], 1), GfMatrix.from_rows(3, [h], 2))
+        for v, (f, h) in rows.items()
+    }
+    matrices["C9"] = (
+        GfMatrix.from_rows(3, [[1], [0], [0]], 1),
+        GfMatrix.from_rows(3, [[0, 0], [1, 0], [0, 1]], 2),
+    )
+    return inst, LinearScheme(3, 1, 2, matrices)
+
+
 class TestRateReport:
     def test_fig2_rates(self, fig2):
         report = rate_report(fig2, builtin_fig2_scheme(), converse=Fraction(5, 12))
@@ -282,9 +300,9 @@ class TestRateReport:
         assert report.bounds == (Fraction(1, 2), Fraction(1, 2))
 
     def test_pad_rate(self):
-        inst, sch = pad_scheme()
-        report = rate_report(inst, sch)
-        assert report.rate == Fraction(1, 2)
+        for inst, sch in (pad_scheme(), extra_signal_scheme()):
+            report = rate_report(inst, sch)
+            assert report.rate == Fraction(1, 2)
 
     @pytest.mark.parametrize("rows", [0, 1])
     def test_no_qualified_edge_rejected(self, rows):

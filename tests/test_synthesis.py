@@ -173,8 +173,14 @@ class TestReduceRandomness:
         assert reduced.p == 3
         # z_3 = z_1 + z_2 and z_4 = z_1 + 2 z_2, scaled by the block index.
         rows = {v: reduced.matrices[v][1].data[0].tolist() for v in reduced.vertices}
-        for v in reduced.vertices:
-            m, i = plan.position(v)
+        position = {
+            v: (m, i)
+            for m, comp in enumerate(plan.components, start=1)
+            for i, blk in enumerate(comp, start=1)
+            for v in blk
+        }
+        assert position.keys() == set(reduced.vertices)
+        for v, (m, i) in position.items():
             expected = {
                 1: [i % 3, 0],
                 2: [0, i % 3],
@@ -202,7 +208,8 @@ class TestReduceRandomness:
     def test_rejects_every_changed_scheme(self):
         # M = 4 and p = 3: the synthesized scheme, an equal copy of one
         # block, and schemes with one block changed or shared, a vertex
-        # dropped or added, or a changed secret length, p or noise_len.
+        # dropped, added or renamed, or a changed secret length, p or
+        # noise_len.
         # reduce_randomness accepts exactly those equal to the synthesized
         # scheme.
         inst = self.four_components()
@@ -231,6 +238,7 @@ class TestReduceRandomness:
             LinearScheme(p, 1, lz, {**mats, "B1": mats["A1"]}),
             LinearScheme(p, 1, lz, {v: m for v, m in mats.items() if v != "B1"}),
             LinearScheme(p, 1, lz, {**mats, "C1": mats["A1"]}),
+            LinearScheme(p, 1, lz, {("C1" if v == "B1" else v): m for v, m in mats.items()}),
             LinearScheme(p, 2, lz, {
                 v: (GfMatrix.from_rows(p, [r + [0] for r in f.to_lists()], 2), h)
                 for v, (f, h) in mats.items()

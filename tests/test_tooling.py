@@ -141,9 +141,15 @@ def test_each_report_ranks_once_and_each_decision_decomposes_once(monkeypatch):
 
     inst = synthesis.builtin_example1_instance()
     sch = synthesis.synthesize_half_rate(inst)
+    # Synthesis reads the union-find's roots: it builds no Partition.
     calls = count_calls(
         monkeypatch,
-        [("cdskit.scheme", "block_ranks"), ("cdskit.instance", "_decompose"), ("cdskit.synthesis", "_decompose")],
+        [
+            ("cdskit.scheme", "block_ranks"),
+            ("cdskit.instance", "_decompose"),
+            ("cdskit.synthesis", "_decompose"),
+            ("cdskit.instance", "Partition"),
+        ],
     )
     for run, once in (
         (lambda: scheme.verify_linear(inst, sch), "block_ranks"),
@@ -151,10 +157,12 @@ def test_each_report_ranks_once_and_each_decision_decomposes_once(monkeypatch):
         (lambda: scheme.verify_and_align(inst, sch), "block_ranks"),
         (lambda: instance.half_rate_feasible(inst), "_decompose"),
         (lambda: synthesis.plan_synthesis(inst), "_decompose"),
+        (lambda: synthesis.synthesize_half_rate(inst), "_decompose"),
+        (lambda: synthesis.reduce_randomness(inst, sch), "_decompose"),
     ):
         calls.update(dict.fromkeys(calls, 0))
         run()
-        assert calls == {"block_ranks": 0, "_decompose": 0, once: 1}
+        assert calls == {"block_ranks": 0, "_decompose": 0, "Partition": 0, once: 1}
 
 
 # The spans each graph-scale operation (perfbench/workloads.py) records,
