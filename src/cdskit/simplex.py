@@ -2,15 +2,10 @@
 
 Solves  maximize c.x  subject to mixed <=, =, >= constraints and x >= 0.
 Every feasibility and optimality decision is exact; floating point only
-proposes.  The constraints are held as one integer sparse matrix in CSR
+proposes.  The constraints come as one integer sparse matrix in CSR
 form (:class:`IntRows`), with relation codes and right-hand sides
-alongside, and every engine and check below reads that one matrix.
-``solve_lp`` takes it as built by its caller (every entropy-LP row has
-integer coefficients and right-hand side), or builds it from constraint
-triples: a rational triple is multiplied by the positive lcm of its
-denominators, its scale.  Scales live only at that boundary: the duals
-of the integer rows are multiplied back by them once, on the way out,
-so that the duals ``solve_lp`` returns are those of the given rows.
+alongside, checked once on the way in; every engine and check below
+reads that one matrix, and the duals they return are those of its rows.
 The exact checks run on the matrix as whole-array integer arithmetic in
 NumPy object arrays of Python ints, after clearing the denominators of
 the primal point and of the duals.
@@ -72,8 +67,7 @@ class CertificateError(AssertionError):
 class LpSolution:
     """Outcome of a solve.
 
-    ``duals`` are those of the rows as ``solve_lp`` was given them (for
-    triples, of the given rational rows, not of their integer multiples),
+    ``duals`` are those of the rows ``solve_lp`` was given, one per row,
     oriented with the constraints: nonnegative for <=, nonpositive for
     >=, unrestricted for equalities.  For a maximum, sum(duals[i] *
     rhs[i]) equals ``value``.
@@ -115,45 +109,21 @@ class IntRows:
         return np.arange(counts.sum()) + np.repeat(starts - offsets, counts), counts
 
 
-def _int_array(values) -> np.ndarray:
-    """Python ints as int64, or as an object array if one does not fit."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _parse(n_vars: int, constraints) -> tuple[IntRows, list[int]]:
-    """Validate the constraint triples and gather them into integer rows:
-    each triple times its scale, the positive lcm of its denominators.
-    Returns the rows and the scales."""
-    ptr, cols, coefs, rels, rhs, scales = [0], [], [], [], [], []
-    for coeffs, r, b in constraints:
-        if r not in CODE:
-            raise ValueError(f"unknown relation {r!r}")
-        row = _sparse(coeffs)
-        if row and (min(row) < 0 or max(row) >= n_vars):
-            raise ValueError("constraint references an unknown variable")
-        scale = 1
-        if type(b) is not int or any(type(v) is not int for v in row.values()):
-            b = Fraction(b)
-            scale = lcm(b.denominator, *(v.denominator for v in row.values()))
-            row = {j: _times(v, scale) for j, v in row.items()}
-            b = _times(b, scale)
-        cols += row
-        coefs += row.values()
-        ptr.append(len(cols))
-        rels.append(CODE[r])
-        rhs.append(b)
-        scales.append(scale)
-    rows = IntRows(
-        np.array(ptr, dtype=np.int64),
-        np.array(cols, dtype=np.int64),
-        _int_array(coefs),
-        np.array(rels, dtype=np.int8),
-        _int_array(rhs),
-    )
-    return rows, scales
+def _check_rows(n_vars: int, rows: IntRows) -> None:
+    """ValueError unless ``rows`` is a well-formed matrix over ``n_vars``
+    variables: relation codes in CODE, row pointers running from 0 to
+    the entry count without decreasing, one coefficient per column index
+    and one right-hand side per relation, and every column in range."""
+    ptr, col, rel = rows.ptr, rows.col, rows.rel
+    if ((rel < -1) | (rel > 1)).any():
+        raise ValueError("unknown relation code")
+    ends = len(ptr) == len(rel) + 1 and ptr[0] == 0 and ptr[-1] == len(col)
+    if not ends or (np.diff(ptr) < 0).any():
+        raise ValueError("row pointers do not delimit the entries")
+    if len(rows.coef) != len(col) or len(rows.rhs) != len(rel):
+        raise ValueError("coefficients or right-hand sides do not match their rows")
+    if len(col) and (col.min() < 0 or col.max() >= n_vars):
+        raise ValueError("constraint references an unknown variable")
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +442,9 @@ def dual_bound(
     above: every dual has its row's sign, and y^T A >= c on every column.
     CertificateError naming the first check that fails otherwise.
 
-    ``duals`` are those of the integer rows themselves.  The checks run
-    in Python ints, as whole object arrays: each dual times E, the lcm of
-    the duals' and the objective's denominators.
+    ``duals`` hold one dual per row of ``rows``, as ``solve_lp`` returns
+    them.  The checks run in Python ints, as whole object arrays: each
+    dual times E, the lcm of the duals' and the objective's denominators.
     """
     carried = np.array([i for i, y in enumerate(duals) if y], dtype=np.int64)
     weights = [duals[i] for i in carried.tolist()]
@@ -501,32 +471,27 @@ def _times(q: int | Fraction, m: int) -> int:
     return q.numerator * (m // q.denominator)
 
 
-def solve_lp(n_vars: int, objective, constraints) -> LpSolution:
-    """Maximize ``objective . x`` over x >= 0 under the constraints.
+def solve_lp(n_vars: int, objective, rows: IntRows) -> LpSolution:
+    """Maximize ``objective . x`` over x >= 0 under the integer rows.
 
     Args:
         n_vars: number of structural variables.
-        objective: sparse (var, coeff) pairs; a variable may repeat, and
-            its coefficients are summed.
-        constraints: triples (coeffs, relation, rhs) with coeffs in the
-            same form and relation one of "<=", "=", ">="; or the same
-            rows already gathered as an :class:`IntRows`.
+        objective: sparse (var, coeff) pairs, ints or Fractions; a
+            variable may repeat, and its coefficients are summed.
+        rows: the constraints as an :class:`IntRows` matrix over the
+            ``n_vars`` variables.
 
     Returns:
         LpSolution; primal and duals are present only when optimal, and
         then they have passed the exact checks, whichever engine found
-        them.  AssertionError if the tableau's optimal pair fails them.
+        them, and the duals are those of ``rows``.  ValueError if the
+        objective or the rows are malformed; AssertionError if the
+        tableau's optimal pair fails the exact checks.
     """
     obj = _sparse(objective)
     if any(j >= n_vars or j < 0 for j in obj):
         raise ValueError("objective references an unknown variable")
-    scales = None
-    if isinstance(constraints, IntRows):
-        rows = constraints
-        if len(rows.col) and (rows.col.min() < 0 or rows.col.max() >= n_vars):
-            raise ValueError("constraint references an unknown variable")
-    else:
-        rows, scales = _parse(n_vars, constraints)
+    _check_rows(n_vars, rows)
     sol = None
     if n_vars:  # linprog rejects a problem with no variables
         sol = _propose(n_vars, obj, rows)
@@ -536,12 +501,7 @@ def solve_lp(n_vars: int, objective, constraints) -> LpSolution:
             _certify(n_vars, obj, rows, sol.primal, sol.duals) != sol.value
         ):
             raise AssertionError("the rational tableau's answer fails the exact checks")
-    if scales is None or sol.duals is None:
-        return sol
-    # Row i is the given triple times scales[i], so the given triple's
-    # dual is scales[i] times the row's.
-    duals = tuple(y * s for y, s in zip(sol.duals, scales))
-    return LpSolution(sol.status, sol.value, sol.primal, duals)
+    return sol
 
 
 def _sparse(coeffs) -> dict[int, int | Fraction]:

@@ -4,14 +4,42 @@ import operator
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
 
 from cdskit import simplex
-from cdskit.simplex import CertificateError, LpSolution, solve_lp
+from cdskit.simplex import CertificateError, IntRows, LpSolution, solve_lp
 
 F = Fraction
+
+
+def int_rows(constraints) -> IntRows:
+    """Integer triples (coeffs, relation, rhs) as the rows ``solve_lp``
+    takes, entry for entry: no scaling and no checks.  Coefficients and
+    right-hand sides are int64, or object arrays where one does not fit."""
+
+    def ints(values):
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            return np.array(values, dtype=object)
+
+    ptr, col, coef = [0], [], []
+    for coeffs, _, _ in constraints:
+        col += [j for j, _ in coeffs]
+        coef += [c for _, c in coeffs]
+        ptr.append(len(col))
+    return IntRows(
+        np.array(ptr, dtype=np.int64),
+        np.array(col, dtype=np.int64),
+        ints(coef),
+        np.array([simplex.CODE[r] for _, r, _ in constraints], dtype=np.int8),
+        ints([b for _, _, b in constraints]),
+    )
 
 
 def recombine(constraints, duals) -> tuple[dict[int, Fraction], Fraction]:
@@ -44,52 +72,52 @@ def assert_certificate(n, objective, constraints, sol: LpSolution) -> None:
 
 class TestBasics:
     def test_single_bound(self):
-        sol = solve_lp(1, [(0, F(1))], [([(0, F(1))], "<=", F(1))])
+        sol = solve_lp(1, [(0, F(1))], int_rows([([(0, 1)], "<=", 1)]))
         assert sol.status == "optimal"
         assert sol.value == 1
         assert sol.primal == (F(1),)
 
     def test_two_variable_cap(self):
         cons = [
-            ([(0, F(1)), (1, F(1))], "<=", F(3, 2)),
-            ([(0, F(1))], "<=", F(1)),
-            ([(1, F(1))], "<=", F(1)),
+            ([(0, 2), (1, 2)], "<=", 3),  # x0 + x1 <= 3/2
+            ([(0, 1)], "<=", 1),
+            ([(1, 1)], "<=", 1),
         ]
-        sol = solve_lp(2, [(0, F(1)), (1, F(1))], cons)
+        sol = solve_lp(2, [(0, F(1)), (1, F(1))], int_rows(cons))
         assert sol.value == F(3, 2)
         assert_certificate(2, [(0, F(1)), (1, F(1))], cons, sol)
 
     def test_inactive_constraint(self):
         cons = [
-            ([(0, F(1)), (1, F(1))], "<=", F(4)),
-            ([(0, F(1))], "<=", F(2)),
+            ([(0, 1), (1, 1)], "<=", 4),
+            ([(0, 1)], "<=", 2),
         ]
-        sol = solve_lp(2, [(0, F(2)), (1, F(3))], cons)
+        sol = solve_lp(2, [(0, F(2)), (1, F(3))], int_rows(cons))
         assert sol.value == 12  # all mass on y
         assert sol.primal == (F(0), F(4))
 
     def test_equality_and_ge(self):
         # max x + y with x + y = 2, x >= 1/2: optimum 2.
         cons = [
-            ([(0, F(1)), (1, F(1))], "=", F(2)),
-            ([(0, F(1))], ">=", F(1, 2)),
+            ([(0, 1), (1, 1)], "=", 2),
+            ([(0, 2)], ">=", 1),
         ]
-        sol = solve_lp(2, [(0, F(1)), (1, F(1))], cons)
+        sol = solve_lp(2, [(0, F(1)), (1, F(1))], int_rows(cons))
         assert sol.status == "optimal" and sol.value == 2
         assert sol.primal[0] >= F(1, 2)
         assert_certificate(2, [(0, F(1)), (1, F(1))], cons, sol)
 
     def test_negative_rhs_normalization(self):
         # -x <= -3  means x >= 3; minimize x by maximizing -x.
-        cons = [([(0, F(-1))], "<=", F(-3)), ([(0, F(1))], "<=", F(10))]
-        sol = solve_lp(1, [(0, F(-1))], cons)
+        cons = [([(0, -1)], "<=", -3), ([(0, 1)], "<=", 10)]
+        sol = solve_lp(1, [(0, F(-1))], int_rows(cons))
         assert sol.value == -3
         assert sol.primal == (F(3),)
         assert_certificate(1, [(0, F(-1))], cons, sol)
 
     def test_exact_fractions_survive(self):
-        cons = [([(0, F(3)), (1, F(7))], "<=", F(1, 3))]
-        sol = solve_lp(2, [(0, F(1))], cons)
+        cons = [([(0, 9), (1, 21)], "<=", 1)]  # 3 x0 + 7 x1 <= 1/3
+        sol = solve_lp(2, [(0, F(1))], int_rows(cons))
         assert sol.value == F(1, 9)
 
 
@@ -98,7 +126,7 @@ class TestProposalRounding:
         # x = 1/8191 rounds to no feasible optimal pair under the cap,
         # so the rational tableau must supply the exact optimum.
         cons = [([(0, 8191)], "<=", 1)]
-        sol = solve_lp(1, [(0, 1)], cons)
+        sol = solve_lp(1, [(0, 1)], int_rows(cons))
         assert sol.status == "optimal"
         assert sol.value == F(1, 8191)
         assert sol.primal == (F(1, 8191),)
@@ -122,13 +150,13 @@ class TestProposalRounding:
         for entries in (num, num + [(1 << 70) + 1]):
             cons = [([(j, a)], "<=", a) for j, a in enumerate(entries)]
             seen.clear()
-            assert solve_lp(len(entries), [], cons).status == "optimal"
+            assert solve_lp(len(entries), [], int_rows(cons)).status == "optimal"
             (kwargs,) = seen
             assert kwargs["A_ub"].data.tolist() == [float(a) for a in entries]
             assert kwargs["b_ub"].tolist() == [float(a) for a in entries]
         seen.clear()
-        cons = [([(0, F(1, 3**700)), (1, 1)], "<=", 1)]
-        sol = solve_lp(2, [(1, 1)], cons)
+        cons = [([(0, 1), (1, 3**700)], "<=", 3**700)]
+        sol = solve_lp(2, [(1, 1)], int_rows(cons))
         assert sol.value == 1 and not seen
         assert_certificate(2, [(1, 1)], cons, sol)
 
@@ -142,39 +170,94 @@ class TestProposalRounding:
 
 class TestStatuses:
     def test_infeasible(self):
-        cons = [([(0, F(1))], ">=", F(2)), ([(0, F(1))], "<=", F(1))]
-        assert solve_lp(1, [(0, F(1))], cons).status == "infeasible"
+        cons = [([(0, 1)], ">=", 2), ([(0, 1)], "<=", 1)]
+        assert solve_lp(1, [(0, F(1))], int_rows(cons)).status == "infeasible"
 
     def test_unbounded(self):
-        cons = [([(0, F(1))], ">=", F(1))]
-        assert solve_lp(1, [(0, F(1))], cons).status == "unbounded"
+        cons = [([(0, 1)], ">=", 1)]
+        assert solve_lp(1, [(0, F(1))], int_rows(cons)).status == "unbounded"
 
     def test_zero_objective_feasible(self):
-        sol = solve_lp(1, [], [([(0, F(1))], "<=", F(5))])
+        sol = solve_lp(1, [], int_rows([([(0, 1)], "<=", 5)]))
         assert sol.status == "optimal" and sol.value == 0
+
+
+class TestInputChecks:
+    GOOD = int_rows([([(0, 1), (1, 1)], "<=", 2), ([(0, 1)], "<=", 1)])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("rel", [5, -1], id="relation code 5"),
+            pytest.param("rel", [-1, -5], id="relation code -5"),
+            pytest.param("ptr", [0, 3], id="ptr one short"),
+            pytest.param("ptr", [1, 2, 3], id="ptr not from 0"),
+            pytest.param("ptr", [0, 4, 3], id="ptr decreasing"),
+            pytest.param("ptr", [0, 2, 5], id="ptr past the entries"),
+            pytest.param("coef", [1, 1], id="coef shorter than col"),
+            pytest.param("rhs", [2], id="rhs shorter than rel"),
+            pytest.param("col", [0, 2, 0], id="col past n_vars"),
+            pytest.param("col", [0, -1, 0], id="col negative"),
+        ],
+    )
+    def test_malformed_rows_are_rejected(self, field, value):
+        assert solve_lp(2, [(0, 1)], self.GOOD).value == 1
+        bad = replace(self.GOOD, **{field: np.array(value, dtype=getattr(self.GOOD, field).dtype)})
+        with pytest.raises(ValueError):
+            solve_lp(2, [(0, 1)], bad)
+
+    @pytest.mark.parametrize("objective", [[(2, 1)], [(-1, 1)]])
+    def test_objective_index_out_of_range(self, objective):
+        with pytest.raises(ValueError, match="objective"):
+            solve_lp(2, objective, self.GOOD)
+
+    @pytest.mark.parametrize(
+        "constraints, status, duals",
+        [
+            ([([], "<=", -1)], "infeasible", None),
+            ([([], "<=", 1)], "optimal", (0,)),
+            ([], "optimal", ()),
+        ],
+    )
+    def test_no_variables_leave_the_tableau_to_decide(
+        self, monkeypatch, constraints, status, duals
+    ):
+        def propose(*args):
+            raise AssertionError("HiGHS called on an LP with no variables")
+
+        monkeypatch.setattr(simplex, "_propose", propose)
+        sol = solve_lp(0, [], int_rows(constraints))
+        assert sol.status == status and sol.duals == duals
+        if status == "optimal":
+            assert sol.value == 0 and sol.primal == ()
+
+
+# Beale's rows, each times 100 to clear its denominators:
+#   x0/4 - 60 x1 - x2/25 + 9 x3 <= 0,  x0/2 - 90 x1 - x2/50 + 3 x3 <= 0.
+BEALE = [
+    ([(0, 25), (1, -6000), (2, -4), (3, 900)], "<=", 0),
+    ([(0, 50), (1, -9000), (2, -2), (3, 300)], "<=", 0),
+    ([(2, 1)], "<=", 1),
+]
 
 
 class TestDegenerate:
     def test_beale_cycling_example_terminates(self):
         # Beale's classic cycling LP; Bland's rule must terminate at 1/20.
         objective = [(0, F(3, 4)), (1, F(-150)), (2, F(1, 50)), (3, F(-6))]
-        cons = [
-            ([(0, F(1, 4)), (1, F(-60)), (2, F(-1, 25)), (3, F(9))], "<=", F(0)),
-            ([(0, F(1, 2)), (1, F(-90)), (2, F(-1, 50)), (3, F(3))], "<=", F(0)),
-            ([(2, F(1))], "<=", F(1)),
-        ]
-        sol = solve_lp(4, objective, cons)
+        cons = BEALE
+        sol = solve_lp(4, objective, int_rows(cons))
         assert sol.status == "optimal"
         assert sol.value == F(1, 20)
         assert_certificate(4, objective, cons, sol)
 
     def test_redundant_equalities(self):
         cons = [
-            ([(0, F(1)), (1, F(1))], "=", F(1)),
-            ([(0, F(2)), (1, F(2))], "=", F(2)),
-            ([(0, F(1))], "<=", F(1)),
+            ([(0, 1), (1, 1)], "=", 1),
+            ([(0, 2), (1, 2)], "=", 2),
+            ([(0, 1)], "<=", 1),
         ]
-        sol = solve_lp(2, [(0, F(1))], cons)
+        sol = solve_lp(2, [(0, F(1))], int_rows(cons))
         assert sol.status == "optimal" and sol.value == 1
 
 
@@ -193,19 +276,15 @@ class TestPureExactEngine:
 
     def test_beale_without_acceleration(self, no_proposal):
         objective = [(0, F(3, 4)), (1, F(-150)), (2, F(1, 50)), (3, F(-6))]
-        cons = [
-            ([(0, F(1, 4)), (1, F(-60)), (2, F(-1, 25)), (3, F(9))], "<=", F(0)),
-            ([(0, F(1, 2)), (1, F(-90)), (2, F(-1, 50)), (3, F(3))], "<=", F(0)),
-            ([(2, F(1))], "<=", F(1)),
-        ]
-        sol = solve_lp(4, objective, cons)
+        cons = BEALE
+        sol = solve_lp(4, objective, int_rows(cons))
         assert sol.status == "optimal" and sol.value == F(1, 20)
         assert_certificate(4, objective, cons, sol)
 
     def test_statuses_without_acceleration(self, no_proposal):
-        infeasible = [([(0, F(1))], ">=", F(2)), ([(0, F(1))], "<=", F(1))]
+        infeasible = int_rows([([(0, 1)], ">=", 2), ([(0, 1)], "<=", 1)])
         assert solve_lp(1, [(0, F(1))], infeasible).status == "infeasible"
-        unbounded = [([(0, F(1))], ">=", F(1))]
+        unbounded = int_rows([([(0, 1)], ">=", 1)])
         assert solve_lp(1, [(0, F(1))], unbounded).status == "unbounded"
 
     def test_wrong_tableau_primal_is_rejected(self, monkeypatch, no_proposal):
@@ -218,7 +297,7 @@ class TestPureExactEngine:
 
         monkeypatch.setattr(simplex, "_solve_exact", shifted)
         with pytest.raises(AssertionError):
-            solve_lp(1, [(0, F(1))], [([(0, F(1))], "<=", F(1))])
+            solve_lp(1, [(0, F(1))], int_rows([([(0, 1)], "<=", 1)]))
 
     def test_matches_accelerated_values_on_random_lps(self, monkeypatch):
         rng = random.Random(1618)
@@ -228,18 +307,18 @@ class TestPureExactEngine:
             objective = [(j, F(rng.randrange(-3, 4))) for j in range(n)]
             cons = [
                 (
-                    [(j, F(rng.randrange(-2, 4))) for j in range(n)],
+                    [(j, rng.randrange(-2, 4)) for j in range(n)],
                     rng.choice(["<=", "=", ">="]),
-                    F(rng.randrange(0, 5)),
+                    rng.randrange(0, 5),
                 )
                 for _ in range(rng.randrange(1, 5))
             ]
             for j in range(n):
-                cons.append(([(j, F(1))], "<=", F(8)))
-            fast = solve_lp(n, objective, cons)
+                cons.append(([(j, 1)], "<=", 8))
+            fast = solve_lp(n, objective, int_rows(cons))
             with monkeypatch.context() as patch:
                 patch.setattr(simplex, "_propose", decline)
-                slow = solve_lp(n, objective, cons)
+                slow = solve_lp(n, objective, int_rows(cons))
             assert fast.status == slow.status
             if fast.status == "optimal":
                 assert fast.value == slow.value
@@ -256,13 +335,13 @@ class TestRandomized:
             objective = [(j, F(rng.randrange(-3, 4))) for j in range(n)]
             cons = []
             for _ in range(rng.randrange(1, 6)):
-                coeffs = [(j, F(rng.randrange(-3, 4))) for j in range(n)]
+                coeffs = [(j, rng.randrange(-3, 4)) for j in range(n)]
                 rel = rng.choice(["<=", "<=", "=", ">="])
-                cons.append((coeffs, rel, F(rng.randrange(0, 6))))
+                cons.append((coeffs, rel, rng.randrange(0, 6)))
             # Keep the region bounded so optima exist.
             for j in range(n):
-                cons.append(([(j, F(1))], "<=", F(10)))
-            sol = solve_lp(n, objective, cons)
+                cons.append(([(j, 1)], "<=", 10))
+            sol = solve_lp(n, objective, int_rows(cons))
             if sol.status != "optimal":
                 continue
             solved += 1
@@ -287,17 +366,17 @@ class TestRandomized:
             objective = [(0, F(rng.randrange(-3, 4))), (1, F(rng.randrange(-3, 4)))]
             cons = [
                 (
-                    [(0, F(rng.randrange(-2, 4))), (1, F(rng.randrange(-2, 4)))],
+                    [(0, rng.randrange(-2, 4)), (1, rng.randrange(-2, 4))],
                     "<=",
-                    F(rng.randrange(0, 7)),
+                    rng.randrange(0, 7),
                 )
                 for _ in range(4)
             ]
-            cons.append(([(0, F(1))], "<=", F(7)))
-            cons.append(([(1, F(1))], "<=", F(7)))
+            cons.append(([(0, 1)], "<=", 7))
+            cons.append(([(1, 1)], "<=", 7))
             rows = [c for c in cons] + [
-                ([(0, F(1))], ">=", F(0)),
-                ([(1, F(1))], ">=", F(0)),
+                ([(0, 1)], ">=", 0),
+                ([(1, 1)], ">=", 0),
             ]
             candidates = []
             for (ca, _, ba), (cb, _, bb) in itertools.combinations(rows, 2):
@@ -319,7 +398,7 @@ class TestRandomized:
             best = max(
                 sum(F(c) * pt[j] for j, c in objective) for pt in candidates
             )
-            sol = solve_lp(2, objective, cons)
+            sol = solve_lp(2, objective, int_rows(cons))
             assert sol.status == "optimal"
             assert sol.value == best
             done += 1
@@ -351,55 +430,47 @@ def reference_certify(n, objective, constraints, primal, duals):
     return value if reference_dual_bound(n, objective, constraints, duals) == value else None
 
 
-def integer_form(n, constraints, duals):
-    """The triples as ``solve_lp`` holds them, integer rows, and the
-    given rows' duals as those rows' duals (each over its row's scale)."""
-    rows, scales = simplex._parse(n, constraints)
-    return rows, [F(y) / s for y, s in zip(duals, scales)]
-
-
 class TestCertify:
     """Each check of the exact acceptance test, one fault at a time.
 
     max x0/2 + x1/2 over
-      r0  x0/2 + x1/3 <= 5/6      r3  x2/3 = 1/3
-      r1  -x0/2 - x1/3 >= -5/6    r4  x3/2 >= 1/2
-      r2  x0 - x1 = 0             r5  2 x3/3 <= 4/3
+      r0  3 x0 + 2 x1 <= 5        r3  x2 = 1
+      r1  -3 x0 - 2 x1 >= -5      r4  x3 >= 1
+      r2  x0 - x1 = 0             r5  2 x3 <= 4
     with x4 in no row.  r0 and r1 are one half-plane, so weight moves
     between them without changing y^T A or y.b; x2, x3 and x4 touch
     neither the objective nor r0-r2.  Optimum 1 at x = (1, 1, 1, 1, 0)
-    with y = (6/5, 0, -1/10, 0, 0, 0).
+    with y = (1/5, 0, -1/10, 0, 0, 0).
     """
 
     N = 5
     OBJECTIVE = [(0, F(1, 2)), (1, F(1, 2))]
     CONSTRAINTS = [
-        ([(0, F(1, 2)), (1, F(1, 3))], "<=", F(5, 6)),
-        ([(0, F(-1, 2)), (1, F(-1, 3))], ">=", F(-5, 6)),
+        ([(0, 3), (1, 2)], "<=", 5),
+        ([(0, -3), (1, -2)], ">=", -5),
         ([(0, 1), (1, -1)], "=", 0),
-        ([(2, F(1, 3))], "=", F(1, 3)),
-        ([(3, F(1, 2))], ">=", F(1, 2)),
-        ([(3, F(2, 3))], "<=", F(4, 3)),
+        ([(2, 1)], "=", 1),
+        ([(3, 1)], ">=", 1),
+        ([(3, 2)], "<=", 4),
     ]
     PRIMAL = (F(1), F(1), F(1), F(1), F(0))
-    DUALS = (F(6, 5), F(0), F(-1, 10), F(0), F(0), F(0))
+    DUALS = (F(1, 5), F(0), F(-1, 10), F(0), F(0), F(0))
 
     def certify(self, primal=PRIMAL, duals=DUALS):
         obj, cons = self.OBJECTIVE, self.CONSTRAINTS
-        rows, int_duals = integer_form(self.N, cons, duals)
-        got = simplex._certify(self.N, simplex._sparse(obj), rows, list(primal), int_duals)
+        rows = int_rows(cons)
+        got = simplex._certify(self.N, simplex._sparse(obj), rows, list(primal), list(duals))
         assert got == reference_certify(self.N, obj, cons, tuple(primal), tuple(duals))
         return got
 
     def test_optimal_pair_is_accepted(self, monkeypatch):
         value = self.certify()
         assert value == 1 and type(value) is Fraction
-        # Each engine's duals are those of the given rows, whose scales
-        # run up to 6.
+        # Each engine's duals certify the given rows.
         obj, cons = self.OBJECTIVE, self.CONSTRAINTS
         for propose in (simplex._propose, decline):
             monkeypatch.setattr(simplex, "_propose", propose)
-            sol = solve_lp(self.N, obj, cons)
+            sol = solve_lp(self.N, obj, int_rows(cons))
             assert sol.value == 1
             assert reference_certify(self.N, obj, cons, sol.primal, sol.duals) == 1
 
@@ -420,10 +491,10 @@ class TestCertify:
     @pytest.mark.parametrize(
         "changes, fault",
         [
-            ({0: F(-1), 1: F(-11, 5)}, "negative dual on a <= row"),
-            ({0: F(11, 5), 1: F(1)}, "positive dual on a >= row"),
-            ({3: F(3), 4: F(-2)}, "column x3 has y^T A < c"),
-            ({5: F(3, 2)}, "c.x != y.b"),
+            ({0: F(-1, 6), 1: F(-11, 30)}, "negative dual on a <= row"),
+            ({0: F(11, 30), 1: F(1, 6)}, "positive dual on a >= row"),
+            ({3: F(1), 4: F(-1)}, "column x3 has y^T A < c"),
+            ({5: F(1, 2)}, "c.x != y.b"),
         ],
     )
     def test_dual_fault_is_rejected(self, changes, fault):
@@ -445,8 +516,7 @@ class TestCertify:
     )
     def test_values_beyond_int64_stay_exact(self, objective, constraints, primal, duals, want):
         n = 1
-        rows, int_duals = integer_form(n, constraints, duals)
-        got = simplex._certify(n, simplex._sparse(objective), rows, primal, int_duals)
+        got = simplex._certify(n, simplex._sparse(objective), int_rows(constraints), primal, duals)
         assert got == want == reference_certify(n, objective, constraints, primal, duals)
 
     def test_verdicts_match_the_fraction_reference(self):
@@ -455,16 +525,17 @@ class TestCertify:
         for _ in range(200):
             n = rng.randrange(1, 5)
             objective = [(j, F(rng.randrange(-3, 4), rng.randrange(1, 4))) for j in range(n)]
-            cons = [
-                (
-                    [(j, F(rng.randrange(-3, 4), rng.randrange(1, 5))) for j in range(n)],
-                    rng.choice(["<=", "<=", "=", ">="]),
-                    F(rng.randrange(-1, 6), rng.randrange(1, 4)),
-                )
-                for _ in range(rng.randrange(1, 5))
-            ]
+            cons = []
+            for _ in range(rng.randrange(1, 5)):
+                coeffs = [(j, F(rng.randrange(-3, 4), rng.randrange(1, 5))) for j in range(n)]
+                rel = rng.choice(["<=", "<=", "=", ">="])
+                rhs = F(rng.randrange(-1, 6), rng.randrange(1, 4))
+                # The drawn row times the lcm of its denominators.
+                s = lcm(rhs.denominator, *(c.denominator for _, c in coeffs))
+                cons.append(([(j, int(c * s)) for j, c in coeffs], rel, int(rhs * s)))
             cons += [([(j, 1)], "<=", 10) for j in range(n)]
-            sol = solve_lp(n, objective, cons)
+            rows = int_rows(cons)
+            sol = solve_lp(n, objective, rows)
             if sol.status == "optimal":
                 primal, duals = list(sol.primal), list(sol.duals)
             else:
@@ -486,11 +557,10 @@ class TestCertify:
                 j = rng.randrange(n)
                 primal[j] = -primal[j]
             obj = simplex._sparse(objective)
-            rows, int_duals = integer_form(n, cons, duals)
-            got = simplex._certify(n, obj, rows, primal, int_duals)
+            got = simplex._certify(n, obj, rows, primal, duals)
             assert got == reference_certify(n, objective, cons, tuple(primal), tuple(duals))
             try:
-                bound = simplex.dual_bound(n, obj, rows, int_duals)
+                bound = simplex.dual_bound(n, obj, rows, duals)
             except CertificateError:
                 bound = None
             assert bound == reference_dual_bound(n, objective, cons, duals)

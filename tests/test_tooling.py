@@ -243,3 +243,56 @@ def test_no_module_imports_a_name_it_never_uses():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) >= 9
     assert [name for path in modules for name in unused_imports(path)] == []
+
+
+def names_used(node: ast.AST) -> set[str]:
+    """The names a statement reads, takes an attribute by, or imports."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            used |= {alias.name for alias in sub.names}
+    return used
+
+
+def dead_private_code(paths: list[Path]) -> list[str]:
+    """The module-level private functions and classes that no live code
+    in ``paths`` names, listed as ``file:line name``.  Every other
+    module-level statement is live, and so is each such function or class
+    that live code names, other than itself: a helper that only dead code
+    calls is dead too."""
+    where, uses = {}, {}
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            where[node], uses[node] = path.name, names_used(node)
+    private = [
+        node
+        for node in uses
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    ]
+    dead: set = set()
+    while True:
+        now = {
+            node
+            for node in private
+            if not any(
+                node.name in used
+                for other, used in uses.items()
+                if other is not node and other not in dead
+            )
+        }
+        if now == dead:
+            return sorted(f"{where[node]}:{node.lineno} {node.name}" for node in dead)
+        dead = now
+
+
+def test_no_private_function_or_class_is_left_without_a_caller():
+    # Tests do not count: code only a test calls is dead code.
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 9
+    assert dead_private_code(modules) == []
