@@ -27,10 +27,10 @@ In the rate-1/2 construction each signal is the secret plus its own
 qualified component's noise, so a pair of signals reads the noise of
 one or two components however many there are.
 
-The pair's joint value on each grid row is a label below the table's
-size (:func:`_labels`).  The grid rows are secret-major and the secret
-is uniform, so a row's secret is its block.  Correctness scatters each
-row's secret to its label and gathers it back: a fiber holding two
+The pair's joint value on each grid row is a label below the grid's
+row count (:func:`_labels`).  The grid rows are secret-major and the
+secret is uniform, so a row's secret is its block.  Correctness scatters
+each row's secret to its label and gathers it back: a fiber holding two
 secrets loses one of them.  Security counts each label per secret block
 with ``np.bincount`` and requires count(s, w) * p^L = count(w) on every
 row, in exact integers.
@@ -303,6 +303,16 @@ def _reads(table: SchemeTable, name: str) -> np.ndarray:
     return table.scheme.matrices[name][1].data.any(axis=0)
 
 
+def _require_names(table: SchemeTable, names) -> None:
+    """ValueError unless ``names`` is a nonempty list of the table's
+    variables: S, Z or a vertex."""
+    if not names:
+        raise ValueError("subset must be nonempty")
+    for name in names:
+        if name not in ("S", "Z") and name not in table.values:
+            raise ValueError(f"unknown variable {name}")
+
+
 def _grid(table: SchemeTable, names) -> tuple[list[tuple[np.ndarray, int]], int]:
     """([(codes, alphabet size)] of the selected variables, rows) on the
     grid of the secret and the noise digits they read, secret-major like
@@ -314,6 +324,7 @@ def _grid(table: SchemeTable, names) -> tuple[list[tuple[np.ndarray, int]], int]
     every unread digit, so no value is lost.  When they read every digit
     the grid is the table and the codes are views of its own arrays.
     """
+    _require_names(table, names)
     read = np.zeros(table.noise_len, dtype=bool)
     for name in names:
         read |= _reads(table, name)
@@ -331,17 +342,17 @@ def _grid(table: SchemeTable, names) -> tuple[list[tuple[np.ndarray, int]], int]
 def _labels(table: SchemeTable, names) -> tuple[np.ndarray, int]:
     """(codes, width): the selected variables' joint value on every row
     of their grid (:func:`_grid`) as a label in [0, width), where width
-    <= table.size, in the narrowest unsigned type that holds width - 1.
-    The codes are a new array.
+    is at most the grid's rows, in the narrowest unsigned type that holds
+    width - 1.  The codes are a new array.
 
     The code columns are combined in mixed radix when the product of
-    their alphabet sizes is at most the table's size.  Otherwise (wide
-    signals, or a joint alphabet larger than the table) the rows' joint
+    their alphabet sizes is at most the grid's rows.  Otherwise (wide
+    signals, or a joint alphabet larger than the grid) the rows' joint
     values are numbered by identity, which sorts.
     """
     cols, rows = _grid(table, names)
     width = math.prod(size for _, size in cols)
-    if width > table.size:
+    if width > rows:
         codes = [col for col, _ in cols]
         numbers = _number_rows(codes, [int(col.max()) + 1 for col in codes])
         return numbers, int(numbers.max()) + 1
@@ -423,10 +434,12 @@ def _precoding(sch: LinearScheme, name: str) -> np.ndarray:
 def joint_rank(table: SchemeTable, subset) -> int:
     """Exact joint entropy (p-ary) of a subset of a linear table, as the
     rank of the stacked precoding."""
+    names = sorted(set(subset))
+    _require_names(table, names)
     if table.scheme is None:
         raise ValueError("joint_rank requires a table built from a linear scheme")
     sch = table.scheme
-    rows = [_precoding(sch, name) for name in sorted(set(subset))]
+    rows = [_precoding(sch, name) for name in names]
     return rank(GfMatrix(sch.p, np.vstack(rows)))
 
 
@@ -441,11 +454,6 @@ def joint_entropy(table: SchemeTable, subset) -> float:
     grid's times p^(unread digits), so it is the table's value exactly.
     """
     names = sorted(set(subset))
-    if not names:
-        raise ValueError("subset must be nonempty")
-    for name in names:
-        if name not in ("S", "Z") and name not in table.values:
-            raise ValueError(f"unknown variable {name}")
     codes, _ = _labels(table, names)
     counts = np.bincount(codes)
     counts = counts[counts > 0]

@@ -296,12 +296,16 @@ def _verification(
     return VerificationReport(vertex_verdicts, edge_verdicts, passed)
 
 
+def _matrices(sch: LinearScheme, v: str) -> tuple[GfMatrix, GfMatrix]:
+    """(F_v, H_v); ValueError if the scheme has no vertex v."""
+    if v not in sch.matrices:
+        raise ValueError(f"scheme has no vertex {v}")
+    return sch.matrices[v]
+
+
 def noise_overlap_dim(sch: LinearScheme, v: str, u: str) -> int:
     """Dimension of the intersection of the two noise row spaces."""
-    for name in (v, u):
-        if name not in sch.matrices:
-            raise ValueError(f"scheme has no vertex {name}")
-    return rowspace_intersection_dim(sch.matrices[v][1], sch.matrices[u][1])
+    return rowspace_intersection_dim(_matrices(sch, v)[1], _matrices(sch, u)[1])
 
 
 def check_signal_alignment(
@@ -313,11 +317,8 @@ def check_signal_alignment(
     x.F_v = y.F_u.  Checked on a kernel basis of [H_v; -H_u]; returns the
     first violating (x, y) combination otherwise.
     """
-    for name in (v, u):
-        if name not in sch.matrices:
-            raise ValueError(f"scheme has no vertex {name}")
-    fv, hv = sch.matrices[v]
-    fu, hu = sch.matrices[u]
+    fv, hv = _matrices(sch, v)
+    fu, hu = _matrices(sch, u)
     kernel = left_kernel(vstack(hv, neg(hu)))
     if kernel.rows == 0:
         return True, None
@@ -343,7 +344,7 @@ def path_overlap_lower_bound(
     path = list(path)
     if len(path) < 2:
         raise ValueError("path needs at least two vertices")
-    lengths = {sch.signal_len(v) for v in path}
+    lengths = {_matrices(sch, v)[0].rows for v in path}
     if len(lengths) != 1:
         raise ValueError(f"signals along the path differ in length: {sorted(lengths)}")
     n = lengths.pop()

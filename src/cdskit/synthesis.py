@@ -9,9 +9,8 @@ per-component noise symbols by generic combinations of two base symbols.
 
 The built-in 6-vertex instance additionally ships a rate-2/5 scheme with
 4 secret bits, 9 noise bits and 5-bit signals arranged in sliding noise
-windows; its secret rows are pinned by alignment constraints up to a
-small exhaustive search (re-run by the test suite) whose result is frozen
-here as data.
+windows.  Its secret rows are frozen here as data, and the scheme is
+verified by ranks every time it is built.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "builtin_fig2_scheme",
     "builtin_example1_instance",
     "builtin_instance",
-    "derive_fig2_secret_rows",
     "FIG2_PATH_ORDER",
 ]
 
@@ -223,8 +221,11 @@ def builtin_instance(name: str) -> CdsInstance:
 #
 # Vertices along the qualified path, position k = 0..5; bit j of vertex k
 # combines secret row c(k, k + j) with noise bit z_{(k + j) mod 9}.  The
-# secret rows below were produced by derive_fig2_secret_rows() and are
-# re-derived by the test suite.
+# secret rows below satisfy the alignment constraints: noise shared across
+# an unqualified edge carries equal secret rows, B1's last two bits carry
+# s4 and then no secret, and the differences across {B1, A2}
+# decode (s1+s2, s2+s3, s3+s4, s4).  builtin_fig2_scheme() rejects them
+# unless every edge verifies.
 
 FIG2_PATH_ORDER = ("A1", "B1", "A2", "B2", "A3", "B3")
 _FIG2_L = 4
@@ -245,125 +246,6 @@ _FIG2_SECRET_ROWS: dict[tuple[int, int], int] = {
 
 def _window(k: int) -> list[int]:
     return [k + j for j in range(_FIG2_N)]
-
-
-def _fig2_structure():
-    """Qualified edges as path positions, unqualified edges likewise, and
-    the equality classes forced on (k, t) secret rows by shared noise."""
-    pos = {v: k for k, v in enumerate(FIG2_PATH_ORDER)}
-    inst = builtin_fig2_instance()
-    qual = [tuple(sorted((pos[v], pos[u]))) for v, u in inst.qualified]
-    unqual = [tuple(sorted((pos[v], pos[u]))) for v, u in inst.unqualified]
-    merges = []
-    for k, k2 in unqual:
-        for t in _window(k):
-            for t2 in _window(k2):
-                if t % _FIG2_LZ == t2 % _FIG2_LZ:
-                    merges.append(((k, t), (k2, t2)))
-    return qual, unqual, merges
-
-
-def _rank_full(rows: list[int]) -> bool:
-    """True iff the 4-bit rows are linearly independent over GF(2)."""
-    basis: list[int] = []
-    for r in rows:
-        for b in basis:
-            r = min(r, r ^ b)
-        if r == 0:
-            return False
-        basis.append(r)
-    return True
-
-
-def derive_fig2_secret_rows() -> dict[tuple[int, int], int]:
-    """Search for secret rows satisfying the alignment constraints.
-
-    Constraints: shared noise positions of unqualified edges carry equal
-    secret rows; vertex B1 carries s4 and then nothing on its last two
-    bits; the differences across the (B1, A2) edge decode
-    (s1+s2, s2+s3, s3+s4, s4); every qualified edge's four difference
-    rows are linearly independent.
-    Depth-first over undetermined rows in a fixed order, smallest value
-    first, so the result is canonical.
-    """
-    qual, _, merges = _fig2_structure()
-    variables = [(k, t) for k in range(6) for t in _window(k)]
-
-    # Affine relations val(a) ^ offset == val(b), plus fixed values.
-    relations: list[tuple[tuple[int, int], tuple[int, int], int]] = [
-        (a, b, 0) for a, b in merges
-    ]
-    decode_rows = {2: 0b1100, 3: 0b0110, 4: 0b0011, 5: 0b0001}
-    for t, row in decode_rows.items():
-        relations.append(((1, t), (2, t), row))
-    fixed = {(1, 4): 0b0001, (1, 5): 0b0000}
-
-    # Union the relation graph into components with offsets from a root.
-    offset = {v: None for v in variables}
-    comp_root: dict[tuple[int, int], tuple[int, int]] = {}
-    adj: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {
-        v: [] for v in variables
-    }
-    for a, b, off in relations:
-        adj[a].append((b, off))
-        adj[b].append((a, off))
-    roots = []
-    for v in sorted(variables):
-        if v in comp_root:
-            continue
-        roots.append(v)
-        stack = [(v, 0)]
-        while stack:
-            node, off = stack.pop()
-            if node in comp_root:
-                if offset[node] != off:
-                    raise AssertionError("inconsistent alignment constraints")
-                continue
-            comp_root[node] = v
-            offset[node] = off
-            for nbr, o in adj[node]:
-                stack.append((nbr, off ^ o))
-
-    root_value: dict[tuple[int, int], int | None] = {r: None for r in roots}
-    for v, val in fixed.items():
-        r = comp_root[v]
-        forced = val ^ offset[v]
-        if root_value[r] is not None and root_value[r] != forced:
-            raise AssertionError("conflicting fixed values")
-        root_value[r] = forced
-
-    free_roots = sorted(r for r in roots if root_value[r] is None)
-
-    def value_of(v):
-        rv = root_value[comp_root[v]]
-        return None if rv is None else rv ^ offset[v]
-
-    def edges_ok() -> bool:
-        for k, k2 in qual:
-            shared = [t for t in _window(k) if t in _window(k2)]
-            rows = []
-            for t in shared:
-                a, b = value_of((k, t)), value_of((k2, t))
-                if a is not None and b is not None:
-                    rows.append(a ^ b)
-            if not _rank_full(rows):
-                return False
-        return True
-
-    def dfs(i: int) -> bool:
-        if i == len(free_roots):
-            return True
-        root = free_roots[i]
-        for candidate in range(16):
-            root_value[root] = candidate
-            if edges_ok() and dfs(i + 1):
-                return True
-        root_value[root] = None
-        return False
-
-    if not dfs(0):
-        raise AssertionError("no secret-row assignment satisfies the constraints")
-    return {v: value_of(v) for v in sorted(variables)}
 
 
 def _row_bits(row: int) -> list[int]:

@@ -208,6 +208,30 @@ class TestJointEntropy:
         assert not check_correct(table, "A1", "B1")
 
 
+@pytest.mark.parametrize("kind", ["linear", "functions"])
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda t: check_correct(t, "A1", "X9"), "unknown variable X9"),
+        (lambda t: check_secure(t, "X9", "A1"), "unknown variable X9"),
+        (lambda t: joint_rank(t, ["S", "X9"]), "unknown variable X9"),
+        (lambda t: joint_rank(t, []), "subset must be nonempty"),
+        (lambda t: joint_entropy(t, ["X9", "A1"]), "unknown variable X9"),
+        (lambda t: joint_entropy(t, []), "subset must be nonempty"),
+    ],
+    ids=["correct", "secure", "rank", "rank-empty", "entropy", "entropy-empty"],
+)
+def test_unknown_names_rejected(kind, call, message):
+    if kind == "linear":
+        table = tabulate(pad_scheme())
+    else:
+        table = SchemeTable.from_functions(
+            2, 1, 1, {"A1": lambda s, z: ((s[0] + z[0]) % 2,), "B1": lambda s, z: z}
+        )
+    with pytest.raises(ValueError, match=message):
+        call(table)
+
+
 class TestOracleEquivalence:
     def test_verdicts_match_rank_checks(self):
         rng = random.Random(2024)

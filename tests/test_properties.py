@@ -11,6 +11,7 @@ import itertools
 import math
 import pickle
 import tempfile
+import tracemalloc
 from array import array
 from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
@@ -668,28 +669,52 @@ def test_block_ranks_match_joint_ranks(sch, data):
     assert got == want
 
 
-def test_pair_labels_past_two_bytes_match_references():
-    """Two 9-row GF(2) signals over 2^18 realizations: their pair width
-    is 2^18, so the pair's labels are uint32.  a = (s + z1, z2..z9) and
-    b = (z1, ..., z9) decode; a and w = (z10..z17, z10 + z11) are secure."""
+def two_byte_table() -> SchemeTable:
+    """Three 9-row GF(2) signals over 2^18 realizations:
+    a = (s + z1, z2..z9), b = (z1, ..., z9) and w = (z10..z17, z10 + z11)."""
     L, LZ = 1, 17
     eye = np.eye(LZ, dtype=np.int64)
     f = np.zeros((9, L), dtype=np.int64)
     f[0, 0] = 1
     w = np.vstack([eye[9:17], eye[9] + eye[10]])
-    sch = LinearScheme(2, L, LZ, {
+    return tabulate(LinearScheme(2, L, LZ, {
         "a": (GfMatrix(2, f), GfMatrix(2, eye[:9])),
         "b": (GfMatrix(2, np.zeros_like(f)), GfMatrix(2, eye[:9])),
         "w": (GfMatrix(2, np.zeros_like(f)), GfMatrix(2, w)),
-    })
-    table = tabulate(sch)
+    }))
+
+
+def test_pair_labels_past_two_bytes_match_references():
+    """a and w read all 17 noise digits, so their grid is the table's
+    2^18 rows and their pair width 2^18: uint32 labels.  a and b read
+    z1..z9, a grid of 2^10 rows, so their 2^18 joint values are numbered
+    by identity, below 2^10, in uint16.  a and b decode; a and w are
+    secure."""
+    table = two_byte_table()
     assert table.size == 1 << 18
     assert all(codes.dtype == np.uint16 for codes in table.values.values())
-    labels, width = _labels(table, ["a", "b"])
+    labels, width = _labels(table, ["a", "w"])
     assert width == 1 << 18 and labels.dtype == np.uint32
+    labels, width = _labels(table, ["a", "b"])
+    assert width <= 1 << 10 and labels.dtype == np.uint16
     assert check_correct(table, "a", "b") and not check_secure(table, "a", "b")
     assert check_secure(table, "a", "w") and not check_correct(table, "a", "w")
     check_oracle_against_references(table)
+
+
+def test_pair_checks_of_a_1024_row_grid_stay_small():
+    """a and b are checked on their 2^10-row grid, with no array as wide
+    as their 2^18 joint alphabet: one int64 count per joint value alone
+    would take 2 MiB."""
+    table = two_byte_table()
+    for check in (check_correct, check_secure):
+        tracemalloc.start()
+        try:
+            check(table, "a", "b")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, (check.__name__, peak)
 
 
 @settings(max_examples=100, deadline=None)

@@ -227,6 +227,11 @@ class TestPathOverlap:
         with pytest.raises(ValueError, match="not adjacent"):
             path_overlap_lower_bound(sch, ["A1", "A2"], fig2)
 
+    def test_unknown_vertex(self):
+        sch = builtin_fig2_scheme()
+        with pytest.raises(ValueError, match="no vertex X9"):
+            path_overlap_lower_bound(sch, ["A1", "X9"])
+
     def test_bound_never_exceeds_true_intersection(self):
         # Cross-check the chain bound against iterated intersections.
         from cdskit.gf import rowspace_intersection_basis

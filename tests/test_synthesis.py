@@ -28,13 +28,11 @@ from cdskit.synthesis import (
     builtin_fig2_instance,
     builtin_fig2_scheme,
     builtin_instance,
-    derive_fig2_secret_rows,
     next_prime_above,
     plan_synthesis,
     reduce_randomness,
     synthesize_half_rate,
 )
-from cdskit.synthesis import _FIG2_SECRET_ROWS
 from gen import random_feasible_instance
 from conftest import EXAMPLE1_EDGES, FIG2_EDGES
 
@@ -326,9 +324,6 @@ class TestFig2Scheme:
         report = alignment_report(fig2, sch)
         assert set(report.noise_overlaps.values()) == {4}
         assert all(report.signal_alignment.values())
-
-    def test_search_rederives_frozen_rows(self):
-        assert derive_fig2_secret_rows() == _FIG2_SECRET_ROWS
 
 
 class TestEndToEnd:
