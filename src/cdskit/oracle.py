@@ -16,24 +16,31 @@ of arbitrary signal functions is audited through counts.
 Both facts are counted in time linear in the pair's grid, with no sort.
 A variable reads the noise digits its codes depend on: S reads none, Z
 reads all of them, a signal of a linear table reads the nonzero columns
-of its H_v, and a signal of arbitrary functions reads every digit.  The
-grid is the table restricted to the secret and the digits the pair reads,
-with every other digit at 0 (:func:`_grid`).  The unread digits are
-uniform and independent of the secret and of the pair, so every fiber
-of the full table is a fiber of the grid times each of their values:
-count(s, w) and count(w) on the table are those on the grid times the
-same power of p, and both facts hold on one iff they hold on the other.
-In the rate-1/2 construction each signal is the secret plus its own
-qualified component's noise, so a pair of signals reads the noise of
-one or two components however many there are.
+of its H_v, and a signal of arbitrary functions reads every digit; a
+linear table works out each signal's digits once.  The grid is the
+table restricted to the secret and the digits the pair reads, with every
+other digit at 0 (:func:`_grid`).  The unread digits are uniform and
+independent of the secret and of the pair, so every fiber of the full
+table is a fiber of the grid times each of their values: count(s, w)
+and count(w) on the table are those on the grid times the same power of
+p, and both facts hold on one iff they hold on the other.  In the
+rate-1/2 construction each signal is the secret plus its own qualified
+component's noise, so a pair of signals reads the noise of one or two
+components however many there are.  :func:`tabulate` uses the same fact
+the other way round: it computes each signal on its own grid and copies
+the codes along the digits the signal does not read.
 
 The pair's joint value on each grid row is a label below the grid's
 row count (:func:`_labels`).  The grid rows are secret-major and the
-secret is uniform, so a row's secret is its block.  Correctness scatters
-each row's secret to its label and gathers it back: a fiber holding two
-secrets loses one of them.  Security counts each label per secret block
-with ``np.bincount`` and requires count(s, w) * p^L = count(w) on every
-row, in exact integers.
+secret is uniform, so a row's secret is its block.  Both checks read one
+joint count, count(s, w) for every secret block and label, taken with
+``np.bincount`` (:func:`_count`): the pair decodes iff each label occurs
+in at most one block, and it is secure iff count(s, w) * p^L = count(w)
+for every secret and label, in exact integers.  The count holds one
+integer per secret and label, so it is taken only when that is at most
+the grid's rows; past that, correctness scatters each row's secret to
+its label and gathers it back (a label in two blocks loses one of its
+secrets), and security first numbers the labels that occur.
 
 Every array of the table, and every residue, code and label derived from
 it, is held in the narrowest unsigned type that holds its largest
@@ -46,6 +53,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -165,16 +173,18 @@ def _number_rows(columns, radices) -> np.ndarray:
     return numbers.astype(np.min_scalar_type(len(numbers) - 1))
 
 
-def _encode(columns, n: int, p: int, total: int) -> np.ndarray:
-    """One scalar per row of n digit columns of length ``total``: its
+def _encode(columns, n: int, p: int, rows: int, size: int) -> np.ndarray:
+    """One scalar per row of n digit columns of length ``rows``: its
     base-p value (big-endian), accumulated one digit at a time from the
     first, in the narrowest unsigned type that holds p^n - 1, while that
     fits in 62 bits; otherwise the row's index among the distinct rows,
-    in the narrowest unsigned type that holds ``total`` - 1."""
+    in the narrowest unsigned type that holds ``size`` - 1: the
+    realizations of the table whose grid these rows are."""
     if n * math.log2(p) > 62:
-        return _number_rows(columns, [p] * n)
+        numbers = _number_rows(columns, [p] * n)
+        return numbers.astype(np.min_scalar_type(size - 1), copy=False)
     if n == 0:
-        return np.zeros(total, dtype=np.uint8)
+        return np.zeros(rows, dtype=np.uint8)
     columns = iter(columns)
     code = next(columns).astype(np.min_scalar_type(p**n - 1))
     for digit in columns:
@@ -207,6 +217,12 @@ class SchemeTable:
     signal_lens: dict[str, int]
     values: dict[str, np.ndarray] = field(repr=False)
     scheme: LinearScheme | None = None
+
+    @cached_property
+    def _read_masks(self) -> dict[str, np.ndarray]:
+        """Each signal's read noise digits, the nonzero columns of its H_v,
+        worked out once per linear table."""
+        return {v: h.data.any(axis=0) for v, (_, h) in self.scheme.matrices.items()}
 
     @property
     def size(self) -> int:
@@ -263,7 +279,7 @@ class SchemeTable:
                     out.append(val)
             digits = np.array(out, dtype=np.min_scalar_type(p - 1))
             digits = digits.reshape(total, width or 0)
-            values[name] = _encode(digits.T, width or 0, p, total)
+            values[name] = _encode(digits.T, width or 0, p, total, total)
             lens[name] = width or 0
         return cls(p, secret_len, noise_len, lens, values, scheme=None)
 
@@ -271,25 +287,48 @@ class SchemeTable:
 def tabulate(sch: LinearScheme, budget: int = DEFAULT_BUDGET) -> SchemeTable:
     """Enumerate v = F_v s + H_v z for every vertex and every (s, z).
 
-    F_v s for every secret and H_v z for every noise come from digit
-    doubling (:func:`_images`).  Signal digit i of realization (s, z) is
-    their sum mod p, so each digit is one (p^L, p^L_Z) broadcast sum,
-    folded into the vertex's code before the next is formed.
+    Each signal is computed on its own grid, the secret and the noise
+    digits it reads (the nonzero columns of H_v), and then spread to the
+    table (:func:`_spread`): its codes are constant along every other
+    digit.  F_v s for every secret and H_v z for every value of the read
+    digits come from digit doubling (:func:`_images`).  Signal digit i of
+    a grid row is their sum mod p, so each digit is one broadcast sum over
+    the grid, folded into the vertex's code before the next is formed.
     """
     p = sch.p
     total = _realizations(p, sch.secret_len, sch.noise_len, budget)
 
-    def digits(fs: np.ndarray, hz: np.ndarray):
+    def digits(fs: np.ndarray, hz: np.ndarray, rows: int):
         for a, b in zip(fs, hz):
-            yield _add_mod(a[:, None], b, p).reshape(total)
+            yield _add_mod(a[:, None], b, p).reshape(rows)
 
     values: dict[str, np.ndarray] = {}
     lens: dict[str, int] = {}
     for v, (f, h) in sch.matrices.items():
-        fs, hz = _images(f.data, p), _images(h.data, p)
-        values[v] = _encode(digits(fs, hz), f.rows, p, total)
-        lens[v] = f.rows
-    return SchemeTable(p, sch.secret_len, sch.noise_len, lens, values, scheme=sch)
+        read = h.data.any(axis=0)
+        fs, hz = _images(f.data, p), _images(h.data[:, read], p)
+        rows = p ** (sch.secret_len + int(read.sum()))
+        codes = _encode(digits(fs, hz, rows), f.rows, p, rows, total)
+        values[v], lens[v] = _spread(codes, read, p), f.rows
+    return SchemeTable(p, sch.secret_len, sch.noise_len, lens, values, sch)
+
+
+def _spread(codes: np.ndarray, read: np.ndarray, p: int) -> np.ndarray:
+    """Codes on the grid of the secret and the ``read`` noise digits,
+    spread to every noise digit: constant along each unread one.
+
+    The rows are built from the last digit outward as an (outer, inner)
+    array whose inner axis spans the digits done so far.  An unread digit
+    first repeats every inner block p times in place (``np.repeat`` copies
+    whole blocks); then each digit, read or not, moves from the outer
+    axis into the inner one.
+    """
+    out = codes.reshape(-1, 1)
+    for r in read[::-1].tolist():
+        if not r:
+            out = np.repeat(out, p, axis=0)
+        out = out.reshape(-1, p * out.shape[1])
+    return out.reshape(-1)
 
 
 def _reads(table: SchemeTable, name: str) -> np.ndarray:
@@ -300,7 +339,7 @@ def _reads(table: SchemeTable, name: str) -> np.ndarray:
         return np.zeros(table.noise_len, dtype=bool)
     if name == "Z" or table.scheme is None:
         return np.ones(table.noise_len, dtype=bool)
-    return table.scheme.matrices[name][1].data.any(axis=0)
+    return table._read_masks[name]
 
 
 def _require_names(table: SchemeTable, names) -> None:
@@ -370,18 +409,36 @@ def _labels(table: SchemeTable, names) -> tuple[np.ndarray, int]:
     return codes, width
 
 
+def _count(pair: np.ndarray, width: int, secrets: int) -> np.ndarray:
+    """count(s, w): how many rows of secret block s have label w, as a
+    (secrets, width) matrix.  The grid's rows are secret-major, so a
+    row's block is its secret; secrets * width must fit the grid's rows.
+    The labels may be overwritten."""
+    joint_type = np.min_scalar_type(secrets * width - 1)
+    joint = pair.reshape(secrets, -1).astype(joint_type, copy=False)
+    joint += width * np.arange(secrets, dtype=joint_type)[:, None]
+    count = np.bincount(joint.reshape(-1), minlength=secrets * width)
+    return count.reshape(secrets, width)
+
+
 def check_correct(table: SchemeTable, v: str, u: str) -> bool:
     """Decodability, combinatorially: the secret is constant on every
     fiber of the pair (v, u).
 
     Counted on the pair's grid: each fiber of the table is a fiber of
     the grid times every value of the unread noise digits, so it holds
-    the same secrets.  Each row's secret (its block index) is scattered
-    to the row's pair label and gathered back; a fiber holding two
-    secrets keeps only one, so some row of it reads back another secret.
+    the same secrets.  The pair decodes iff every label occurs in at most
+    one secret block: iff in each column of the joint count
+    (:func:`_count`) the largest entry is the column's sum.  When the
+    count would outgrow the grid, each row's secret is instead scattered
+    to the row's label and gathered back; a fiber holding two secrets
+    keeps only one, so some row of it reads back another secret.
     """
     pair, width = _labels(table, [v, u])
     secrets = table.p**table.secret_len
+    if secrets * width <= pair.size:
+        count = _count(pair, width, secrets)
+        return bool((count.max(axis=0) == count.sum(axis=0)).all())
     # Fancy indexing is faster with intp indices than with narrow ones.
     blocks = pair.astype(np.intp).reshape(secrets, -1)
     # The narrowest type that holds a secret keeps the gathered copy small.
@@ -397,10 +454,10 @@ def check_secure(table: SchemeTable, v: str, u: str) -> bool:
 
     With S uniform over p^L secret-major blocks, P(s, w) = P(s) P(w)
     holds iff count(s, w) * p^L = count(w) for every secret s and every
-    value w, where count(w) sums count(s, w) over the secrets.  Counted
-    on the pair's grid: both counts on the table are those on the grid
-    times the same power of p, so the identity holds on one iff it holds
-    on the other.
+    value w, where count(w) sums count(s, w) over the secrets
+    (:func:`_count`).  Counted on the pair's grid: both counts on the
+    table are those on the grid times the same power of p, so the
+    identity holds on one iff it holds on the other.
     """
     pair, width = _labels(table, [v, u])
     secrets = table.p**table.secret_len
@@ -412,11 +469,7 @@ def check_secure(table: SchemeTable, v: str, u: str) -> bool:
         if secrets * width > pair.size:
             return False
         pair = (np.cumsum(present) - 1)[pair]
-    joint_type = np.min_scalar_type(secrets * width - 1)
-    joint = pair.reshape(secrets, -1).astype(joint_type, copy=False)
-    joint += width * np.arange(secrets, dtype=joint_type)[:, None]
-    count = np.bincount(joint.reshape(-1), minlength=secrets * width)
-    count = count.reshape(secrets, width)
+    count = _count(pair, width, secrets)
     return bool((count * secrets == count.sum(axis=0)).all())
 
 

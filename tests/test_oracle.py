@@ -350,6 +350,15 @@ class TestPairGrid:
         assert peak < 8 * 1024 < table.size
         assert check_correct(table, *inner) and not check_secure(table, *inner)
 
+    def test_a_table_built_from_its_fields_reads_the_same_grids(self):
+        # The read digits follow from the scheme, not from how the table
+        # was built, and take no part in equality.
+        made = tabulate(half_rate_scheme(11))
+        table = SchemeTable(3, 1, 11, made.signal_lens, made.values, made.scheme)
+        assert table == made and repr(table) == repr(made)
+        assert _labels(table, ("w0_1", "w1_2"))[0].size == 3**3
+        assert _labels(table, ("w3_1", "w3_2"))[0].size == 3**2
+
     def test_function_table_matches_the_linear_grids(self):
         # Every signal of a table of functions reads every digit, so its
         # checks count the whole table; the linear table's count grids.

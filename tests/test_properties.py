@@ -621,8 +621,35 @@ def check_oracle_against_references(table):
             assert int(counts[0]) * table.p ** int(got) == table.size
 
 
+def precoded_scheme(p: int, secret_len: int, noise_len: int, **precodings) -> LinearScheme:
+    """A scheme from each vertex's precoding [F | H], given as a list of
+    rows of secret_len + noise_len residues; an empty list is a zero-row
+    signal."""
+    matrices = {}
+    for v, rows in precodings.items():
+        m = np.array(rows, dtype=np.int64).reshape(len(rows), secret_len + noise_len)
+        matrices[v] = (GfMatrix(p, m[:, :secret_len]), GfMatrix(p, m[:, secret_len:]))
+    return LinearScheme(p, secret_len, noise_len, matrices)
+
+
+# 63 rows over GF(2) are past 62 bits, so w is numbered by identity.  It
+# reads z1 and z3 of eight noise digits: numbered on its 2^3-row grid its
+# numbers fit a byte, but the 2^9-row table's codes are uint16.
+_WIDE_ON_A_SMALL_GRID = precoded_scheme(
+    2, 1, 8,
+    a=[[1, 1, 0, 0, 0, 0, 0, 0, 0]],
+    b=[[0, 0, 1, 0, 0, 0, 0, 0, 1]],
+    w=[[1, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0, 0, 0, 0]] * 21,
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(oracle_schemes())
+# The one read digit first (a), in the middle (b) and last (w).
+@example(precoded_scheme(3, 1, 3, a=[[1, 1, 0, 0]], b=[[1, 0, 2, 0]], w=[[0, 0, 0, 1], [2, 0, 0, 1]]))
+# No noise digit read (a), every digit read (b), and a zero-row signal (w).
+@example(precoded_scheme(2, 2, 3, a=[[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], b=[[0, 1, 1, 1, 1]], w=[]))
+@example(_WIDE_ON_A_SMALL_GRID)
 def test_linear_oracle_matches_sort_based_reference(sch):
     table = tabulate(sch)
     want = reference_tabulate(sch)
@@ -699,7 +726,39 @@ def test_pair_labels_past_two_bytes_match_references():
     assert width <= 1 << 10 and labels.dtype == np.uint16
     assert check_correct(table, "a", "b") and not check_secure(table, "a", "b")
     assert check_secure(table, "a", "w") and not check_correct(table, "a", "w")
+    # Both pairs are wider than their grids can count per secret, so
+    # correctness scatters and gathers: a and w over 2 x 2^18 joint counts
+    # on 2^18 rows, a and b over 2 x 2^10 on 2^10.
+    assert not counts_jointly(table, "a", "w") and not counts_jointly(table, "a", "b")
     check_oracle_against_references(table)
+
+
+def counts_jointly(table, v, u) -> bool:
+    """Whether the checks of (v, u) take the joint count of every secret
+    and pair label: when it holds at most one integer per grid row."""
+    labels, width = _labels(table, [v, u])
+    return table.p**table.secret_len * width <= labels.size
+
+
+def test_correctness_from_the_joint_count_and_from_the_scatter():
+    """Each verdict of check_correct on each of its paths, against the
+    sort-based reference.  c = s + z1 + z2 and d = z1 + z2 read a 2^3-row
+    grid and take 4 values together, so their 2 x 4 joint counts fit it;
+    f = (s + z1, z2) and g = z1 name every row of that grid, so 2 x 8 do
+    not.  c, d and f, g decode; c, e = z1 and f, h = z2 do not."""
+    table = tabulate(precoded_scheme(
+        2, 1, 2,
+        c=[[1, 1, 1]], d=[[0, 1, 1]], e=[[0, 1, 0]],
+        f=[[1, 1, 0], [0, 0, 1]], g=[[0, 1, 0]], h=[[0, 0, 1]],
+    ))
+    for v, u, joint, decodes in (
+        ("c", "d", True, True),
+        ("c", "e", True, False),
+        ("f", "g", False, True),
+        ("f", "h", False, False),
+    ):
+        assert counts_jointly(table, v, u) == joint, (v, u)
+        assert check_correct(table, v, u) == decodes == reference_correct(table, v, u), (v, u)
 
 
 def test_pair_checks_of_a_1024_row_grid_stay_small():
