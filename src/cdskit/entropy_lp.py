@@ -153,7 +153,7 @@ class EntropyLp:
 
 def ground_set(inst: CdsInstance) -> tuple[str, ...]:
     """The secret first, then the signals in name order."""
-    return ("S",) + tuple(sorted(inst.vertices))
+    return ("S",) + inst.vertices
 
 
 # A family of rows with a common term pattern: the masks of its terms,

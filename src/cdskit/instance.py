@@ -11,9 +11,9 @@ computation: the capacity is 1/2 iff no qualified edge joins two vertices
 of one unqualified component inside its qualified component.  Those
 components come from two union-find passes: one over the qualified
 edges, then one over the unqualified edges whose ends share a qualified
-component.  Each instance numbers its vertices once, when it is built
-(id k is the k-th vertex in name order), and keeps the ends of its edges
-as those ids, so both passes run on integers without looking up a name.
+component.  Each instance holds its vertices in name order, so vertex
+id k is ``vertices[k]``, and keeps the ends of its edges as those ids:
+both passes run on integers without looking up a name.
 A union keeps the smaller root and finds halve their paths, so every
 root is its component's least id.  Without union by size, path halving
 still bounds each pass by O(V + E log V) (Tarjan and van Leeuwen, 1984),
@@ -85,30 +85,32 @@ def _canon(v: str, u: str) -> tuple[str, str]:
 class CdsInstance:
     """Immutable labeled graph of signals.
 
-    Building an instance numbers its vertices in name order: ``_order[k]``
-    is the index in ``vertices`` of the vertex with id k, and ``_ends``
-    lists the ids at both ends of every qualified edge, then of every
-    unqualified edge, as flat int64 arrays.  Equality, hashing and repr
-    read only the four public fields.
+    Building an instance sorts ``vertices`` into name order, so an
+    instance built from a shuffled tuple equals its sorted twin, and
+    vertex id k is ``vertices[k]``.  ``_ends`` lists the ids at both ends
+    of every qualified edge, then of every unqualified edge, as a flat
+    int64 array.  Equality, hashing and repr read only the four public
+    fields.
     """
 
     vertices: tuple[str, ...]
     qualified: tuple[tuple[str, str], ...]
     unqualified: tuple[tuple[str, str], ...]
     bipartite: bool = True
-    _order: array = field(init=False, repr=False, compare=False)
     _ends: array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vertices = self.vertices
-        order = sorted(range(len(vertices)), key=vertices.__getitem__)
-        ids = dict(zip(map(vertices.__getitem__, order), range(len(order))))
+        vertices = tuple(sorted(self.vertices))
+        ids = dict(zip(vertices, range(len(vertices))))
+        if len(ids) < len(vertices):
+            twice = next(v for v, u in zip(vertices, vertices[1:]) if v == u)
+            raise ValueError(f"vertex {twice!r} is listed twice")
         ends = chain.from_iterable(chain(self.qualified, self.unqualified))
         try:
             ends = array("q", map(ids.__getitem__, ends))
         except KeyError as exc:
             raise ValueError(f"edge end {exc.args[0]!r} is not a vertex") from None
-        object.__setattr__(self, "_order", array("q", order))
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "_ends", ends)
 
     @classmethod
@@ -192,7 +194,7 @@ def _add_edge(
 def _build(seen: dict[tuple[str, str], str], names: set, bipartite: bool) -> CdsInstance:
     qualified = tuple(sorted(k for k, kind in seen.items() if kind == QUALIFIED))
     unqualified = tuple(sorted(k for k, kind in seen.items() if kind == UNQUALIFIED))
-    return CdsInstance(tuple(sorted(names)), qualified, unqualified, bipartite)
+    return CdsInstance(names, qualified, unqualified, bipartite)
 
 
 @dataclass(frozen=True)
@@ -295,10 +297,10 @@ def format_instance(inst: CdsInstance) -> str:
 
 def is_non_degenerate(inst: CdsInstance) -> tuple[bool, tuple[str, ...]]:
     """Every vertex must meet at least one unqualified edge; the vertices
-    that meet none are listed in ``inst.vertices`` order."""
-    order = inst._order
-    missed = set(range(len(order))).difference(inst._ends[2 * len(inst.qualified) :])
-    violators = tuple(inst.vertices[i] for i in sorted(order[k] for k in missed))
+    that meet none are listed in name order."""
+    names, q = inst.vertices, 2 * len(inst.qualified)
+    missed = set(range(len(names))).difference(inst._ends[q:])
+    violators = tuple(map(names.__getitem__, sorted(missed)))
     return (not violators, violators)
 
 
@@ -364,7 +366,7 @@ def _decompose(inst: CdsInstance) -> tuple[list[int], list[int]]:
 
 def _partition(inst: CdsInstance, root: list[int]) -> Partition:
     """The blocks of vertices that share a root, as names."""
-    names = _names(inst)
+    names = inst.vertices
     return Partition(tuple(tuple(map(names.__getitem__, b)) for b in _blocks(root)))
 
 
@@ -375,11 +377,6 @@ def _blocks(root: list[int]) -> list[list[int]]:
     for k, r in enumerate(root):
         blocks[r].append(k)
     return list(blocks.values())
-
-
-def _names(inst: CdsInstance) -> list[str]:
-    """The vertex names in id order, which is name order."""
-    return list(map(inst.vertices.__getitem__, inst._order))
 
 
 def qualified_components(inst: CdsInstance) -> Partition:
@@ -413,7 +410,7 @@ def unqualified_path(
         raise ValueError("endpoints must lie in the block")
     if s == t:
         return PathWitness((s,), UNQUALIFIED)
-    names = _names(inst)
+    names = inst.vertices
     inside = [v in block for v in names]
     adj: dict[int, list[int]] = {k: [] for k, x in enumerate(inside) if x}
     q, ends = 2 * len(inst.qualified), inst._ends
@@ -472,7 +469,7 @@ def _feasibility(
     if not internal:
         return FeasibilityResult(True)
     root, a, b = min(internal)
-    names = _names(inst)
+    names = inst.vertices
     v, u = names[a], names[b]
     start, end = (v, u) if v > u else (u, v)
     block = [x for x, r in zip(names, qroot) if r == root]

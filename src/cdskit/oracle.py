@@ -59,7 +59,7 @@ from itertools import combinations
 import numpy as np
 
 from .gf import GfMatrix, rank
-from .instance import CdsInstance, _blocks, _decompose, _names
+from .instance import CdsInstance, _blocks, _decompose
 from .scheme import LinearScheme, block_ranks
 
 __all__ = [
@@ -625,7 +625,7 @@ def lemma_audit(
                 f"vertex {v} has signal length {lens[v]} != L = {L}; "
                 "the audited identities presuppose rate 1/2"
             )
-    names = _names(inst)
+    names = inst.vertices
     blk = list(range(len(names))) if sch is None else [sch.block_of[v] for v in names]
     qroot, uroot = _decompose(inst)
     q, ends = 2 * len(inst.qualified), inst._ends

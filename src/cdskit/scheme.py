@@ -205,14 +205,13 @@ def block_ranks(sch: LinearScheme, groups) -> list[tuple[int, int]]:
     return out
 
 
-def _ids(inst: CdsInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only int64 views of the instance's vertex ids: the index in
-    ``inst.vertices`` of each id, shape (V,), and the ids at both ends of
-    each edge of ``inst.qualified + inst.unqualified``, shape (E, 2)."""
-    order = np.frombuffer(inst._order, dtype=np.int64)
+def _ids(inst: CdsInstance) -> np.ndarray:
+    """A read-only int64 view of the vertex ids at both ends of each edge
+    of ``inst.qualified + inst.unqualified``, shape (E, 2); id k is
+    ``inst.vertices[k]``."""
     ends = np.frombuffer(inst._ends, dtype=np.int64).reshape(-1, 2)
-    order.flags.writeable = ends.flags.writeable = False
-    return order, ends
+    ends.flags.writeable = False
+    return ends
 
 
 def _rank_table(inst: CdsInstance, sch: LinearScheme):
@@ -222,15 +221,14 @@ def _rank_table(inst: CdsInstance, sch: LinearScheme):
     its ranks, and edges whose ends lie in the same two blocks share
     theirs: :func:`block_ranks` eliminates, in one call, each block
     (stacked on itself) and each distinct pair of blocks.  Each vertex is
-    mapped to its block once, and one index into the instance's id
-    arrays gives the blocks at both ends of every edge.  Returns two int
-    arrays of rank pairs: (V, 2) in ``inst.vertices`` order and (E, 2) in
-    ``inst.qualified + inst.unqualified`` order.
+    mapped to its block once, in id order, and one index with the edge
+    ends gives the blocks at both ends of every edge.  Returns two int
+    arrays of rank pairs: (V, 2) by vertex id, which is ``inst.vertices``
+    order, and (E, 2) in ``inst.qualified + inst.unqualified`` order.
     """
     _require_vertices(inst.vertices, sch)
-    order, ends = _ids(inst)
     block = np.array([sch.block_of[v] for v in inst.vertices], dtype=np.int64)
-    ends = block[order][ends]
+    ends = block[_ids(inst)]
     base = max(1, len(sch.blocks))
     combos, inverse = np.unique(ends[:, 0] * base + ends[:, 1], return_inverse=True)
     combos = np.stack(np.divmod(combos, base), axis=1)
@@ -268,8 +266,8 @@ def _verification(
     inst: CdsInstance, sch: LinearScheme, vertex_ranks, edge_ranks
 ) -> VerificationReport:
     """The report on :func:`_rank_table`'s arrays: one verdict object per
-    distinct verdict, vertices keyed in ``inst.vertices`` order and edges
-    in ``inst.edges`` order, which is their ends' ids in order."""
+    distinct verdict, vertices keyed in id order, which is ``inst.vertices``
+    order, and edges in ``inst.edges`` order, which is their ends' ids in order."""
     leak = vertex_ranks[:, 1] - vertex_ranks[:, 0]
     values, which = np.unique(leak, return_inverse=True)
     vertex = [VertexVerdict(x == 0, x) for x in values.tolist()]
@@ -283,7 +281,7 @@ def _verification(
         EdgeVerdict(UNQUALIFIED, d == 0, d) if u else EdgeVerdict(QUALIFIED, d == L, d)
         for d, u in zip((values >> 1).tolist(), (values & 1).tolist())
     ]
-    _, ends = _ids(inst)
+    ends = _ids(inst)
     by_name = np.argsort(ends[:, 0] * len(inst.vertices) + ends[:, 1], kind="stable")
     pairs = inst.qualified + inst.unqualified
     edge_verdicts = dict(
@@ -387,9 +385,9 @@ def verify_and_align(
 
 
 def _alignment(inst: CdsInstance, vertex_ranks, edge_ranks) -> AlignmentReport:
-    order, ends = _ids(inst)
+    ends = _ids(inst)
     q = len(inst.qualified)
-    noise = vertex_ranks[order, 0]  # by vertex id
+    noise = vertex_ranks[:, 0]
     overlap = noise[ends[:q, 0]] + noise[ends[:q, 1]] - edge_ranks[:q, 0]
     aligned = edge_ranks[q:, 1] == edge_ranks[q:, 0]
     return AlignmentReport(
@@ -480,8 +478,10 @@ def parse_scheme(text: str) -> LinearScheme:
         ln = ln.strip()
         if ln and not ln.startswith("#"):
             lines.append((no, ln))
-    if not lines or lines[0][1] != "cds-scheme v1":
+    if not lines:
         raise SchemeFormatError("missing 'cds-scheme v1' header", 1)
+    if lines[0][1] != "cds-scheme v1":
+        raise SchemeFormatError("expected header 'cds-scheme v1'", lines[0][0])
     idx = 1
 
     def take_keyword(word: str) -> int:

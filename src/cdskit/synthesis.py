@@ -24,7 +24,6 @@ from .instance import (
     _blocks,
     _decompose,
     _feasibility,
-    _names,
 )
 from .instance import half_rate_feasible  # noqa: F401  perfbench/spans.py traces it here
 from .scheme import LinearScheme, verify_linear
@@ -91,7 +90,7 @@ def plan_synthesis(inst: CdsInstance) -> SynthesisPlan:
     result = _feasibility(inst, qroot, uroot)
     if not result.feasible:
         raise InfeasibleInstanceError(result)
-    names = _names(inst)
+    names = inst.vertices
     comps: dict[int, list[tuple[str, ...]]] = {}
     for blk in _blocks(uroot):
         comps.setdefault(qroot[blk[0]], []).append(tuple(map(names.__getitem__, blk)))

@@ -161,6 +161,14 @@ class TestParsing:
         with pytest.raises(ValueError, match="edge end 'B2' is not a vertex"):
             CdsInstance(("A1", "B1"), (("A1", "B1"),), (("A1", "B2"),), True)
 
+    def test_repeated_vertex_rejected(self):
+        # A repeat would leave an id that no edge touches, so A1 would pass
+        # for degenerate although it has an unqualified edge.
+        with pytest.raises(ValueError, match="vertex 'A1' is listed twice"):
+            CdsInstance(
+                ("A1", "B2", "A1", "B1"), (("A1", "B1"),), (("A1", "B2"), ("B1", "B2")), False
+            )
+
 
 class TestNonDegenerate:
     def test_fig2_is_non_degenerate(self, fig2):

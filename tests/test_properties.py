@@ -106,9 +106,10 @@ def general_instances(draw) -> CdsInstance:
 
 @st.composite
 def direct_instances(draw) -> CdsInstance:
-    """General instances built with ``CdsInstance(...)`` directly, which
-    ``from_edges`` never yields: the vertex tuple is shuffled, and up to
-    three isolated vertices join it."""
+    """General instances built with ``CdsInstance(...)`` directly from a
+    shuffled vertex tuple, which ``from_edges`` never passes, with up to
+    three isolated vertices in it: the constructor must sort the tuple
+    into name order."""
     inst = draw(general_instances())
     rng = draw(st.randoms(use_true_random=True))
     vertices = [*inst.vertices, *(f"w{k}" for k in range(rng.randint(0, 3)))]
@@ -330,8 +331,9 @@ def outcome(decide, inst):
 @settings(max_examples=100, deadline=None)
 @given(direct_instances(), st.data())
 def test_vertex_ids_do_not_depend_on_input_order(inst, data):
-    # An instance numbers its vertices in name order when it is built; the
-    # answers, and the key order of the reports, must not show through.
+    # An instance sorts its vertices into name order when it is built; the
+    # order they were given in must not show through the answers, the key
+    # order of the reports, or equality, hashing and repr.
     keep = data.draw(st.sets(st.sampled_from(inst.vertices)))
     sch = data.draw(schemes(inst.vertices, RANK_PRIMES))
     for x in (inst, inst.induced(keep), pickle.loads(pickle.dumps(inst))):
@@ -352,12 +354,14 @@ def test_vertex_ids_do_not_depend_on_input_order(inst, data):
         assert list(report.edge_verdicts) == [e for _, e in x.edges]
         assert list(alignment.noise_overlaps) == list(x.qualified)
         assert list(alignment.signal_alignment) == list(x.unqualified)
+    assert inst.vertices == tuple(sorted(inst.vertices))
+    ordered = CdsInstance(tuple(sorted(inst.vertices)), inst.qualified, inst.unqualified, False)
+    assert ordered == inst and hash(ordered) == hash(inst) and repr(ordered) == repr(inst)
     twin = pickle.loads(pickle.dumps(inst))
-    assert (twin._order, twin._ends) == (inst._order, inst._ends)
-    for field_name in ("_order", "_ends"):
-        object.__setattr__(twin, field_name, array("q"))
+    assert twin._ends == inst._ends
+    object.__setattr__(twin, "_ends", array("q"))
     assert twin == inst and hash(twin) == hash(inst) and repr(twin) == repr(inst)
-    assert "_order" not in repr(inst) and "_ends" not in repr(inst)
+    assert "_ends" not in repr(inst)
 
 
 @settings(max_examples=200, deadline=None)

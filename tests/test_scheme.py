@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from cdskit.cli import run
 from cdskit.gf import GfMatrix
-from cdskit.instance import CdsInstance
+from cdskit.instance import CdsInstance, format_instance
 from cdskit.scheme import (
     LinearScheme,
     SchemeFormatError,
@@ -346,6 +347,23 @@ class TestSchemeFiles:
     def test_header_required(self):
         with pytest.raises(SchemeFormatError, match="header"):
             parse_scheme("field 2\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# a\n\n# b\ncds-scheme v2\nfield 2\n", "line 4: expected header 'cds-scheme v1'"),
+            ("cds-scheme v1 extra\nfield 2\n", "line 1: expected header 'cds-scheme v1'"),
+            ("# only a comment\n\n", "line 1: missing 'cds-scheme v1' header"),
+        ],
+    )
+    def test_wrong_header_cited_on_its_line(self, fig2, tmp_path, capsys, text, message):
+        with pytest.raises(SchemeFormatError, match=message):
+            parse_scheme(text)
+        inst, bad = tmp_path / "fig2.cds", tmp_path / "bad.scheme"
+        inst.write_text(format_instance(fig2))
+        bad.write_text(text)
+        assert run(["verify", str(inst), str(bad)]) == 2
+        assert capsys.readouterr().err == f"cds: error: {bad}: {message}\n"
 
     def test_residue_range_checked(self):
         text = "cds-scheme v1\nfield 2\nsecret 1\nnoise 1\nsignal A1 1\nF: 2 | H: 0\n"
