@@ -17,30 +17,35 @@ Both facts are counted in time linear in the pair's grid, with no sort.
 A variable reads the noise digits its codes depend on: S reads none, Z
 reads all of them, a signal of a linear table reads the nonzero columns
 of its H_v, and a signal of arbitrary functions reads every digit; a
-linear table works out each signal's digits once.  The grid is the
-table restricted to the secret and the digits the pair reads, with every
-other digit at 0 (:func:`_grid`).  The unread digits are uniform and
+linear table works out each signal's digits once, as a bitmask.  The
+grid is the table restricted to the secret and the digits the pair
+reads, with every other digit at 0.  The unread digits are uniform and
 independent of the secret and of the pair, so every fiber of the full
 table is a fiber of the grid times each of their values: count(s, w)
 and count(w) on the table are those on the grid times the same power of
-p, and both facts hold on one iff they hold on the other.  In the
-rate-1/2 construction each signal is the secret plus its own qualified
+p, and both facts hold on one iff they hold on the other.  The grid is
+a view of the table's codes with one axis for the secret and one per
+maximal run of read digits (:func:`_grid`).  In the rate-1/2
+construction each signal is the secret plus its own qualified
 component's noise, so a pair of signals reads the noise of one or two
-components however many there are.  :func:`tabulate` uses the same fact
-the other way round: it computes each signal on its own grid and copies
-the codes along the digits the signal does not read.
+components however many there are: its grid stays small however large
+the table.
+:func:`tabulate` uses the same fact the other way round: it computes
+each signal on its own grid and copies the codes along the digits the
+signal does not read.
 
-The pair's joint value on each grid row is a label below the grid's
-row count (:func:`_labels`).  The grid rows are secret-major and the
-secret is uniform, so a row's secret is its block.  Both checks read one
-joint count, count(s, w) for every secret block and label, taken with
-``np.bincount`` (:func:`_count`): the pair decodes iff each label occurs
-in at most one block, and it is secure iff count(s, w) * p^L = count(w)
-for every secret and label, in exact integers.  The count holds one
-integer per secret and label, so it is taken only when that is at most
-the grid's rows; past that, correctness scatters each row's secret to
-its label and gathers it back (a label in two blocks loses one of its
-secrets), and security first numbers the labels that occur.
+Both checks of a pair (v, u) read one joint count, count(s, w) for every
+secret s and pair of values w = (a, b) (:func:`_pair_count`).  The grid
+rows are secret-major and the secret is uniform, so a row's secret is
+its block: the folded index s |v| |u| + a |u| + b is built from the two
+views and counted by one ``np.bincount``.  The pair decodes iff no w
+occurs with two secrets, and it is secure iff every secret shows each w
+equally often, in exact integers.  The count holds one integer per
+secret and w, so it is taken only when that is at most the grid's rows;
+past that, the pair's values on each row are labelled (:func:`_labels`),
+correctness scatters each row's secret to its label and gathers it back
+(a label in two blocks loses one of its secrets), and security first
+numbers the labels that occur.
 
 Every array of the table, and every residue, code and label derived from
 it, is held in the narrowest unsigned type that holds its largest
@@ -53,8 +58,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -219,10 +224,13 @@ class SchemeTable:
     scheme: LinearScheme | None = None
 
     @cached_property
-    def _read_masks(self) -> dict[str, np.ndarray]:
+    def _read_masks(self) -> dict[str, int]:
         """Each signal's read noise digits, the nonzero columns of its H_v,
-        worked out once per linear table."""
-        return {v: h.data.any(axis=0) for v, (_, h) in self.scheme.matrices.items()}
+        as a bitmask (:func:`_reads`), worked out once per linear table."""
+        return {
+            v: int("0" + "".join("01"[r] for r in h.data.any(axis=0).tolist()), 2)
+            for v, (_, h) in self.scheme.matrices.items()
+        }
 
     @property
     def size(self) -> int:
@@ -331,14 +339,16 @@ def _spread(codes: np.ndarray, read: np.ndarray, p: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _reads(table: SchemeTable, name: str) -> np.ndarray:
-    """The noise digits a variable's codes depend on, as a boolean mask:
-    none for S, all for Z and for a signal of arbitrary functions, and
-    the nonzero columns of H_v for a signal of a linear table."""
+def _reads(table: SchemeTable, name: str) -> int:
+    """The noise digits a variable's codes depend on, as a bitmask whose
+    binary digits are the noise digits, the first most significant like
+    in the rows, 1 where read: none for S, all for Z and for a signal of
+    arbitrary functions, and the nonzero columns of H_v for a signal of a
+    linear table."""
     if name == "S":
-        return np.zeros(table.noise_len, dtype=bool)
+        return 0
     if name == "Z" or table.scheme is None:
-        return np.ones(table.noise_len, dtype=bool)
+        return (1 << table.noise_len) - 1
     return table._read_masks[name]
 
 
@@ -352,47 +362,57 @@ def _require_names(table: SchemeTable, names) -> None:
             raise ValueError(f"unknown variable {name}")
 
 
-def _grid(table: SchemeTable, names) -> tuple[list[tuple[np.ndarray, int]], int]:
-    """([(codes, alphabet size)] of the selected variables, rows) on the
-    grid of the secret and the noise digits they read, secret-major like
-    the table.
+def _grid(table: SchemeTable, names) -> list[tuple[np.ndarray, int]]:
+    """[(codes, alphabet size)] of the selected variables on the grid of
+    the secret and the noise digits they read, each a view of the
+    table's codes.
 
-    Each code array is viewed with one axis for the secret and one per
-    noise digit, and the rows at 0 on every unread digit are taken:
-    p^(L + read digits) of them.  The selected codes are constant along
-    every unread digit, so no value is lost.  When they read every digit
-    the grid is the table and the codes are views of its own arrays.
+    The noise digits fall into maximal runs of consecutive digits that
+    are all read or all unread.  Each code array is viewed with one axis
+    for the secret and one per run, and the rows at 0 on every unread run
+    are taken: a view of one axis for the secret and one per read run,
+    p^(L + read digits) entries in all, secret-major like the table.  The
+    selected codes are constant along every unread digit, so no value is
+    lost.  When they read every digit the grid is the table.
     """
     _require_names(table, names)
-    read = np.zeros(table.noise_len, dtype=bool)
+    read = 0
     for name in names:
         read |= _reads(table, name)
-    secrets = table.p**table.secret_len
-    shape = (secrets,) + (table.p,) * table.noise_len
-    at = (slice(None),) + tuple(slice(None) if r else 0 for r in read.tolist())
-    rows = secrets * table.p ** int(read.sum())
-    cols = []
-    for name in names:
-        col, size = table.column(name)
-        cols.append((col.reshape(shape)[at].reshape(rows), size))
-    return cols, rows
+    shape, at = _run_axes(read, table.noise_len, table.p, table.p**table.secret_len)
+    return [(codes.reshape(shape)[at], size) for codes, size in map(table.column, names)]
 
 
-def _labels(table: SchemeTable, names) -> tuple[np.ndarray, int]:
-    """(codes, width): the selected variables' joint value on every row
-    of their grid (:func:`_grid`) as a label in [0, width), where width
-    is at most the grid's rows, in the narrowest unsigned type that holds
-    width - 1.  The codes are a new array.
+@lru_cache(maxsize=1024)
+def _run_axes(read: int, digits: int, p: int, secrets: int) -> tuple[tuple[int, ...], tuple]:
+    """(shape, index) of the grid of the secret and the ``read`` noise
+    digits (:func:`_grid`): one axis for the secret and one per run, and
+    at 0 on every unread run.  Kept for the masks met last, since every
+    pair check needs one and most repeat."""
+    shape, at = [secrets], [slice(None)]
+    # The mask's binary digits, the first digit's first, past a leading 1.
+    for bit, run in groupby(bin(read | 1 << digits)[3:]):
+        shape.append(p ** len(list(run)))
+        at.append(slice(None) if bit == "1" else 0)
+    return tuple(shape), tuple(at)
 
-    The code columns are combined in mixed radix when the product of
-    their alphabet sizes is at most the grid's rows.  Otherwise (wide
-    signals, or a joint alphabet larger than the grid) the rows' joint
-    values are numbered by identity, which sorts.
+
+def _labels(cols) -> tuple[np.ndarray, int]:
+    """(codes, width): the joint value of the grid views ``cols``
+    (:func:`_grid`) on every row of their grid, as a new array of labels
+    in [0, width), where width is at most the grid's rows.
+
+    The code columns are combined in mixed radix, in the narrowest
+    unsigned type that holds width - 1, when the product of their
+    alphabet sizes is at most the grid's rows.  Otherwise (wide signals,
+    or a joint alphabet larger than the grid) the rows' joint values are
+    numbered by identity, which sorts, in the narrowest unsigned type
+    that holds the grid's rows - 1.
     """
-    cols, rows = _grid(table, names)
+    rows = cols[0][0].size
     width = math.prod(size for _, size in cols)
     if width > rows:
-        codes = [col for col, _ in cols]
+        codes = [col.reshape(rows) for col, _ in cols]
         numbers = _number_rows(codes, [int(col.max()) + 1 for col in codes])
         return numbers, int(numbers.max()) + 1
     label = np.min_scalar_type(width - 1)
@@ -406,17 +426,36 @@ def _labels(table: SchemeTable, names) -> tuple[np.ndarray, int]:
     for col, size in cols[1:]:
         codes *= size
         codes += col
-    return codes, width
+    return codes.reshape(rows), width
 
 
-def _count(pair: np.ndarray, width: int, secrets: int) -> np.ndarray:
-    """count(s, w): how many rows of secret block s have label w, as a
-    (secrets, width) matrix.  The grid's rows are secret-major, so a
-    row's block is its secret; secrets * width must fit the grid's rows.
-    The labels may be overwritten."""
-    joint_type = np.min_scalar_type(secrets * width - 1)
-    joint = pair.reshape(secrets, -1).astype(joint_type, copy=False)
-    joint += width * np.arange(secrets, dtype=joint_type)[:, None]
+def _pair_count(table: SchemeTable, cols) -> np.ndarray | None:
+    """count(s, w) of a pair's grid views ``cols`` = [(a, |v|), (b, |u|)],
+    for every secret s and joint value w = a |u| + b, as a
+    (secrets, |v| |u|) matrix; None when it would hold more integers
+    than the grid has rows.
+
+    The folded index s |v| |u| + w is built straight from the two views
+    in the narrowest unsigned type that holds it, with one multiply and
+    two adds, and counted by one ``np.bincount``.
+    """
+    (a, size_a), (b, size_b) = cols
+    secrets, width = table.p**table.secret_len, size_a * size_b
+    if secrets * width > a.size:
+        return None
+    joint = a.astype(np.min_scalar_type(secrets * width - 1))
+    joint *= size_b
+    joint += b
+    return _count(joint.reshape(secrets, -1), width, secrets)
+
+
+def _count(joint: np.ndarray, width: int, secrets: int) -> np.ndarray:
+    """count(s, w): how many grid rows of secret s have label w, as a
+    (secrets, width) matrix, from the labels in [0, width) of each
+    secret's block, a row of ``joint``, in a type that holds
+    secrets * width - 1.  The labels are overwritten with the folded
+    index s * width + w."""
+    joint += np.arange(0, secrets * width, width, dtype=joint.dtype)[:, None]
     count = np.bincount(joint.reshape(-1), minlength=secrets * width)
     return count.reshape(secrets, width)
 
@@ -427,18 +466,20 @@ def check_correct(table: SchemeTable, v: str, u: str) -> bool:
 
     Counted on the pair's grid: each fiber of the table is a fiber of
     the grid times every value of the unread noise digits, so it holds
-    the same secrets.  The pair decodes iff every label occurs in at most
-    one secret block: iff in each column of the joint count
-    (:func:`_count`) the largest entry is the column's sum.  When the
+    the same secrets.  The pair decodes iff no pair of values w occurs
+    with two secrets: iff the joint count (:func:`_pair_count`) has as
+    many nonzero entries as there are values w that occur.  When the
     count would outgrow the grid, each row's secret is instead scattered
-    to the row's label and gathered back; a fiber holding two secrets
-    keeps only one, so some row of it reads back another secret.
+    to the row's label (:func:`_labels`) and gathered back; a fiber
+    holding two secrets keeps only one, so some row of it reads back
+    another secret.
     """
-    pair, width = _labels(table, [v, u])
+    cols = _grid(table, [v, u])
+    count = _pair_count(table, cols)
+    if count is not None:
+        return np.count_nonzero(count) == np.count_nonzero(count.any(axis=0))
+    pair, width = _labels(cols)
     secrets = table.p**table.secret_len
-    if secrets * width <= pair.size:
-        count = _count(pair, width, secrets)
-        return bool((count.max(axis=0) == count.sum(axis=0)).all())
     # Fancy indexing is faster with intp indices than with narrow ones.
     blocks = pair.astype(np.intp).reshape(secrets, -1)
     # The narrowest type that holds a secret keeps the gathered copy small.
@@ -453,24 +494,28 @@ def check_secure(table: SchemeTable, v: str, u: str) -> bool:
     distribution factorizes exactly, in integer arithmetic.
 
     With S uniform over p^L secret-major blocks, P(s, w) = P(s) P(w)
-    holds iff count(s, w) * p^L = count(w) for every secret s and every
-    value w, where count(w) sums count(s, w) over the secrets
-    (:func:`_count`).  Counted on the pair's grid: both counts on the
-    table are those on the grid times the same power of p, so the
-    identity holds on one iff it holds on the other.
+    holds iff every secret block holds each value w equally often: iff
+    every row of the joint count (:func:`_pair_count`) equals the
+    first.  Counted on the pair's grid: the counts on the table are
+    those on the grid times the same power of p, so the identity holds
+    on one iff it holds on the other.  When the count would outgrow the
+    grid, the labels that occur (:func:`_labels`) are numbered
+    first and counted per secret (:func:`_count`).
     """
-    pair, width = _labels(table, [v, u])
-    secrets = table.p**table.secret_len
-    if secrets * width > pair.size:
-        # Number the values that occur.  A secure pair shows each of them
-        # in every block, so it cannot take more than a block's rows.
+    cols = _grid(table, [v, u])
+    count = _pair_count(table, cols)
+    if count is None:
+        pair, width = _labels(cols)
+        secrets = table.p**table.secret_len
+        # A secure pair shows each value that occurs in every block, so
+        # it cannot take more values than a block has rows.
         present = np.bincount(pair, minlength=width) > 0
         width = int(present.sum())
         if secrets * width > pair.size:
             return False
-        pair = (np.cumsum(present) - 1)[pair]
-    count = _count(pair, width, secrets)
-    return bool((count * secrets == count.sum(axis=0)).all())
+        numbered = (np.cumsum(present) - 1)[pair]
+        count = _count(numbered.reshape(secrets, -1), width, secrets)
+    return bool((count == count[0]).all())
 
 
 def _precoding(sch: LinearScheme, name: str) -> np.ndarray:
@@ -507,7 +552,7 @@ def joint_entropy(table: SchemeTable, subset) -> float:
     grid's times p^(unread digits), so it is the table's value exactly.
     """
     names = sorted(set(subset))
-    codes, _ = _labels(table, names)
+    codes, _ = _labels(_grid(table, names))
     counts = np.bincount(codes)
     counts = counts[counts > 0]
     if table.scheme is not None:

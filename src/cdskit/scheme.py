@@ -480,7 +480,7 @@ def parse_scheme(text: str) -> LinearScheme:
             lines.append((no, ln))
     if not lines:
         raise SchemeFormatError("missing 'cds-scheme v1' header", 1)
-    if lines[0][1] != "cds-scheme v1":
+    if lines[0][1].split() != ["cds-scheme", "v1"]:
         raise SchemeFormatError("expected header 'cds-scheme v1'", lines[0][0])
     idx = 1
 

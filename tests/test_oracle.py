@@ -14,7 +14,7 @@ from cdskit.oracle import (
     BudgetError,
     SchemeTable,
     _add_mod,
-    _labels,
+    _grid,
     check_correct,
     check_secure,
     joint_entropy,
@@ -336,8 +336,8 @@ class TestPairGrid:
     def test_pairs_of_a_3_to_the_12_table_count_27_and_9_rows(self):
         table = tabulate(half_rate_scheme(11))
         cross, inner = ("w0_1", "w1_2"), ("w3_1", "w3_2")
-        assert _labels(table, cross)[0].size == 3**3
-        assert _labels(table, inner)[0].size == 3**2
+        assert _grid(table, cross)[0][0].size == 3**3
+        assert _grid(table, inner)[0][0].size == 3**2
         tracemalloc.start()
         try:
             correct, secure = check_correct(table, *cross), check_secure(table, *cross)
@@ -356,8 +356,8 @@ class TestPairGrid:
         made = tabulate(half_rate_scheme(11))
         table = SchemeTable(3, 1, 11, made.signal_lens, made.values, made.scheme)
         assert table == made and repr(table) == repr(made)
-        assert _labels(table, ("w0_1", "w1_2"))[0].size == 3**3
-        assert _labels(table, ("w3_1", "w3_2"))[0].size == 3**2
+        assert _grid(table, ("w0_1", "w1_2"))[0][0].size == 3**3
+        assert _grid(table, ("w3_1", "w3_2"))[0][0].size == 3**2
 
     def test_function_table_matches_the_linear_grids(self):
         # Every signal of a table of functions reads every digit, so its

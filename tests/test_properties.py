@@ -43,8 +43,10 @@ from cdskit.instance import (
 from cdskit.oracle import (
     SchemeTable,
     _all_vectors,
+    _grid,
     _labels,
     _number_rows,
+    _pair_count,
     _reads,
     check_correct,
     check_secure,
@@ -673,11 +675,85 @@ def test_codes_vary_along_exactly_the_read_digits(sch):
     shape = (sch.p**sch.secret_len,) + (sch.p,) * sch.noise_len
     for v in sch.vertices:
         codes = table.values[v].reshape(shape)
-        for digit, read in enumerate(_reads(table, v), start=1):
-            if read:
+        # The mask's bits are the noise digits, the first most significant.
+        read = _reads(table, v)
+        for digit in range(1, sch.noise_len + 1):
+            if read >> (sch.noise_len - digit) & 1:
                 assert (codes != np.roll(codes, 1, axis=digit)).all()
             else:
                 assert (codes == codes.take([0], axis=digit)).all()
+
+
+def per_digit_labels(table, names) -> tuple[np.ndarray, int]:
+    """(labels, width) of the variables on their grid, with the grid cut
+    out one noise digit at a time: an axis per digit, at 0 on each digit
+    none of them reads.  The joint values are combined in mixed radix, or
+    numbered by sorting when the alphabets outgrow the grid's rows."""
+    read = np.zeros(table.noise_len, dtype=bool)
+    for name in names:
+        if name == "Z" or (name != "S" and table.scheme is None):
+            read[:] = True
+        elif name != "S":
+            read |= table.scheme.matrices[name][1].data.any(axis=0)
+    secrets = table.p**table.secret_len
+    shape = (secrets,) + (table.p,) * table.noise_len
+    at = (slice(None),) + tuple(slice(None) if r else 0 for r in read.tolist())
+    rows = secrets * table.p ** int(read.sum())
+    cols = [(col.reshape(shape)[at].reshape(rows), size) for col, size in map(table.column, names)]
+    width = math.prod(size for _, size in cols)
+    if width > rows:
+        numbers = sorted_numbering(np.column_stack([col for col, _ in cols]))
+        return numbers, int(numbers.max()) + 1
+    labels = np.zeros(rows, dtype=np.int64)
+    for col, size in cols:
+        labels = labels * size + col
+    return labels, width
+
+
+def check_labels_against_per_digit_grid(table, names) -> None:
+    labels, width = _labels(_grid(table, names))
+    want, want_width = per_digit_labels(table, names)
+    assert (labels.tolist(), width) == (want.tolist(), want_width), names
+    if width == math.prod(table.column(name)[1] for name in names):
+        assert labels.dtype == np.min_scalar_type(width - 1), names
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(oracle_schemes().map(tabulate), function_tables()), st.data())
+def test_labels_on_digit_runs_match_the_per_digit_grid(table, data):
+    """The grid viewed with one axis per run of read or unread noise
+    digits gives each row the labels of the grid cut digit by digit, for
+    drawn subsets alone and with S or Z added."""
+    names = data.draw(
+        st.lists(st.sampled_from(["S", "Z", *table.vertices]), min_size=1, max_size=4, unique=True)
+    )
+    for extra in ([], ["S"], ["Z"]):
+        check_labels_against_per_digit_grid(table, list(dict.fromkeys(names + extra)))
+
+
+@pytest.mark.parametrize(
+    "mask, runs",
+    [
+        ("000000", 0),
+        ("111111", 1),
+        ("110000", 1),
+        ("001100", 1),
+        ("000011", 1),
+        ("101010", 3),
+        ("010101", 3),
+    ],
+)
+def test_grid_views_one_axis_per_read_run(mask, runs):
+    """a = s + the noise digits marked 1 in ``mask``, over GF(3) with six
+    noise digits: its grid view has one axis for the secret and one per
+    run of read digits, and the labels of the per-digit grid, alone, with
+    S, with Z, and paired with b, which reads no noise digit."""
+    read = [int(r) for r in mask]
+    table = tabulate(precoded_scheme(3, 1, 6, a=[[1, *read]], b=[[2] + [0] * 6]))
+    (view, _), = _grid(table, ["a"])
+    assert view.ndim == 1 + runs and view.size == 3 ** (1 + sum(read))
+    for names in (["a"], ["a", "S"], ["a", "Z"], ["a", "b"], ["b", "a", "S"]):
+        check_labels_against_per_digit_grid(table, names)
 
 
 @settings(max_examples=100, deadline=None)
@@ -724,45 +800,51 @@ def test_pair_labels_past_two_bytes_match_references():
     table = two_byte_table()
     assert table.size == 1 << 18
     assert all(codes.dtype == np.uint16 for codes in table.values.values())
-    labels, width = _labels(table, ["a", "w"])
+    labels, width = _labels(_grid(table, ["a", "w"]))
     assert width == 1 << 18 and labels.dtype == np.uint32
-    labels, width = _labels(table, ["a", "b"])
+    labels, width = _labels(_grid(table, ["a", "b"]))
     assert width <= 1 << 10 and labels.dtype == np.uint16
-    assert check_correct(table, "a", "b") and not check_secure(table, "a", "b")
-    assert check_secure(table, "a", "w") and not check_correct(table, "a", "w")
-    # Both pairs are wider than their grids can count per secret, so
-    # correctness scatters and gathers: a and w over 2 x 2^18 joint counts
-    # on 2^18 rows, a and b over 2 x 2^10 on 2^10.
+    # Both pairs are wider than their grids can count per secret: a and w
+    # over 2 x 2^18 joint counts on 2^18 rows, a and b over 2 x 2^18 on
+    # 2^10.  So correctness scatters and gathers, and security numbers
+    # the values that occur: a and w show 2^17 of them, which 2 x 2^17
+    # counts hold, and a and b 2^10, which is more than a block's rows.
     assert not counts_jointly(table, "a", "w") and not counts_jointly(table, "a", "b")
+    for v, u, decodes, secure in (("a", "b", True, False), ("a", "w", False, True)):
+        assert check_correct(table, v, u) == decodes == reference_correct(table, v, u), (v, u)
+        assert check_secure(table, v, u) == secure == reference_secure(table, v, u), (v, u)
     check_oracle_against_references(table)
 
 
 def counts_jointly(table, v, u) -> bool:
-    """Whether the checks of (v, u) take the joint count of every secret
-    and pair label: when it holds at most one integer per grid row."""
-    labels, width = _labels(table, [v, u])
-    return table.p**table.secret_len * width <= labels.size
+    """Whether the checks of (v, u) take the folded joint count of every
+    secret and pair of values: when it holds at most one integer per grid
+    row."""
+    return _pair_count(table, _grid(table, [v, u])) is not None
 
 
 def test_correctness_from_the_joint_count_and_from_the_scatter():
-    """Each verdict of check_correct on each of its paths, against the
-    sort-based reference.  c = s + z1 + z2 and d = z1 + z2 read a 2^3-row
-    grid and take 4 values together, so their 2 x 4 joint counts fit it;
-    f = (s + z1, z2) and g = z1 name every row of that grid, so 2 x 8 do
-    not.  c, d and f, g decode; c, e = z1 and f, h = z2 do not."""
+    """Each verdict of both checks on each of their routes, against the
+    sort-based references.  c = s + z1 + z2 and d = z1 + z2 read a
+    2^3-row grid and take 2 x 2 values, so their 2 x 4 joint counts fit
+    it; f = (s + z1, z2) and g = z1 take 4 x 2, so 2 x 8 do not, and
+    correctness scatters while security numbers the values that occur:
+    f, g show 8 of them, more than a block's 4 rows, and f, h = z2 show
+    4.  c, d and f, g decode; c, e = z1 and f, h do not, and are secure."""
     table = tabulate(precoded_scheme(
         2, 1, 2,
         c=[[1, 1, 1]], d=[[0, 1, 1]], e=[[0, 1, 0]],
         f=[[1, 1, 0], [0, 0, 1]], g=[[0, 1, 0]], h=[[0, 0, 1]],
     ))
-    for v, u, joint, decodes in (
-        ("c", "d", True, True),
-        ("c", "e", True, False),
-        ("f", "g", False, True),
-        ("f", "h", False, False),
+    for v, u, joint, decodes, secure in (
+        ("c", "d", True, True, False),
+        ("c", "e", True, False, True),
+        ("f", "g", False, True, False),
+        ("f", "h", False, False, True),
     ):
         assert counts_jointly(table, v, u) == joint, (v, u)
         assert check_correct(table, v, u) == decodes == reference_correct(table, v, u), (v, u)
+        assert check_secure(table, v, u) == secure == reference_secure(table, v, u), (v, u)
 
 
 def test_pair_checks_of_a_1024_row_grid_stay_small():

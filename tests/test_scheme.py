@@ -353,6 +353,8 @@ class TestSchemeFiles:
         [
             ("# a\n\n# b\ncds-scheme v2\nfield 2\n", "line 4: expected header 'cds-scheme v1'"),
             ("cds-scheme v1 extra\nfield 2\n", "line 1: expected header 'cds-scheme v1'"),
+            ("cds-scheme v2\nfield 2\n", "line 1: expected header 'cds-scheme v1'"),
+            ("cds-schemev1\nfield 2\n", "line 1: expected header 'cds-scheme v1'"),
             ("# only a comment\n\n", "line 1: missing 'cds-scheme v1' header"),
         ],
     )
@@ -364,6 +366,23 @@ class TestSchemeFiles:
         bad.write_text(text)
         assert run(["verify", str(inst), str(bad)]) == 2
         assert capsys.readouterr().err == f"cds: error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("header", ["cds-scheme   v1", "cds-scheme\tv1", "  cds-scheme v1 "])
+    def test_header_read_as_tokens(self, fig2, tmp_path, capsys, header):
+        # The header splits into tokens like the keyword lines and the
+        # instance header: any run of blanks separates them.
+        text = format_scheme(builtin_fig2_scheme())
+        assert text.startswith("cds-scheme v1\n")
+        spaced = text.replace("cds-scheme v1", header, 1)
+        assert parse_scheme(spaced) == parse_scheme(text)
+        inst = tmp_path / "fig2.cds"
+        inst.write_text(format_instance(fig2))
+        outputs = []
+        for name, body in (("plain.scheme", text), ("spaced.scheme", spaced)):
+            (tmp_path / name).write_text(body)
+            code = run(["verify", str(inst), str(tmp_path / name)])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0][0] == 0 and outputs[0] == outputs[1]
 
     def test_residue_range_checked(self):
         text = "cds-scheme v1\nfield 2\nsecret 1\nnoise 1\nsignal A1 1\nF: 2 | H: 0\n"
