@@ -58,8 +58,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import combinations, groupby
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -249,12 +249,17 @@ class SchemeTable:
         return np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), reps)
 
     def column(self, name: str) -> tuple[np.ndarray, int]:
-        """(codes, alphabet size) for a variable name: S, Z or a vertex."""
+        """(codes, alphabet size) for a variable name: S, Z or a vertex;
+        ValueError for any other name."""
         if name == "S":
             return self.secret_codes(), self.p**self.secret_len
         if name == "Z":
             return self.noise_codes(), self.p**self.noise_len
-        return self.values[name], self.p ** self.signal_lens[name]
+        try:
+            codes = self.values[name]
+        except KeyError:
+            raise ValueError(f"unknown variable {name}") from None
+        return codes, self.p ** self.signal_lens[name]
 
     @classmethod
     def from_functions(
@@ -373,28 +378,35 @@ def _grid(table: SchemeTable, names) -> list[tuple[np.ndarray, int]]:
     are taken: a view of one axis for the secret and one per read run,
     p^(L + read digits) entries in all, secret-major like the table.  The
     selected codes are constant along every unread digit, so no value is
-    lost.  When they read every digit the grid is the table.
+    lost.  When they read every digit the grid is the table.  ValueError
+    unless ``names`` is a nonempty list of the table's variables.
     """
-    _require_names(table, names)
+    if not names:
+        raise ValueError("subset must be nonempty")
+    cols = [table.column(name) for name in names]
     read = 0
     for name in names:
         read |= _reads(table, name)
     shape, at = _run_axes(read, table.noise_len, table.p, table.p**table.secret_len)
-    return [(codes.reshape(shape)[at], size) for codes, size in map(table.column, names)]
+    return [(codes.reshape(shape)[at], size) for codes, size in cols]
 
 
-@lru_cache(maxsize=1024)
-def _run_axes(read: int, digits: int, p: int, secrets: int) -> tuple[tuple[int, ...], tuple]:
+def _run_axes(read: int, digits: int, p: int, secrets: int) -> tuple[list[int], tuple]:
     """(shape, index) of the grid of the secret and the ``read`` noise
     digits (:func:`_grid`): one axis for the secret and one per run, and
-    at 0 on every unread run.  Kept for the masks met last, since every
-    pair check needs one and most repeat."""
+    at 0 on every unread run."""
     shape, at = [secrets], [slice(None)]
-    # The mask's binary digits, the first digit's first, past a leading 1.
-    for bit, run in groupby(bin(read | 1 << digits)[3:]):
-        shape.append(p ** len(list(run)))
-        at.append(slice(None) if bit == "1" else 0)
-    return tuple(shape), tuple(at)
+    # The first digit left is the mask's most significant bit.  Its run
+    # ends at the first digit left that differs from it: at the bit length
+    # of the digits left, flipped when the run is read.
+    while digits:
+        mask = (1 << digits) - 1
+        bit = read >> (digits - 1) & 1
+        end = ((read & mask) ^ (mask if bit else 0)).bit_length()
+        shape.append(p ** (digits - end))
+        at.append(slice(None) if bit else 0)
+        digits = end
+    return shape, tuple(at)
 
 
 def _labels(cols) -> tuple[np.ndarray, int]:
@@ -515,7 +527,7 @@ def check_secure(table: SchemeTable, v: str, u: str) -> bool:
             return False
         numbered = (np.cumsum(present) - 1)[pair]
         count = _count(numbered.reshape(secrets, -1), width, secrets)
-    return bool((count == count[0]).all())
+    return not np.count_nonzero(count - count[0])
 
 
 def _precoding(sch: LinearScheme, name: str) -> np.ndarray:

@@ -810,9 +810,9 @@ def test_pair_labels_past_two_bytes_match_references():
     # the values that occur: a and w show 2^17 of them, which 2 x 2^17
     # counts hold, and a and b 2^10, which is more than a block's rows.
     assert not counts_jointly(table, "a", "w") and not counts_jointly(table, "a", "b")
-    for v, u, decodes, secure in (("a", "b", True, False), ("a", "w", False, True)):
-        assert check_correct(table, v, u) == decodes == reference_correct(table, v, u), (v, u)
-        assert check_secure(table, v, u) == secure == reference_secure(table, v, u), (v, u)
+    assert check_correct(table, "a", "b") and not check_secure(table, "a", "b")
+    assert check_secure(table, "a", "w") and not check_correct(table, "a", "w")
+    # Both checks of every pair, these two included, against the references.
     check_oracle_against_references(table)
 
 
