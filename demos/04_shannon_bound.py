@@ -26,7 +26,7 @@ inst = builtin_fig2_instance()
 res = shannon_bound(inst)
 print(f"6-vertex instance: rate bound {res.rate_bound} "
       f"(max H(S) = {res.entropy_bound}, "
-      f"{len(res.lp.constraints)} constraints, {res.lp.n_vars} variables)")
+      f"{res.lp.rows.m} constraints, {res.lp.n_vars} variables)")
 
 weights = sum(1 for y in res.solution.duals if y != 0)
 print(f"dual certificate uses {weights} constraints; re-verified exactly.")

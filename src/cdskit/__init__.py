@@ -24,7 +24,6 @@ _SUBMODULE_OF = {
             "rank",
             "rowspace_intersection_basis",
             "rowspace_intersection_dim",
-            "rref",
         ),
         "instance": (
             "CdsInstance",
@@ -82,7 +81,6 @@ _SUBMODULE_OF = {
         ),
         "simplex": ("LpSolution", "solve_lp"),
         "entropy_lp": (
-            "Constraint",
             "EntropyLp",
             "ShannonBoundResult",
             "build_entropy_lp",

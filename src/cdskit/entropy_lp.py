@@ -7,7 +7,8 @@ constraints.  Maximizing H(S) with all signal entropies normalized to 1
 gives an upper bound of optimum/2 on the symmetric communication rate.
 Every row has int coefficients and right-hand side, and the LP is held
 as one integer matrix (:class:`~cdskit.simplex.IntRows`), built by mask
-arithmetic; the Constraint tuples are derived from it only when read.
+arithmetic.  That matrix is the LP's only form of its rows: the solver,
+the certificate check and the renderers all read it.
 
 Solving is exact end to end: a floating-point proposal is only accepted
 after exact checks, and the dual multipliers are re-verified as a
@@ -28,9 +29,10 @@ bound) is the escape hatch for bigger graphs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -47,7 +49,6 @@ from .simplex import (
 )
 
 __all__ = [
-    "Constraint",
     "EntropyLp",
     "ShannonBoundResult",
     "CertificateError",
@@ -61,7 +62,6 @@ __all__ = [
     "verify_certificate",
     "dual_certificate",
     "lp_dump",
-    "render_constraint",
 ]
 
 GROUND_LIMIT = 12
@@ -71,39 +71,13 @@ class GroundSetTooLargeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """Sparse rational constraint over subset variables.
-
-    ``coeffs`` maps subset bitmasks (over the ground set) to rational
-    coefficients; the relation is one of "<=", "=", ">=".  The entropy
-    LP's own rows have int coefficients and right-hand sides.
-    """
-
-    coeffs: tuple[tuple[int, int | Fraction], ...]
-    relation: str
-    rhs: int | Fraction
-
-    def evaluate(self, primal) -> Fraction:
-        """Left-hand side at a primal point indexed by mask - 1."""
-        return sum((c * primal[m - 1] for m, c in self.coeffs), Fraction(0))
-
-    def satisfied(self, primal) -> bool:
-        lhs = self.evaluate(primal)
-        if self.relation == "<=":
-            return lhs <= self.rhs
-        if self.relation == ">=":
-            return lhs >= self.rhs
-        return lhs == self.rhs
-
-
 @dataclass(frozen=True, eq=False)  # compared by value below; IntRows has no ==
 class EntropyLp:
     """The LP max H(S) over the 2^n - 1 subset-entropy variables of a
     ground set, under ``rows``, an :class:`IntRows` matrix over the
-    variables mask - 1.  ``constraints`` reads the same rows, in order,
-    as Constraint tuples.  Equal to (and hashed, and shown, like) the
-    triple (ground, constraints, objective).
+    variables mask - 1.  ``constraints`` is the same rows, in order,
+    rendered as text.  Equal to (and hashed, and shown, like) the triple
+    (ground, constraints, objective).
     """
 
     ground: tuple[str, ...]
@@ -128,8 +102,8 @@ class EntropyLp:
         )
 
     @cached_property
-    def constraints(self) -> tuple[Constraint, ...]:
-        return _constraints(self.rows)
+    def constraints(self) -> tuple[str, ...]:
+        return tuple(_render(self, range(self.rows.m)))
 
     @property
     def n_vars(self) -> int:
@@ -186,17 +160,6 @@ def _int_rows(blocks: list[_Block]) -> IntRows:
     )
 
 
-def _constraints(rows: IntRows) -> tuple[Constraint, ...]:
-    """The matrix's rows as Constraint tuples over masks."""
-    ptr = rows.ptr.tolist()
-    masks, coefs = (rows.col + 1).tolist(), rows.coef.tolist()
-    out = []
-    for i, (code, b) in enumerate(zip(rows.rel.tolist(), rows.rhs.tolist())):
-        terms = zip(masks[ptr[i] : ptr[i + 1]], coefs[ptr[i] : ptr[i + 1]])
-        out.append(Constraint(tuple(terms), RELATION[code], b))
-    return tuple(out)
-
-
 def _elemental_blocks(n: int) -> list[_Block]:
     """The elemental rows, built from mask arithmetic.
 
@@ -225,14 +188,15 @@ def _elemental_blocks(n: int) -> list[_Block]:
     ]
 
 
-def elemental_inequalities(n: int) -> tuple[Constraint, ...]:
+def elemental_inequalities(n: int) -> IntRows:
     """The minimal generating Shannon inequalities on n variables.
 
     n conditional entropies H(X_i | rest) >= 0 followed by the
     C(n,2) * 2^(n-2) conditional mutual informations
-    I(X_i; X_j | X_K) >= 0, K over subsets of the complement.
+    I(X_i; X_j | X_K) >= 0, K over subsets of the complement, as rows
+    over the variables mask - 1.
     """
-    return _constraints(_int_rows(_elemental_blocks(n)))
+    return _int_rows(_elemental_blocks(n))
 
 
 def _cds_blocks(inst: CdsInstance) -> list[_Block]:
@@ -254,14 +218,15 @@ def _cds_blocks(inst: CdsInstance) -> list[_Block]:
     ]
 
 
-def cds_constraints(inst: CdsInstance) -> tuple[Constraint, ...]:
+def cds_constraints(inst: CdsInstance) -> IntRows:
     """Edge equalities plus per-signal normalizations H(v) <= 1.
 
     Decodable pair: H(S,v,u) = H(v,u).  Secure pair: H(S,v,u) =
     H(v,u) + H(S).  Signal lengths are normalized to one p-ary symbol,
-    so the rate bound is optimum/2.
+    so the rate bound is optimum/2.  Rows over the variables mask - 1 of
+    the instance's ground set.
     """
-    return _constraints(_int_rows(_cds_blocks(inst)))
+    return _int_rows(_cds_blocks(inst))
 
 
 def build_entropy_lp(inst: CdsInstance) -> EntropyLp:
@@ -289,7 +254,7 @@ def simplex_solve(lp: EntropyLp) -> LpSolution:
 class ShannonBoundResult:
     rate_bound: Fraction  # optimum / 2
     entropy_bound: Fraction  # the LP optimum, max H(S)
-    solution: LpSolution  # duals aligned with lp.constraints
+    solution: LpSolution  # duals aligned with the rows of lp.rows
     lp: EntropyLp
     degenerate: bool  # the explicit cap was the binding constraint
 
@@ -324,30 +289,34 @@ def shannon_bound(inst: CdsInstance) -> ShannonBoundResult:
 # Rendering and certificates
 
 
-def render_constraint(lp: EntropyLp, con: Constraint) -> str:
-    """Human-readable form, positive terms first, e.g.
+def _render(lp: EntropyLp, which: Iterable[int]) -> list[str]:
+    """The selected rows of ``lp.rows`` in human-readable form, positive
+    terms first and each sign's terms by mask, e.g.
     ``H(S,A1,B1) - H(A1,B1) = 0``."""
-    pos = sorted([t for t in con.coeffs if t[1] > 0], key=lambda t: t[0])
-    neg = sorted([t for t in con.coeffs if t[1] < 0], key=lambda t: t[0])
-    parts: list[str] = []
-    for mask, c in pos + neg:
-        name = lp.term(mask)
-        if not parts:
-            prefix = "-" if c < 0 else ""
-        else:
-            prefix = "- " if c < 0 else "+ "
-        mag = abs(c)
-        coeff = "" if mag == 1 else f"{mag} "
-        parts.append(f"{prefix}{coeff}{name}")
-    return f"{' '.join(parts)} {con.relation} {con.rhs}"
+    rows = lp.rows
+    ptr, masks, coefs = rows.ptr.tolist(), (rows.col + 1).tolist(), rows.coef.tolist()
+    rels, rhs = rows.rel.tolist(), rows.rhs.tolist()
+    term = cache(lp.term)
+    out = []
+    for i in which:
+        terms = zip(masks[ptr[i] : ptr[i + 1]], coefs[ptr[i] : ptr[i + 1]])
+        parts: list[str] = []
+        for mask, c in sorted([t for t in terms if t[1]], key=lambda t: (t[1] < 0, t[0])):
+            if not parts:
+                prefix = "-" if c < 0 else ""
+            else:
+                prefix = "- " if c < 0 else "+ "
+            mag = abs(c)
+            coeff = "" if mag == 1 else f"{mag} "
+            parts.append(f"{prefix}{coeff}{term(mask)}")
+        out.append(f"{' '.join(parts)} {RELATION[rels[i]]} {rhs[i]}")
+    return out
 
 
 def lp_dump(lp: EntropyLp) -> str:
     """One constraint per line, for external cross-checking."""
     obj = " + ".join(("" if c == 1 else f"{c} ") + lp.term(m) for m, c in lp.objective)
-    lines = [f"# maximize {obj}"]
-    lines += [render_constraint(lp, con) for con in lp.constraints]
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"# maximize {obj}", *lp.constraints]) + "\n"
 
 
 def verify_certificate(sol: LpSolution, lp: EntropyLp) -> Fraction:
@@ -382,8 +351,8 @@ def dual_certificate(sol: LpSolution, lp: EntropyLp) -> str:
         f"dual certificate: {obj_name} <= {sol.value} (verified exactly)",
         "weighted constraints (weight * constraint):",
     ]
-    for con, y in zip(lp.constraints, sol.duals):
-        if y != 0:
-            lines.append(f"  {y} * [{render_constraint(lp, con)}]")
+    weighted = [i for i, y in enumerate(sol.duals) if y != 0]
+    for i, text in zip(weighted, _render(lp, weighted)):
+        lines.append(f"  {sol.duals[i]} * [{text}]")
     lines.append(f"sum of weighted right-hand sides = {sol.value}")
     return "\n".join(lines) + "\n"

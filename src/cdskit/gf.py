@@ -3,10 +3,10 @@
 Matrices carry their modulus explicitly and are immutable after
 construction.  Ranks, of one matrix or of a whole stack, come from one
 forward elimination vectorised across the stack (:func:`prefix_ranks`).
-Echelon forms, kernels and intersection bases use Gauss-Jordan
-elimination with the leftmost-pivot / first-qualifying-row rule, so they
-are deterministic.  Primes are restricted to p < 2^16; entries stay
-machine integers throughout.
+Kernels and intersection bases are read off a reduced echelon form from
+Gauss-Jordan elimination with the leftmost-pivot / first-qualifying-row
+rule, so they are deterministic.  Primes are restricted to p < 2^16;
+entries stay machine integers throughout.
 """
 
 from __future__ import annotations
@@ -159,12 +159,6 @@ def _rref_array(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return m, pivots
-
-
-def rref(m: GfMatrix) -> tuple[GfMatrix, tuple[int, ...]]:
-    """Unique reduced row echelon form and its pivot columns."""
-    red, pivots = _rref_array(m.data, m.p)
-    return GfMatrix(m.p, red), tuple(pivots)
 
 
 def prefix_ranks(stack: np.ndarray, p: int) -> np.ndarray:

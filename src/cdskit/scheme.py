@@ -314,6 +314,9 @@ def check_signal_alignment(
     Basis-free form: every (x, y) with x.H_v = y.H_u must satisfy
     x.F_v = y.F_u.  Checked on a kernel basis of [H_v; -H_u]; returns the
     first violating (x, y) combination otherwise.
+
+    No command calls it: :func:`alignment_report` decides the verdict from
+    ranks, and the tests hold those to this kernel-based reference.
     """
     fv, hv = _matrices(sch, v)
     fu, hu = _matrices(sch, u)

@@ -486,7 +486,7 @@ class TestDemo:
 _EXPORTED = {
     "gf": (
         "GfMatrix", "left_kernel", "rank", "rowspace_intersection_basis",
-        "rowspace_intersection_dim", "rref",
+        "rowspace_intersection_dim",
     ),
     "instance": (
         "CdsInstance", "DegenerateInstanceError", "FeasibilityResult",
@@ -513,7 +513,7 @@ _EXPORTED = {
     ),
     "simplex": ("LpSolution", "solve_lp"),
     "entropy_lp": (
-        "Constraint", "EntropyLp", "ShannonBoundResult", "build_entropy_lp",
+        "EntropyLp", "ShannonBoundResult", "build_entropy_lp",
         "cds_constraints", "dual_certificate", "elemental_inequalities", "lp_dump",
         "shannon_bound", "simplex_solve", "verify_certificate",
     ),

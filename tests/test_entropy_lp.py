@@ -6,14 +6,13 @@ import hashlib
 import itertools
 import time
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
 
 from cdskit.entropy_lp import (
     CertificateError,
-    Constraint,
     GroundSetTooLargeError,
     build_entropy_lp,
     cds_constraints,
@@ -21,7 +20,6 @@ from cdskit.entropy_lp import (
     elemental_inequalities,
     ground_set,
     lp_dump,
-    render_constraint,
     shannon_bound,
     simplex_solve,
     verify_certificate,
@@ -29,7 +27,7 @@ from cdskit.entropy_lp import (
 from cdskit import simplex
 from cdskit.instance import CdsInstance, parse_instance
 from cdskit.oracle import joint_rank, tabulate
-from cdskit.simplex import LpSolution
+from cdskit.simplex import CODE, RELATION, IntRows, LpSolution
 from cdskit.synthesis import (
     builtin_example1_instance,
     builtin_fig2_instance,
@@ -40,9 +38,13 @@ from cdskit.synthesis import (
 F = Fraction
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def certificate_digest(res) -> str:
     """sha256 of the rendered dual certificate."""
-    return hashlib.sha256(dual_certificate(res.solution, res.lp).encode()).hexdigest()
+    return sha256(dual_certificate(res.solution, res.lp))
 
 
 def three_vertex() -> CdsInstance:
@@ -78,13 +80,19 @@ LP_INSTANCES = {
 }
 
 
-def reference_elemental(n: int) -> tuple[Constraint, ...]:
+@cache
+def solved(name: str):
+    """shannon_bound of an LP_INSTANCES entry, solved once per session."""
+    return shannon_bound(LP_INSTANCES[name]())
+
+
+def reference_elemental(n: int) -> list[tuple]:
     """The elemental inequalities from a nested loop over i < j and the
-    sets K, in pick order."""
+    sets K, in pick order, as (terms over masks, relation, rhs)."""
     out = []
     full = (1 << n) - 1
     for i in range(n):
-        out.append(Constraint(((full, 1), (full ^ (1 << i), -1)), ">=", 0))
+        out.append((((full, 1), (full ^ (1 << i), -1)), ">=", 0))
     for i in range(n):
         for j in range(i + 1, n):
             others = [b for b in range(n) if b not in (i, j)]
@@ -96,42 +104,56 @@ def reference_elemental(n: int) -> tuple[Constraint, ...]:
                 terms = [(k | 1 << i, 1), (k | 1 << j, 1), (k | 1 << i | 1 << j, -1)]
                 if k:
                     terms.append((k, -1))
-                out.append(Constraint(tuple(terms), ">=", 0))
-    return tuple(out)
+                out.append((tuple(terms), ">=", 0))
+    return out
 
 
-def reference_entropy_constraints(inst: CdsInstance) -> tuple[Constraint, ...]:
-    """The entropy LP's rows, one Constraint at a time: the elemental
-    cone, the edge equalities, the normalizations and the cap."""
+def reference_entropy_constraints(inst: CdsInstance) -> list[tuple]:
+    """The entropy LP's rows, one (terms, relation, rhs) at a time: the
+    elemental cone, the edge equalities, the normalizations and the cap."""
     ground = ground_set(inst)
     idx = {name: 1 << i for i, name in enumerate(ground)}
     s_mask = idx["S"]
     cds = []
     for v, u in inst.qualified:
         pair = idx[v] | idx[u]
-        cds.append(Constraint(((pair | s_mask, 1), (pair, -1)), "=", 0))
+        cds.append((((pair | s_mask, 1), (pair, -1)), "=", 0))
     for v, u in inst.unqualified:
         pair = idx[v] | idx[u]
-        cds.append(Constraint(((pair | s_mask, 1), (pair, -1), (s_mask, -1)), "=", 0))
+        cds.append((((pair | s_mask, 1), (pair, -1), (s_mask, -1)), "=", 0))
     for v in inst.vertices:
-        cds.append(Constraint(((idx[v], 1),), "<=", 1))
-    cap = Constraint(((1, 1),), "<=", len(ground))
-    return reference_elemental(len(ground)) + tuple(cds) + (cap,)
+        cds.append((((idx[v], 1),), "<=", 1))
+    cap = (((1, 1),), "<=", len(ground))
+    return reference_elemental(len(ground)) + cds + [cap]
 
 
-def typed(constraints) -> list:
-    """Constraints with the type of every number, which == ignores."""
+def as_tuples(rows: IntRows) -> list[tuple]:
+    """The matrix's rows as (terms over masks, relation, rhs), each term
+    a (mask, coefficient) in stored order, numbers as the CSR arrays'
+    Python values."""
+    ptr, masks, coefs = rows.ptr.tolist(), (rows.col + 1).tolist(), rows.coef.tolist()
     return [
-        (tuple((m, type(c), c) for m, c in con.coeffs), con.relation, type(con.rhs), con.rhs)
-        for con in constraints
+        (tuple(zip(masks[ptr[i] : ptr[i + 1]], coefs[ptr[i] : ptr[i + 1]])), RELATION[code], b)
+        for i, (code, b) in enumerate(zip(rows.rel.tolist(), rows.rhs.tolist()))
+    ]
+
+
+def typed(rows) -> list:
+    """Rows, from an IntRows matrix or as (terms, relation, rhs) tuples,
+    with the type of every number, which == ignores."""
+    if isinstance(rows, IntRows):
+        rows = as_tuples(rows)
+    return [
+        (tuple((m, type(c), c) for m, c in terms), relation, type(b), b)
+        for terms, relation, b in rows
     ]
 
 
 class TestElemental:
     def test_counts(self):
-        assert len(elemental_inequalities(2)) == 3
-        assert len(elemental_inequalities(3)) == 3 + 3 * 2
-        assert len(elemental_inequalities(7)) == 7 + 21 * 32
+        assert elemental_inequalities(2).m == 3
+        assert elemental_inequalities(3).m == 3 + 3 * 2
+        assert elemental_inequalities(7).m == 7 + 21 * 32
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
@@ -148,35 +170,35 @@ class TestElemental:
             (0b111, F(-1)),
             (0b100, F(-1)),
         }
-        assert any(set(c.coeffs) == expected for c in cons)
+        assert any(set(terms) == expected for terms, _, _ in as_tuples(cons))
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_rows_match_the_nested_loop(self, n):
         assert typed(elemental_inequalities(n)) == typed(reference_elemental(n))
 
     def test_conditional_entropy_rows_come_first(self):
-        cons = elemental_inequalities(3)
+        cons = as_tuples(elemental_inequalities(3))
         full = 0b111
         for i in range(3):
-            assert set(cons[i].coeffs) == {(full, F(1)), (full ^ (1 << i), F(-1))}
+            assert set(cons[i][0]) == {(full, F(1)), (full ^ (1 << i), F(-1))}
 
 
 class TestCdsConstraints:
     def test_fig2_counts(self, fig2):
-        cons = cds_constraints(fig2)
-        eqs = [c for c in cons if c.relation == "="]
-        norms = [c for c in cons if c.relation == "<="]
-        assert len(eqs) == 9 and len(norms) == 6
+        rel = cds_constraints(fig2).rel
+        eqs = rel == CODE["="]
+        norms = rel == CODE["<="]
+        assert eqs.sum() == 9 and norms.sum() == 6 and (eqs | norms).all()
 
     def test_single_edge(self):
         inst = CdsInstance.from_edges([("q", "A1", "B1")])
-        cons = cds_constraints(inst)
-        assert len([c for c in cons if c.relation == "="]) == 1
-        assert len([c for c in cons if c.relation == "<="]) == 2
+        rel = cds_constraints(inst).rel
+        assert (rel == CODE["="]).sum() == 1
+        assert (rel == CODE["<="]).sum() == 2
 
     def test_empty_instance(self):
         inst = CdsInstance((), (), (), True)
-        assert cds_constraints(inst) == ()
+        assert cds_constraints(inst).m == 0
         # The LP itself needs at least one signal beside the secret.
         with pytest.raises(ValueError):
             build_entropy_lp(inst)
@@ -192,15 +214,14 @@ class TestCdsConstraints:
 
 
 class TestIntegerRows:
-    """The LP is built as one integer matrix; its Constraint view and
+    """The LP is built as one integer matrix; its rows, their text and
     what HiGHS is given are pinned."""
 
     @pytest.mark.parametrize("name", LP_INSTANCES)
     def test_constraints_match_the_row_by_row_build(self, name):
         inst = LP_INSTANCES[name]()
         lp = build_entropy_lp(inst)
-        assert typed(lp.constraints) == typed(reference_entropy_constraints(inst))
-        assert lp.rows.m == len(lp.constraints)
+        assert typed(lp.rows) == typed(reference_entropy_constraints(inst))
         assert lp.objective == ((1, 1),)
 
     def test_lp_is_a_frozen_value(self):
@@ -226,17 +247,52 @@ class TestIntegerRows:
         # for the truth of an array.
         assert lp.rows == lp.rows and lp.rows != again.rows
 
-    # sha256 of linprog's arguments, recorded before the LP was held as
-    # integer arrays: every primal, dual and certificate follows from them.
-    HIGHS_INPUT = {
-        "ladder4": "bc6c936b80a705a2662024ef1d2d5d01eff672caafc47375b70cd0c280e95f2d",
-        "ladder5": "0d17556748ddcc3734fe7aecc1bd3ed9a7db2012982d6902c7017cc75b603c52",
-        "ladder6": "b0915eaad73d48d0b513806481fbea18e676f7e97c49f08b306066be9a13dd92",
-        "ladder7": "068d9a945a77140271a5e236abcc3254aed4d6b4afcc7e155a8e228616008b57",
-        "ladder8": "11b021c738f00972abc68b2ddb54d4838f96439a0385d4a09dd1d0483272e817",
-        "ladder9": "dff0663cac9865e6c747e4bce958e20f6b18d23add6aa7cdb477ab47536648a7",
-        "fig2": "068d9a945a77140271a5e236abcc3254aed4d6b4afcc7e155a8e228616008b57",
-        "example1": "dff0663cac9865e6c747e4bce958e20f6b18d23add6aa7cdb477ab47536648a7",
+    # sha256 digests per LP: (linprog's arguments, lp_dump, dual_certificate).
+    # The first was recorded before the LP was held as integer arrays:
+    # every primal, dual and certificate follows from it.  The other two
+    # were recorded while the renderers still read a second, tuple form
+    # of the rows.
+    DIGESTS = {
+        "ladder4": (
+            "bc6c936b80a705a2662024ef1d2d5d01eff672caafc47375b70cd0c280e95f2d",
+            "c8196534fe766d490995248d98577832e20bfc0b5b4e21028b86854002cb33f3",
+            "0d09b0e09dc2a22595831fa6f20b4e7b55212c1c64046a335a6e224fbd0f92db",
+        ),
+        "ladder5": (
+            "0d17556748ddcc3734fe7aecc1bd3ed9a7db2012982d6902c7017cc75b603c52",
+            "3bfaea48f21830ed5fea6927515ae1711dcc06eb515fd50f283e956ebf7fa5d5",
+            "c50efa5ce349ec427d5966a981150a3725368cd264515653f0110d7d4cdd3a75",
+        ),
+        "ladder6": (
+            "b0915eaad73d48d0b513806481fbea18e676f7e97c49f08b306066be9a13dd92",
+            "23a42c58590c540211963b77a4970f62424a4eb07efb7703fc232027fb2ed7aa",
+            "570808615ae528fe79cdeea75970984b0f8ce5d39fe7a2d99ea3b48065bfeb51",
+        ),
+        "ladder7": (
+            "068d9a945a77140271a5e236abcc3254aed4d6b4afcc7e155a8e228616008b57",
+            "d79c0aaf70e67e97cd3d6d034309626f484e5d44bbcde844003fa8cf86744581",
+            "8aa372e2331b443511a7803777fda1c1b5252fd40a47a8ae64b817089e83ad9c",
+        ),
+        "ladder8": (
+            "11b021c738f00972abc68b2ddb54d4838f96439a0385d4a09dd1d0483272e817",
+            "3bf7bbc8ee32461157329ea4808e96a703b8c80e8243c7233b31ebd626c4b055",
+            "1dd085da3ed1f3084169422d96a721755d693dbdf2f1da127ae954c8087ec524",
+        ),
+        "ladder9": (
+            "dff0663cac9865e6c747e4bce958e20f6b18d23add6aa7cdb477ab47536648a7",
+            "f19b33e5b47fc517bf0312252946d313b8a7699eaeb3a429ac27564977fe4243",
+            "b82779887dfd60be47d727dc1e9ac46508af05c935f76a52912935d812cc4123",
+        ),
+        "fig2": (
+            "068d9a945a77140271a5e236abcc3254aed4d6b4afcc7e155a8e228616008b57",
+            "d79c0aaf70e67e97cd3d6d034309626f484e5d44bbcde844003fa8cf86744581",
+            "8aa372e2331b443511a7803777fda1c1b5252fd40a47a8ae64b817089e83ad9c",
+        ),
+        "example1": (
+            "dff0663cac9865e6c747e4bce958e20f6b18d23add6aa7cdb477ab47536648a7",
+            "f19b33e5b47fc517bf0312252946d313b8a7699eaeb3a429ac27564977fe4243",
+            "b82779887dfd60be47d727dc1e9ac46508af05c935f76a52912935d812cc4123",
+        ),
     }
 
     @staticmethod
@@ -268,7 +324,7 @@ class TestIntegerRows:
         h.update(repr((kwargs["bounds"], kwargs["method"])).encode())
         return h.hexdigest()
 
-    @pytest.mark.parametrize("name", HIGHS_INPUT)
+    @pytest.mark.parametrize("name", DIGESTS)
     def test_highs_input_is_pinned(self, name, monkeypatch):
         import scipy.optimize
 
@@ -280,7 +336,24 @@ class TestIntegerRows:
 
         monkeypatch.setattr(scipy.optimize, "linprog", spy)
         shannon_bound(LP_INSTANCES[name]())
-        assert seen == [self.HIGHS_INPUT[name]]
+        assert seen == [self.DIGESTS[name][0]]
+
+    @pytest.mark.parametrize("name", DIGESTS)
+    def test_lp_text_is_pinned(self, name):
+        res = solved(name)
+        assert sha256(lp_dump(res.lp)) == self.DIGESTS[name][1]
+        assert certificate_digest(res) == self.DIGESTS[name][2]
+
+    @pytest.mark.parametrize("name", LP_INSTANCES)
+    def test_constraints_are_the_rendered_rows(self, name):
+        """One line of text per row, as ``lp_dump`` prints them, and one
+        weighted line of the certificate per nonzero dual."""
+        res = solved(name)
+        lp, duals = res.lp, res.solution.duals
+        assert len(lp.constraints) == lp.rows.m
+        assert lp_dump(lp).splitlines()[1:] == list(lp.constraints)
+        weighted = dual_certificate(res.solution, lp).splitlines()[2:-1]
+        assert weighted == [f"  {y} * [{lp.constraints[i]}]" for i, y in enumerate(duals) if y]
 
 
 class TestSimplexSolveOnEntropyLps:
@@ -434,8 +507,8 @@ class TestCertificates:
                 duals[i] = y
             return LpSolution("optimal", value, sol.primal, tuple(duals))
 
-        relations = [con.relation for con in lp.constraints]
-        ge, le = relations.index(">="), relations.index("<=")
+        relations = lp.rows.rel.tolist()
+        ge, le = relations.index(CODE[">="]), relations.index(CODE["<="])
         with pytest.raises(CertificateError, match="positive weight on a >="):
             verify_certificate(tampered([(ge, F(1))]), lp)
         with pytest.raises(CertificateError, match="negative weight on a <="):
@@ -443,9 +516,10 @@ class TestCertificates:
         # Row 0 is H(full) - H(full - X_0) >= 0: more weight of its sign
         # leaves y.b alone and lowers only the column of the full set.
         full = (1 << len(lp.ground)) - 1
-        assert lp.constraints[0].coeffs == ((full, 1), (full - 1, -1))
+        rows = as_tuples(lp.rows)
+        assert rows[0][0] == ((full, 1), (full - 1, -1))
         slack = sum(
-            (y * c for con, y in zip(lp.constraints, sol.duals) for m, c in con.coeffs if m == full),
+            (y * c for (terms, _, _), y in zip(rows, sol.duals) for m, c in terms if m == full),
             F(0),
         )
         with pytest.raises(CertificateError, match="do not dominate"):
@@ -470,17 +544,20 @@ class TestSchemeVectorFeasibility:
             sch = synthesize_half_rate(inst)
         table = tabulate(sch)
         lp = build_entropy_lp(inst)
+        # The point is rank / norm; every row is checked times norm, in
+        # Python ints.
         norm = sch.max_signal_len()
-        point = []
-        for mask in range(1, lp.n_vars + 1):
-            names = lp.subset_names(mask)
-            point.append(F(joint_rank(table, names), norm))
-        for con in lp.constraints:
-            assert con.satisfied(point), render_constraint(lp, con)
+        ranks = [joint_rank(table, lp.subset_names(m)) for m in range(1, lp.n_vars + 1)]
+        rows = lp.rows
+        ptr, col, coef = rows.ptr.tolist(), rows.col.tolist(), rows.coef.tolist()
+        for i, (code, b) in enumerate(zip(rows.rel.tolist(), rows.rhs.tolist())):
+            lhs = sum(coef[k] * ranks[col[k]] for k in range(ptr[i], ptr[i + 1]))
+            sign = (lhs > b * norm) - (lhs < b * norm)
+            assert sign in (code, 0), lp.constraints[i]
         if which == "fig2":
             # The achieved (normalized) secret entropy sits below the bound.
             res = shannon_bound(inst)
-            assert point[lp.subset_mask(["S"]) - 1] <= res.entropy_bound
+            assert F(ranks[lp.subset_mask(["S"]) - 1], norm) <= res.entropy_bound
 
 
 class TestRendering:
@@ -500,5 +577,6 @@ class TestRendering:
     def test_elemental_rendering(self):
         lp = build_entropy_lp(CdsInstance.from_edges([("q", "A1", "B1")]))
         assert lp.ground == ("S", "A1", "B1")
-        line = render_constraint(lp, elemental_inequalities(3)[0])
-        assert line == "H(S,A1,B1) - H(A1,B1) >= 0"
+        # The LP's first row is the first elemental row.
+        assert as_tuples(lp.rows)[0] == as_tuples(elemental_inequalities(3))[0]
+        assert lp.constraints[0] == "H(S,A1,B1) - H(A1,B1) >= 0"

@@ -8,15 +8,22 @@ import pytest
 
 from cdskit.gf import (
     GfMatrix,
+    _rref_array,
     hstack,
     is_prime,
     left_kernel,
     rank,
     rowspace_intersection_basis,
     rowspace_intersection_dim,
-    rref,
     vstack,
 )
+
+
+def rref(m: GfMatrix) -> tuple[GfMatrix, tuple[int, ...]]:
+    """The reduced row echelon form that kernels and intersection bases
+    are read from, and its pivot columns."""
+    red, pivots = _rref_array(m.data, m.p)
+    return GfMatrix(m.p, red), tuple(pivots)
 
 
 def span_of(m: GfMatrix) -> set[tuple[int, ...]]:
