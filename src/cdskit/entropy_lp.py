@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -296,7 +296,6 @@ def _render(lp: EntropyLp, which: Iterable[int]) -> list[str]:
     rows = lp.rows
     ptr, masks, coefs = rows.ptr.tolist(), (rows.col + 1).tolist(), rows.coef.tolist()
     rels, rhs = rows.rel.tolist(), rows.rhs.tolist()
-    term = cache(lp.term)
     out = []
     for i in which:
         terms = zip(masks[ptr[i] : ptr[i + 1]], coefs[ptr[i] : ptr[i + 1]])
@@ -308,7 +307,7 @@ def _render(lp: EntropyLp, which: Iterable[int]) -> list[str]:
                 prefix = "- " if c < 0 else "+ "
             mag = abs(c)
             coeff = "" if mag == 1 else f"{mag} "
-            parts.append(f"{prefix}{coeff}{term(mask)}")
+            parts.append(f"{prefix}{coeff}{lp.term(mask)}")
         out.append(f"{' '.join(parts)} {RELATION[rels[i]]} {rhs[i]}")
     return out
 
