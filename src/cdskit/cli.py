@@ -152,8 +152,9 @@ def _verified_pair(args, check):
 
 
 def _tabulate(sch: LinearScheme):
-    """The oracle table of ``sch`` within ``CDS_ENUM_BUDGET`` realizations."""
-    from .oracle import DEFAULT_BUDGET, BudgetError, tabulate
+    """The oracle table of ``sch`` within ``CDS_ENUM_BUDGET`` realizations;
+    a usage error past the budget or for a signal named S or Z."""
+    from .oracle import DEFAULT_BUDGET, tabulate
 
     raw = os.environ.get("CDS_ENUM_BUDGET")
     budget = DEFAULT_BUDGET
@@ -168,7 +169,7 @@ def _tabulate(sch: LinearScheme):
             ) from None
     try:
         return tabulate(sch, budget=budget)
-    except BudgetError as exc:
+    except ValueError as exc:  # a BudgetError, or a reserved signal name
         raise _UsageError(str(exc)) from None
 
 

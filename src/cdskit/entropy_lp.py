@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -76,7 +75,9 @@ class EntropyLp:
     """The LP max H(S) over the 2^n - 1 subset-entropy variables of a
     ground set, under ``rows``, an :class:`IntRows` matrix over the
     variables mask - 1.  ``constraints`` is the same rows, in order,
-    rendered as text.  Equal to (and hashed, and shown, like) the triple
+    rendered as text.  Two LPs are equal when their ground sets and the
+    five arrays of their rows are, and the hash reads the ground set and
+    the matrix's size, so neither renders a row.  Shown like the triple
     (ground, constraints, objective).
     """
 
@@ -84,16 +85,16 @@ class EntropyLp:
     rows: IntRows
     objective: ClassVar[tuple[tuple[int, int], ...]] = ((1, 1),)  # H(S); S is bit 0
 
-    def _key(self) -> tuple:
-        return (self.ground, self.constraints, self.objective)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self.ground == other.ground and all(
+            np.array_equal(getattr(self.rows, k), getattr(other.rows, k))
+            for k in ("ptr", "col", "coef", "rel", "rhs")
+        )
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.ground, self.rows.m, len(self.rows.col)))
 
     def __repr__(self) -> str:
         return (
@@ -101,7 +102,7 @@ class EntropyLp:
             f"objective={self.objective!r})"
         )
 
-    @cached_property
+    @property
     def constraints(self) -> tuple[str, ...]:
         return tuple(_render(self, range(self.rows.m)))
 

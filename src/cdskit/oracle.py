@@ -17,22 +17,23 @@ Both facts are counted in time linear in the pair's grid, with no sort.
 A variable reads the noise digits its codes depend on: S reads none, Z
 reads all of them, a signal of a linear table reads the nonzero columns
 of its H_v, and a signal of arbitrary functions reads every digit; a
-linear table works out each signal's digits once, as a bitmask.  The
-grid is the table restricted to the secret and the digits the pair
+linear table works out its digits once per signal block, as a bitmask.
+The grid is the table restricted to the secret and the digits the pair
 reads, with every other digit at 0.  The unread digits are uniform and
 independent of the secret and of the pair, so every fiber of the full
-table is a fiber of the grid times each of their values: count(s, w)
-and count(w) on the table are those on the grid times the same power of
-p, and both facts hold on one iff they hold on the other.  The grid is
-a view of the table's codes with one axis for the secret and one per
+table is a fiber of the grid times each of their values: count(s, w) and
+count(w) on the table are those on the grid times the same power of p,
+and both facts hold on one iff they hold on the other.  The grid is a
+view of the table's codes with one axis for the secret and one per
 maximal run of read digits (:func:`_grid`).  In the rate-1/2
 construction each signal is the secret plus its own qualified
 component's noise, so a pair of signals reads the noise of one or two
 components however many there are: its grid stays small however large
 the table.
 :func:`tabulate` uses the same fact the other way round: it computes
-each signal on its own grid and copies the codes along the digits the
-signal does not read.
+each signal block once, on its own grid, and spreads the codes along the
+digits the block does not read into one array that the block's vertices
+share.
 
 Both checks of a pair (v, u) read one joint count, count(s, w) for every
 secret s and pair of values w = (a, b) (:func:`_pair_count`).  The grid
@@ -64,7 +65,7 @@ from itertools import combinations
 import numpy as np
 
 from .gf import GfMatrix, rank
-from .instance import CdsInstance, _blocks, _decompose
+from .instance import _RESERVED, CdsInstance, _blocks, _decompose
 from .scheme import LinearScheme, block_ranks
 
 __all__ = [
@@ -198,7 +199,7 @@ def _encode(columns, n: int, p: int, rows: int, size: int) -> np.ndarray:
     return code
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by content below; no == over NumPy arrays
 class SchemeTable:
     """Total map from every (secret, noise) pair to all signal values.
 
@@ -211,9 +212,14 @@ class SchemeTable:
     vertex: base-p encoded, in the narrowest unsigned type that holds
     p^N - 1, or numbered by identity for signals too wide for that, in
     the narrowest unsigned type that holds p^(L+L_Z) - 1.  The secret
-    and noise codes follow the same rule.  ``scheme`` is set when the
-    table came from a linear scheme, which unlocks exact integer
-    entropies via ranks.
+    and noise codes follow the same rule.  In a table of a linear scheme
+    every vertex of one signal block maps to the block's one read-only
+    array.  ``scheme`` is set when the table came from a linear scheme,
+    which unlocks exact integer entropies via ranks.
+
+    S and Z name the secret and the noise, so no signal may take either
+    name (ValueError).  Two tables are equal when their fields are, each
+    vertex's codes compared by value; a table is not hashable.
     """
 
     p: int
@@ -223,14 +229,33 @@ class SchemeTable:
     values: dict[str, np.ndarray] = field(repr=False)
     scheme: LinearScheme | None = None
 
+    def __post_init__(self):
+        shadowed = _RESERVED.intersection(self.values)
+        if shadowed:
+            raise ValueError(f"signal name {min(shadowed)!r} is reserved")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SchemeTable):
+            return NotImplemented
+        mine = (self.p, self.secret_len, self.noise_len, self.signal_lens, self.scheme)
+        theirs = (other.p, other.secret_len, other.noise_len, other.signal_lens, other.scheme)
+        if mine != theirs or self.values.keys() != other.values.keys():
+            return False
+        return all(np.array_equal(a, other.values[v]) for v, a in self.values.items())
+
     @cached_property
     def _read_masks(self) -> dict[str, int]:
-        """Each signal's read noise digits, the nonzero columns of its H_v,
-        as a bitmask (:func:`_reads`), worked out once per linear table."""
-        return {
-            v: int("0" + "".join("01"[r] for r in h.data.any(axis=0).tolist()), 2)
-            for v, (_, h) in self.scheme.matrices.items()
-        }
+        """Each signal's read noise digits (:meth:`column`): every digit for
+        a table of functions, and the nonzero columns of H once per signal
+        block of a linear table."""
+        if self.scheme is None:
+            return dict.fromkeys(self.values, (1 << self.noise_len) - 1)
+        sch = self.scheme
+        by_block = [
+            int("0" + "".join("01"[r] for r in h.data.any(axis=0).tolist()), 2)
+            for _, h in sch.blocks
+        ]
+        return {v: by_block[k] for v, k in sch.block_of.items()}
 
     @property
     def size(self) -> int:
@@ -240,26 +265,24 @@ class SchemeTable:
     def vertices(self) -> tuple[str, ...]:
         return tuple(sorted(self.values))
 
-    def secret_codes(self) -> np.ndarray:
-        n, reps = self.p**self.secret_len, self.p**self.noise_len
-        return np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), reps)
-
-    def noise_codes(self) -> np.ndarray:
-        n, reps = self.p**self.noise_len, self.p**self.secret_len
-        return np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), reps)
-
-    def column(self, name: str) -> tuple[np.ndarray, int]:
-        """(codes, alphabet size) for a variable name: S, Z or a vertex;
-        ValueError for any other name."""
-        if name == "S":
-            return self.secret_codes(), self.p**self.secret_len
-        if name == "Z":
-            return self.noise_codes(), self.p**self.noise_len
+    def column(self, name: str) -> tuple[np.ndarray, int, int]:
+        """(codes, alphabet size, read noise digits) of a variable: S, Z or
+        a vertex; ValueError for any other name.  The read digits are a
+        bitmask, the first noise digit most significant as in the rows.
+        The codes of S and Z are views of one ``arange``, broadcast along
+        the other axis of the table, of shape (p^L, p^L_Z)."""
+        if name in ("S", "Z"):
+            shape = (self.p**self.secret_len, self.p**self.noise_len)
+            n = shape[0] if name == "S" else shape[1]
+            codes = np.arange(n, dtype=np.min_scalar_type(n - 1))
+            if name == "S":
+                return np.broadcast_to(codes[:, None], shape), n, 0
+            return np.broadcast_to(codes, shape), n, (1 << self.noise_len) - 1
         try:
             codes = self.values[name]
         except KeyError:
             raise ValueError(f"unknown variable {name}") from None
-        return codes, self.p ** self.signal_lens[name]
+        return codes, self.p ** self.signal_lens[name], self._read_masks[name]
 
     @classmethod
     def from_functions(
@@ -300,29 +323,29 @@ class SchemeTable:
 def tabulate(sch: LinearScheme, budget: int = DEFAULT_BUDGET) -> SchemeTable:
     """Enumerate v = F_v s + H_v z for every vertex and every (s, z).
 
-    Each signal is computed on its own grid, the secret and the noise
-    digits it reads (the nonzero columns of H_v), and then spread to the
-    table (:func:`_spread`): its codes are constant along every other
-    digit.  F_v s for every secret and H_v z for every value of the read
-    digits come from digit doubling (:func:`_images`).  Signal digit i of
-    a grid row is their sum mod p, so each digit is one broadcast sum over
-    the grid, folded into the vertex's code before the next is formed.
+    Each signal block (F, H) of ``sch.blocks`` is computed once, on its
+    own grid, the secret and the noise digits it reads (the nonzero
+    columns of H), and then spread to the table (:func:`_spread`): its
+    codes are constant along every other digit.  F s for every secret and
+    H z for every value of the read digits come from digit doubling
+    (:func:`_images`).  Signal digit i of a grid row is their sum mod p,
+    so each digit is one broadcast sum over the grid, folded into the
+    block's code before the next is formed.  Every vertex of the block
+    maps to that one array, marked read-only.
     """
     p = sch.p
     total = _realizations(p, sch.secret_len, sch.noise_len, budget)
-
-    def digits(fs: np.ndarray, hz: np.ndarray, rows: int):
-        for a, b in zip(fs, hz):
-            yield _add_mod(a[:, None], b, p).reshape(rows)
-
-    values: dict[str, np.ndarray] = {}
-    lens: dict[str, int] = {}
-    for v, (f, h) in sch.matrices.items():
+    blocks = []
+    for f, h in sch.blocks:
         read = h.data.any(axis=0)
         fs, hz = _images(f.data, p), _images(h.data[:, read], p)
         rows = p ** (sch.secret_len + int(read.sum()))
-        codes = _encode(digits(fs, hz, rows), f.rows, p, rows, total)
-        values[v], lens[v] = _spread(codes, read, p), f.rows
+        digits = (_add_mod(a[:, None], b, p).reshape(rows) for a, b in zip(fs, hz))
+        codes = _spread(_encode(digits, f.rows, p, rows, total), read, p)
+        codes.setflags(write=False)
+        blocks.append(codes)
+    values = {v: blocks[k] for v, k in sch.block_of.items()}
+    lens = {v: f.rows for v, (f, _) in sch.matrices.items()}
     return SchemeTable(p, sch.secret_len, sch.noise_len, lens, values, sch)
 
 
@@ -344,29 +367,6 @@ def _spread(codes: np.ndarray, read: np.ndarray, p: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _reads(table: SchemeTable, name: str) -> int:
-    """The noise digits a variable's codes depend on, as a bitmask whose
-    binary digits are the noise digits, the first most significant like
-    in the rows, 1 where read: none for S, all for Z and for a signal of
-    arbitrary functions, and the nonzero columns of H_v for a signal of a
-    linear table."""
-    if name == "S":
-        return 0
-    if name == "Z" or table.scheme is None:
-        return (1 << table.noise_len) - 1
-    return table._read_masks[name]
-
-
-def _require_names(table: SchemeTable, names) -> None:
-    """ValueError unless ``names`` is a nonempty list of the table's
-    variables: S, Z or a vertex."""
-    if not names:
-        raise ValueError("subset must be nonempty")
-    for name in names:
-        if name not in ("S", "Z") and name not in table.values:
-            raise ValueError(f"unknown variable {name}")
-
-
 def _grid(table: SchemeTable, names) -> list[tuple[np.ndarray, int]]:
     """[(codes, alphabet size)] of the selected variables on the grid of
     the secret and the noise digits they read, each a view of the
@@ -385,10 +385,10 @@ def _grid(table: SchemeTable, names) -> list[tuple[np.ndarray, int]]:
         raise ValueError("subset must be nonempty")
     cols = [table.column(name) for name in names]
     read = 0
-    for name in names:
-        read |= _reads(table, name)
+    for _, _, mask in cols:
+        read |= mask
     shape, at = _run_axes(read, table.noise_len, table.p, table.p**table.secret_len)
-    return [(codes.reshape(shape)[at], size) for codes, size in cols]
+    return [(codes.reshape(shape)[at], size) for codes, size, _ in cols]
 
 
 def _run_axes(read: int, digits: int, p: int, secrets: int) -> tuple[list[int], tuple]:
@@ -545,7 +545,10 @@ def joint_rank(table: SchemeTable, subset) -> int:
     """Exact joint entropy (p-ary) of a subset of a linear table, as the
     rank of the stacked precoding."""
     names = sorted(set(subset))
-    _require_names(table, names)
+    if not names:
+        raise ValueError("subset must be nonempty")
+    for name in names:
+        table.column(name)  # ValueError for an unknown name
     if table.scheme is None:
         raise ValueError("joint_rank requires a table built from a linear scheme")
     sch = table.scheme

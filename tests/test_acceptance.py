@@ -325,3 +325,19 @@ def test_criterion_11_oracle_reach():
         for (v, u), delta in deltas.items():
             assert check_correct(table, v, u) == (delta == 2)
             assert check_secure(table, v, u) == (delta == 0)
+
+
+def test_criterion_12_oracle_on_signal_blocks():
+    inst = _layered_feasible_instance(random.Random(100_010))
+    reduced = reduce_randomness(inst, synthesize_half_rate(inst))
+    assert (reduced.p, reduced.noise_len) == (11, 2)
+    verdicts = verify_linear(inst, reduced).edge_verdicts
+    name = "criterion 12 (oracle on the reduced 10^4-edge scheme, one array per block)"
+    with _Budget(name, 1.0):
+        table = tabulate(reduced)
+        for kind, (v, u) in inst.edges:
+            check = check_correct if kind == "q" else check_secure
+            assert check(table, v, u) == verdicts[(v, u)].ok, (kind, v, u)
+    assert len(inst.edges) == 10_000
+    # Every vertex of a signal block maps to the block's one array.
+    assert len({id(codes) for codes in table.values.values()}) == len(reduced.blocks) == 72

@@ -280,6 +280,20 @@ class TestVerify:
         assert code == 2
         assert "exceeds the enumeration budget" in captured.err
 
+    @pytest.mark.parametrize("name", ["S", "Z"])
+    def test_oracle_rejects_a_signal_named_like_a_variable(self, tmp_path, capsys, name):
+        # The ranks verify the instance's edges and ignore the extra
+        # signal; the oracle cannot tell it from the secret or the noise.
+        inst, sch = tmp_path / "pad.cds", tmp_path / "pad.scheme"
+        inst.write_text("cds-instance v1\nq A1 B1\n")
+        rows = {"A1": "1 | H: 1", "B1": "0 | H: 1", name: "1 | H: 1"}
+        body = "".join(f"signal {v} 1\nF: {row}\n" for v, row in rows.items())
+        sch.write_text("cds-scheme v1\nfield 2\nsecret 1\nnoise 1\n" + body)
+        assert run(["verify", str(inst), str(sch)]) == 0
+        capsys.readouterr()
+        assert run(["verify", str(inst), str(sch), "--oracle"]) == 2
+        assert f"signal name '{name}' is reserved" in capsys.readouterr().err
+
     def test_bad_budget_value(self, fig2_file, fig2_scheme_file, capsys, monkeypatch):
         monkeypatch.setenv("CDS_ENUM_BUDGET", "lots")
         code = run(["verify", fig2_file, fig2_scheme_file, "--oracle"])

@@ -24,7 +24,7 @@ from cdskit.entropy_lp import (
     simplex_solve,
     verify_certificate,
 )
-from cdskit import simplex
+from cdskit import entropy_lp, simplex
 from cdskit.instance import CdsInstance, parse_instance
 from cdskit.oracle import joint_rank, tabulate
 from cdskit.simplex import CODE, RELATION, IntRows, LpSolution
@@ -225,8 +225,8 @@ class TestIntegerRows:
         assert lp.objective == ((1, 1),)
 
     def test_lp_is_a_frozen_value(self):
-        """An EntropyLp compares, hashes and prints as its (ground,
-        constraints, objective)."""
+        """An EntropyLp compares and hashes by its ground set and rows, and
+        prints as its (ground, constraints, objective)."""
         fig2 = builtin_fig2_instance()
         lp, again = build_entropy_lp(fig2), build_entropy_lp(fig2)
         assert again == lp and hash(again) == hash(lp)
@@ -246,6 +246,26 @@ class TestIntegerRows:
         # The matrix has no value ==, so comparing two never asks NumPy
         # for the truth of an array.
         assert lp.rows == lp.rows and lp.rows != again.rows
+
+    def test_lp_compares_without_rendering(self, monkeypatch):
+        """== and hash read the ground set and the row arrays, so two
+        ground-9 LPs compare with no row rendered, and one coefficient
+        changed makes them differ."""
+        lp = build_entropy_lp(builtin_example1_instance())
+        again = build_entropy_lp(builtin_example1_instance())
+
+        def render(lp, rows):
+            raise AssertionError("a row was rendered")
+
+        monkeypatch.setattr(entropy_lp, "_render", render)
+        assert len(lp.ground) == 9
+        assert lp == again and hash(lp) == hash(again)
+        coef = lp.rows.coef.copy()
+        coef[-1] += 1
+        changed = dataclasses.replace(lp, rows=dataclasses.replace(lp.rows, coef=coef))
+        assert changed != lp and hash(changed) == hash(lp)
+        with pytest.raises(AssertionError, match="rendered"):
+            changed.constraints
 
     # sha256 digests per LP: (linprog's arguments, lp_dump, dual_certificate).
     # The first was recorded before the LP was held as integer arrays:
@@ -350,10 +370,11 @@ class TestIntegerRows:
         weighted line of the certificate per nonzero dual."""
         res = solved(name)
         lp, duals = res.lp, res.solution.duals
-        assert len(lp.constraints) == lp.rows.m
-        assert lp_dump(lp).splitlines()[1:] == list(lp.constraints)
+        constraints = lp.constraints  # rendered on every read
+        assert len(constraints) == lp.rows.m
+        assert lp_dump(lp).splitlines()[1:] == list(constraints)
         weighted = dual_certificate(res.solution, lp).splitlines()[2:-1]
-        assert weighted == [f"  {y} * [{lp.constraints[i]}]" for i, y in enumerate(duals) if y]
+        assert weighted == [f"  {y} * [{constraints[i]}]" for i, y in enumerate(duals) if y]
 
 
 class TestSimplexSolveOnEntropyLps:

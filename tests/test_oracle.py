@@ -1,5 +1,6 @@
 """Tests for the exhaustive enumeration oracle and the lemma audit."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -69,6 +70,27 @@ class TestTabulate:
             LinearScheme(2, 0, 1, {})
         with pytest.raises(ValueError, match="secret"):
             SchemeTable.from_functions(2, 0, 1, {})
+
+    def test_tables_compare_by_content(self, fig2_table):
+        again = tabulate(builtin_fig2_scheme())
+        assert again == fig2_table and not again != fig2_table
+        values = {**again.values, "A1": again.values["A1"].copy()}
+        assert dataclasses.replace(again, values=values) == fig2_table
+        values["A1"][5] ^= 1
+        assert dataclasses.replace(again, values=values) != fig2_table
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(fig2_table)
+
+    @pytest.mark.parametrize("name", ["S", "Z"])
+    def test_signal_names_s_and_z_are_reserved(self, name):
+        # A signal named S would be looked up as the secret: the pair of
+        # two copies of z would read as (s, z), which leaks.
+        z = (GfMatrix.from_rows(2, [[0]]), GfMatrix.from_rows(2, [[1]]))
+        message = f"signal name '{name}' is reserved"
+        with pytest.raises(ValueError, match=message):
+            tabulate(LinearScheme(2, 1, 1, {name: z, "u": z}))
+        with pytest.raises(ValueError, match=message):
+            SchemeTable.from_functions(2, 1, 1, {"u": lambda s, z: z, name: lambda s, z: z})
 
 
 class TestAddMod:
@@ -349,6 +371,24 @@ class TestPairGrid:
         # grid takes a few hundred bytes plus NumPy's fixed overhead.
         assert peak < 8 * 1024 < table.size
         assert check_correct(table, *inner) and not check_secure(table, *inner)
+
+    def test_secret_and_noise_are_views_of_one_arange(self):
+        table = tabulate(half_rate_scheme(11))
+        s, secrets, s_reads = table.column("S")
+        z, noises, z_reads = table.column("Z")
+        assert s.shape == z.shape == (3, 3**11) and s.strides[1] == z.strides[0] == 0
+        assert (secrets, s_reads, noises, z_reads) == (3, 0, 3**11, 2**11 - 1)
+        tracemalloc.start()
+        try:
+            (secret, _), _ = _grid(table, ["S", "w0_1"])
+            entropy = joint_entropy(table, ["S", "w0_1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # w0_1 = s + z_0 reads one digit: a 9-row grid, and no array as
+        # long as the table's 3^12 rows (the rank takes a few KiB).
+        assert secret.tolist() == [[0, 0, 0], [1, 1, 1], [2, 2, 2]] and entropy == 2
+        assert peak < 64 * 1024 < table.size
 
     def test_a_table_built_from_its_fields_reads_the_same_grids(self):
         # The read digits follow from the scheme, not from how the table

@@ -47,7 +47,6 @@ from cdskit.oracle import (
     _labels,
     _number_rows,
     _pair_count,
-    _reads,
     check_correct,
     check_secure,
     joint_entropy,
@@ -512,7 +511,7 @@ def reference_tabulate(sch: LinearScheme) -> dict:
 
 def reference_codes(table, names) -> np.ndarray:
     """The joint value of the variables on every row, numbered by sorting."""
-    return sorted_numbering(np.column_stack([table.column(name)[0] for name in names]))
+    return sorted_numbering(np.column_stack([table.column(name)[0].reshape(-1) for name in names]))
 
 
 def reference_correct(table, v, u) -> bool:
@@ -525,7 +524,7 @@ def reference_secure(table, v, u) -> bool:
     """P(s, w) = P(s) P(w) on every present pair, with each secret's mass
     exhausted so that absent pairs have a zero product too."""
     pair = reference_codes(table, [v, u])
-    s = table.column("S")[0]
+    s = table.column("S")[0].reshape(-1)
     pair_vals, pair_inv, pair_counts = np.unique(
         pair, return_inverse=True, return_counts=True
     )
@@ -560,8 +559,9 @@ def oracle_schemes(draw) -> LinearScheme:
     and 9 rows have alphabets of 256 and 512, on either side of the
     uint8/uint16 boundary of the codes.  Each vertex reads no noise digit
     of a drawn set, so that a pair's reads can leave gaps and the oracle
-    counts on grids smaller than the table.  The entries come from one
-    seeded generator."""
+    counts on grids smaller than the table.  Vertex b may share a's
+    matrices, as the vertices of one signal block do.  The entries come
+    from one seeded generator."""
     p = draw(st.sampled_from(ORACLE_PRIMES))
     secret_len, noise_len = draw(st.integers(1, 3)), draw(st.integers(0, 4))
     assume(p ** (secret_len + noise_len) <= 1 << 12)
@@ -572,6 +572,9 @@ def oracle_schemes(draw) -> LinearScheme:
     rng = draw(st.randoms(use_true_random=True))
     matrices = {}
     for v in ("a", "b", "w"):
+        if v == "b" and draw(st.booleans()):
+            matrices["b"] = matrices["a"]
+            continue
         rows = draw(row_counts)
         m = residue_array(rng, p, rows, cols)
         if v == "w" and draw(st.booleans()):
@@ -663,6 +666,10 @@ def test_linear_oracle_matches_sort_based_reference(sch):
     for v, codes in want.items():
         assert table.values[v].dtype == code_type(sch.p, table.signal_lens[v], table.size)
         assert table.values[v].tolist() == codes.tolist()
+    # One read-only array per signal block, shared by its vertices.
+    arrays = {(k, id(table.values[v])) for v, k in sch.block_of.items()}
+    assert len(arrays) == len({a for _, a in arrays}) == len(sch.blocks)
+    assert not any(codes.flags.writeable for codes in table.values.values())
     check_oracle_against_references(table)
 
 
@@ -676,7 +683,7 @@ def test_codes_vary_along_exactly_the_read_digits(sch):
     for v in sch.vertices:
         codes = table.values[v].reshape(shape)
         # The mask's bits are the noise digits, the first most significant.
-        read = _reads(table, v)
+        read = table.column(v)[2]
         for digit in range(1, sch.noise_len + 1):
             if read >> (sch.noise_len - digit) & 1:
                 assert (codes != np.roll(codes, 1, axis=digit)).all()
@@ -699,7 +706,7 @@ def per_digit_labels(table, names) -> tuple[np.ndarray, int]:
     shape = (secrets,) + (table.p,) * table.noise_len
     at = (slice(None),) + tuple(slice(None) if r else 0 for r in read.tolist())
     rows = secrets * table.p ** int(read.sum())
-    cols = [(col.reshape(shape)[at].reshape(rows), size) for col, size in map(table.column, names)]
+    cols = [(col.reshape(shape)[at].reshape(rows), size) for col, size, _ in map(table.column, names)]
     width = math.prod(size for _, size in cols)
     if width > rows:
         numbers = sorted_numbering(np.column_stack([col for col, _ in cols]))
