@@ -206,20 +206,16 @@ def prefix_ranks(stack: np.ndarray, p: int) -> np.ndarray:
     return np.cumsum(pivots, axis=1)
 
 
-def ranks(stack: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of every matrix in a (B, R, C) stack of residues mod p."""
-    return prefix_ranks(stack, p)[:, -1]
-
-
 def rank(m: GfMatrix) -> int:
     """Dimension of the row space."""
-    return int(ranks(m.data[None], m.p)[0])
+    return int(prefix_ranks(m.data[None], m.p)[0, -1])
 
 
-def right_kernel(m: GfMatrix) -> GfMatrix:
-    """Basis, as rows, of {x : m . x = 0}."""
-    red, pivots = _rref_array(m.data, m.p)
-    n = m.cols
+def left_kernel(m: GfMatrix) -> GfMatrix:
+    """Basis, as rows, of {x : x . m = 0}; row count = rows(m) - rank(m),
+    read off the reduced echelon form of m's transpose."""
+    red, pivots = _rref_array(m.data.T, m.p)
+    n = m.rows
     free = [c for c in range(n) if c not in pivots]
     basis = np.zeros((len(free), n), dtype=np.int64)
     for k, f in enumerate(free):
@@ -227,11 +223,6 @@ def right_kernel(m: GfMatrix) -> GfMatrix:
         for i, pc in enumerate(pivots):
             basis[k, pc] = (-int(red[i, f])) % m.p
     return GfMatrix(m.p, basis)
-
-
-def left_kernel(m: GfMatrix) -> GfMatrix:
-    """Basis, as rows, of {x : x . m = 0}; row count = rows(m) - rank(m)."""
-    return right_kernel(GfMatrix(m.p, m.data.T))
 
 
 def rowspace_intersection_dim(a: GfMatrix, b: GfMatrix) -> int:

@@ -85,12 +85,13 @@ def _canon(v: str, u: str) -> tuple[str, str]:
 class CdsInstance:
     """Immutable labeled graph of signals.
 
-    Building an instance sorts ``vertices`` into name order, so an
-    instance built from a shuffled tuple equals its sorted twin, and
-    vertex id k is ``vertices[k]``.  ``_ends`` lists the ids at both ends
-    of every qualified edge, then of every unqualified edge, as a flat
-    int64 array.  Equality, hashing and repr read only the four public
-    fields.
+    Building an instance sorts ``vertices`` into name order, so vertex id
+    k is ``vertices[k]``, puts the ends of each edge in name order, and
+    sorts ``qualified`` and ``unqualified``: an instance built from
+    shuffled tuples equals its sorted twin.  A vertex or an edge listed
+    twice raises ValueError.  ``_ends`` lists the ids at both ends of
+    every qualified edge, then of every unqualified edge, as a flat int64
+    array.  Equality, hashing and repr read only the four public fields.
     """
 
     vertices: tuple[str, ...]
@@ -101,16 +102,36 @@ class CdsInstance:
 
     def __post_init__(self):
         vertices = tuple(sorted(self.vertices))
-        ids = dict(zip(vertices, range(len(vertices))))
-        if len(ids) < len(vertices):
+        n = len(vertices)
+        ids = dict(zip(vertices, range(n)))
+        if len(ids) < n:
             twice = next(v for v, u in zip(vertices, vertices[1:]) if v == u)
             raise ValueError(f"vertex {twice!r} is listed twice")
-        ends = chain.from_iterable(chain(self.qualified, self.unqualified))
+        edges = [*self.qualified, *self.unqualified]
         try:
-            ends = array("q", map(ids.__getitem__, ends))
+            ends = iter(list(map(ids.__getitem__, chain.from_iterable(edges))))
         except KeyError as exc:
             raise ValueError(f"edge end {exc.args[0]!r} is not a vertex") from None
+        # Each edge as one integer a n + b, from the ids a <= b of its ends:
+        # ids follow the names, so these sort like the pairs in name order.
+        keys = [a * n + b if a < b else b * n + a for a, b in zip(ends, ends)]
+        pair_of = dict(zip(keys, edges))
+        if len(pair_of) < len(keys):
+            seen: set[int] = set()
+            a, b = divmod(next(k for k in keys if k in seen or seen.add(k)), n)
+            raise ValueError(f"edge {{{vertices[a]}, {vertices[b]}}} is listed twice")
+        for k, (v, u) in pair_of.items():
+            if v > u:
+                pair_of[k] = (u, v)
+        q = len(self.qualified)
+        keys = sorted(keys[:q]) + sorted(keys[q:])
+        pairs = tuple(map(pair_of.__getitem__, keys))
+        ends = array("q", bytes(16 * len(keys)))
+        ends[0::2] = array("q", [k // n for k in keys])
+        ends[1::2] = array("q", [k % n for k in keys])
         object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "qualified", pairs[:q])
+        object.__setattr__(self, "unqualified", pairs[q:])
         object.__setattr__(self, "_ends", ends)
 
     @classmethod
@@ -192,8 +213,8 @@ def _add_edge(
 
 
 def _build(seen: dict[tuple[str, str], str], names: set, bipartite: bool) -> CdsInstance:
-    qualified = tuple(sorted(k for k, kind in seen.items() if kind == QUALIFIED))
-    unqualified = tuple(sorted(k for k, kind in seen.items() if kind == UNQUALIFIED))
+    qualified = tuple(k for k, kind in seen.items() if kind == QUALIFIED)
+    unqualified = tuple(k for k, kind in seen.items() if kind == UNQUALIFIED)
     return CdsInstance(names, qualified, unqualified, bipartite)
 
 
@@ -202,14 +223,6 @@ class Partition:
     """Disjoint blocks covering a vertex subset; blocks and members sorted."""
 
     blocks: tuple[tuple[str, ...], ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        index = {v: i for i, b in enumerate(self.blocks) for v in b}
-        object.__setattr__(self, "_index", index)
-
-    def index_of(self, v: str) -> int:
-        return self._index[v]
 
 
 @dataclass(frozen=True)
@@ -227,15 +240,9 @@ class PathWitness:
     def __len__(self) -> int:
         return max(len(self.vertices) - 1, 0)
 
-    def edge_pairs(self) -> list[tuple[str, str]]:
-        return [
-            _canon(self.vertices[i], self.vertices[i + 1])
-            for i in range(len(self.vertices) - 1)
-        ]
-
     def is_valid_for(self, inst: CdsInstance) -> bool:
         edge_set = inst.qualified if self.kind == QUALIFIED else inst.unqualified
-        pairs = self.edge_pairs()
+        pairs = [_canon(v, u) for v, u in zip(self.vertices, self.vertices[1:])]
         return len(pairs) == len(set(pairs)) and all(p in edge_set for p in pairs)
 
 
@@ -392,9 +399,10 @@ def unqualified_components_within(inst: CdsInstance, block) -> Partition:
     qualified, unqualified = decompose(inst)
     if block not in qualified.blocks:
         raise ValueError(f"{block} is not a qualified component of the instance")
-    k = qualified.index_of(block[0])
-    inner = (b for b in unqualified.blocks if qualified.index_of(b[0]) == k)
-    return Partition(tuple(inner))
+    # Unqualified blocks refine qualified ones, so a block lies in this
+    # component iff its least vertex does.
+    inside = set(block)
+    return Partition(tuple(b for b in unqualified.blocks if b[0] in inside))
 
 
 def unqualified_path(

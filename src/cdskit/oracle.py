@@ -60,7 +60,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -100,15 +100,6 @@ def _realizations(p: int, secret_len: int, noise_len: int, budget: int) -> int:
     if total > budget:
         raise BudgetError(f"p^(L+L_Z) = {total} exceeds the enumeration budget {budget}")
     return total
-
-
-def _all_vectors(p: int, n: int) -> np.ndarray:
-    """All p^n digit vectors as an array of shape (p^n, n), counting with
-    the first symbol most significant."""
-    if n == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    grids = np.meshgrid(*([np.arange(p, dtype=np.int64)] * n), indexing="ij")
-    return np.stack(grids, axis=-1).reshape(p**n, n)
 
 
 def _images(m: np.ndarray, p: int) -> np.ndarray:
@@ -291,32 +282,29 @@ class SchemeTable:
         """Tabulate arbitrary (possibly non-linear) signal functions.
 
         ``signals`` maps each vertex to a callable taking (s, z) digit
-        tuples and returning the signal digit tuple.
+        tuples and returning the signal digit tuple.  Each signal's width
+        and residues are checked once, on all its values: a signal whose
+        values differ in length raises that error even if some digit is
+        also out of range.
         """
         if secret_len < 1:
             raise ValueError("secret length must be at least 1")
         total = _realizations(p, secret_len, noise_len, budget)
-        s_vecs = _all_vectors(p, secret_len)
-        z_vecs = _all_vectors(p, noise_len)
         values: dict[str, np.ndarray] = {}
         lens: dict[str, int] = {}
         for name, fn in signals.items():
-            out = []
-            width = None
-            for s in s_vecs:
-                for z in z_vecs:
-                    val = tuple(fn(tuple(int(x) for x in s), tuple(int(x) for x in z)))
-                    if width is None:
-                        width = len(val)
-                    elif len(val) != width:
-                        raise ValueError(f"signal {name} changes length")
-                    if any(d < 0 or d >= p for d in val):
-                        raise ValueError(f"signal {name} produced a non-residue")
-                    out.append(val)
-            digits = np.array(out, dtype=np.min_scalar_type(p - 1))
-            digits = digits.reshape(total, width or 0)
-            values[name] = _encode(digits.T, width or 0, p, total, total)
-            lens[name] = width or 0
+            # Each (s, z) pair as one digit tuple, s first: the row order.
+            cells = product(range(p), repeat=secret_len + noise_len)
+            rows = [tuple(fn(sz[:secret_len], sz[secret_len:])) for sz in cells]
+            widths = set(map(len, rows))
+            if len(widths) > 1:
+                raise ValueError(f"signal {name} changes length")
+            width = widths.pop()
+            if width and (min(map(min, rows)) < 0 or max(map(max, rows)) >= p):
+                raise ValueError(f"signal {name} produced a non-residue")
+            digits = np.array(rows, dtype=np.min_scalar_type(p - 1)).reshape(total, width)
+            values[name] = _encode(digits.T, width, p, total, total)
+            lens[name] = width
         return cls(p, secret_len, noise_len, lens, values, scheme=None)
 
 
@@ -548,7 +536,8 @@ def joint_rank(table: SchemeTable, subset) -> int:
     if not names:
         raise ValueError("subset must be nonempty")
     for name in names:
-        table.column(name)  # ValueError for an unknown name
+        if name not in table.values and name not in _RESERVED:
+            raise ValueError(f"unknown variable {name}")
     if table.scheme is None:
         raise ValueError("joint_rank requires a table built from a linear scheme")
     sch = table.scheme

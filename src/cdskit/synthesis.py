@@ -112,17 +112,12 @@ def _scheme_from_plan(plan: SynthesisPlan, p: int, bases) -> LinearScheme:
     return LinearScheme(p, 1, noise_len, matrices)
 
 
-def _half_rate_scheme(plan: SynthesisPlan) -> LinearScheme:
-    m_count = plan.m_count
-    identity = [[int(k == m) for k in range(m_count)] for m in range(m_count)]
-    return _scheme_from_plan(plan, plan.p, identity)
-
-
 def _is_half_rate_scheme(sch: LinearScheme, plan: SynthesisPlan) -> bool:
-    """``sch == _half_rate_scheme(plan)`` without building that scheme:
-    equal vertex counts, and every vertex of plan block (m, i) in a block
-    of ``sch`` whose pair is (1, i e_m).  Distinct plan blocks have
-    distinct pairs (i < p), so no block of ``sch`` passes for two."""
+    """``sch == synthesize_half_rate(inst)``, for the ``inst`` whose plan
+    this is, without building that scheme: equal vertex counts, and every
+    vertex of plan block (m, i) in a block of ``sch`` whose pair is
+    (1, i e_m).  Distinct plan blocks have distinct pairs (i < p), so no
+    block of ``sch`` passes for two."""
     m_count = plan.m_count
     if (sch.p, sch.secret_len, sch.noise_len) != (plan.p, 1, m_count):
         return False
@@ -145,7 +140,10 @@ def _is_half_rate_scheme(sch: LinearScheme, plan: SynthesisPlan) -> bool:
 def synthesize_half_rate(inst: CdsInstance) -> LinearScheme:
     """Build the rate-1/2 scheme: one secret symbol, one noise symbol per
     qualified component, every signal a single symbol s + i * z_m."""
-    return _half_rate_scheme(plan_synthesis(inst))
+    plan = plan_synthesis(inst)
+    m_count = plan.m_count
+    identity = [[int(k == m) for k in range(m_count)] for m in range(m_count)]
+    return _scheme_from_plan(plan, plan.p, identity)
 
 
 def reduce_randomness(inst: CdsInstance, sch: LinearScheme) -> LinearScheme:

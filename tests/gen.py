@@ -2,8 +2,10 @@
 
 ``random_feasible_instance`` builds non-degenerate instances that satisfy
 the capacity-1/2 condition by construction: qualified edges only ever
-join different unqualified blocks.  The scheme transforms produce diverse
-verified schemes from synthesized ones without disturbing any rank.
+join different unqualified blocks; ``layered_feasible_instance`` builds
+the 10^4-edge shape of acceptance criteria 10 and 12 the same way.  The
+scheme transforms produce diverse verified schemes from synthesized ones
+without disturbing any rank.
 """
 
 import random
@@ -99,6 +101,40 @@ def random_feasible_instance(
         dedup.setdefault((v, u) if v <= u else (u, v), kind)
     return CdsInstance.from_edges(
         [(kind, v, u) for (v, u), kind in dedup.items()], bipartite=False
+    )
+
+
+def layered_feasible_instance(rng, comps=12, blocks=6, size=50, edges=10_000):
+    """Feasible by construction: unqualified edges stay inside blocks and
+    qualified edges cross blocks of one component."""
+    kinds: dict[tuple[str, str], str] = {}
+
+    def add(kind, v, u):
+        if v != u:
+            kinds.setdefault((v, u) if v < u else (u, v), kind)
+
+    grid = [
+        [[f"c{m}b{i}v{k}" for k in range(size)] for i in range(blocks)]
+        for m in range(comps)
+    ]
+    for comp in grid:
+        for i, blk in enumerate(comp):
+            for k in range(1, size):
+                add("u", blk[k - 1], blk[k])
+            if i + 1 < blocks:
+                for k in range(size):
+                    add("q", blk[k], comp[i + 1][k])
+        for k in range(1, size):
+            add("q", comp[0][k - 1], comp[1][k])
+    while len(kinds) < edges:
+        comp = rng.choice(grid)
+        i, j = rng.sample(range(blocks), 2)
+        if rng.random() < 0.5:
+            add("u", rng.choice(comp[i]), rng.choice(comp[i]))
+        else:
+            add("q", rng.choice(comp[i]), rng.choice(comp[j]))
+    return CdsInstance.from_edges(
+        [(kind, v, u) for (v, u), kind in kinds.items()], bipartite=False
     )
 
 

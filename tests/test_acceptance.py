@@ -40,6 +40,7 @@ from cdskit.synthesis import (
 from gen import (
     append_redundant_row,
     direct_sum,
+    layered_feasible_instance,
     random_feasible_instance,
     random_matrix,
     random_scheme,
@@ -254,42 +255,8 @@ def test_criterion_9_bounds_ordering():
         assert report.bounds[0] < report.bounds[1]
 
 
-def _layered_feasible_instance(rng, comps=12, blocks=6, size=50, edges=10_000):
-    """Feasible by construction: unqualified edges stay inside blocks and
-    qualified edges cross blocks of one component."""
-    kinds: dict[tuple[str, str], str] = {}
-
-    def add(kind, v, u):
-        if v != u:
-            kinds.setdefault((v, u) if v < u else (u, v), kind)
-
-    grid = [
-        [[f"c{m}b{i}v{k}" for k in range(size)] for i in range(blocks)]
-        for m in range(comps)
-    ]
-    for comp in grid:
-        for i, blk in enumerate(comp):
-            for k in range(1, size):
-                add("u", blk[k - 1], blk[k])
-            if i + 1 < blocks:
-                for k in range(size):
-                    add("q", blk[k], comp[i + 1][k])
-        for k in range(1, size):
-            add("q", comp[0][k - 1], comp[1][k])
-    while len(kinds) < edges:
-        comp = rng.choice(grid)
-        i, j = rng.sample(range(blocks), 2)
-        if rng.random() < 0.5:
-            add("u", rng.choice(comp[i]), rng.choice(comp[i]))
-        else:
-            add("q", rng.choice(comp[i]), rng.choice(comp[j]))
-    return CdsInstance.from_edges(
-        [(kind, v, u) for (v, u), kind in kinds.items()], bipartite=False
-    )
-
-
 def test_criterion_10_combinatorial_reach():
-    inst = _layered_feasible_instance(random.Random(100_010))
+    inst = layered_feasible_instance(random.Random(100_010))
     assert len(inst.vertices) == 3600 and len(inst.edges) == 10_000
     name = (
         "criterion 10 (check, synthesis, reduction, verification and the "
@@ -328,7 +295,7 @@ def test_criterion_11_oracle_reach():
 
 
 def test_criterion_12_oracle_on_signal_blocks():
-    inst = _layered_feasible_instance(random.Random(100_010))
+    inst = layered_feasible_instance(random.Random(100_010))
     reduced = reduce_randomness(inst, synthesize_half_rate(inst))
     assert (reduced.p, reduced.noise_len) == (11, 2)
     verdicts = verify_linear(inst, reduced).edge_verdicts

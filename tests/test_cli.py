@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cdskit
-from cdskit import scheme
+from cdskit import oracle, scheme
 from cdskit.cli import run
 from cdskit.instance import format_instance, parse_instance
 from cdskit.scheme import format_scheme, parse_scheme, verify_linear
@@ -18,8 +19,10 @@ from cdskit.synthesis import (
     builtin_example1_instance,
     builtin_fig2_instance,
     builtin_fig2_scheme,
+    reduce_randomness,
     synthesize_half_rate,
 )
+from gen import layered_feasible_instance
 
 
 @pytest.fixture
@@ -236,6 +239,30 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "all 9 edge verdicts confirmed over 8192 realizations" in out
+
+    def test_oracle_checks_each_block_class_once(self, tmp_path, capsys, monkeypatch):
+        # Acceptance criterion 10's instance and its reduced scheme: the
+        # 10^4 edges join 72 signal blocks in 252 (kind, block, block)
+        # classes, and the vertices of a block share one oracle array.
+        inst = layered_feasible_instance(random.Random(100_010))
+        reduced = reduce_randomness(inst, synthesize_half_rate(inst))
+        inst_file, sch_file = tmp_path / "layered.cds", tmp_path / "layered.scheme"
+        inst_file.write_text(format_instance(inst))
+        sch_file.write_text(format_scheme(reduced))
+        calls = []
+        for name in ("check_correct", "check_secure"):
+            def counted(table, v, u, check=getattr(oracle, name)):
+                calls.append((check.__name__, v, u))
+                return check(table, v, u)
+
+            monkeypatch.setattr(oracle, name, counted)
+        assert run(["verify", str(inst_file), str(sch_file), "--oracle"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("oracle: all 10000 edge verdicts confirmed over 1331 realizations\n")
+        block = reduced.block_of
+        classes = {(kind, block[v], block[u]) for kind, (v, u) in inst.edges}
+        assert len(calls) == len(classes) == 252
+        assert {name for name, _, _ in calls} == {"check_correct", "check_secure"}
 
     def test_broken_scheme_fails(self, fig2_file, tmp_path, capsys):
         sch = builtin_fig2_scheme()

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from cdskit.gf import GfMatrix
 from cdskit.instance import (
     CdsInstance,
     DegenerateInstanceError,
@@ -19,6 +20,7 @@ from cdskit.instance import (
     unqualified_components_within,
     unqualified_path,
 )
+from cdskit.scheme import LinearScheme, path_overlap_lower_bound
 from conftest import FIG2_EDGES
 
 
@@ -161,6 +163,38 @@ class TestParsing:
         with pytest.raises(ValueError, match="edge end 'B2' is not a vertex"):
             CdsInstance(("A1", "B1"), (("A1", "B1"),), (("A1", "B2"),), True)
 
+    def test_edges_are_put_in_name_order(self):
+        # Built directly, as parsing does not: a pair listed the other way
+        # round, and edges out of order.
+        twisted = CdsInstance(
+            ("A1", "A2", "B1", "B2"), (("B1", "A1"),), (("B2", "A2"), ("B2", "A1")), True
+        )
+        twin = CdsInstance(
+            ("A1", "A2", "B1", "B2"), (("A1", "B1"),), (("A1", "B2"), ("A2", "B2")), True
+        )
+        assert twisted == twin and hash(twisted) == hash(twin)
+        assert repr(twisted) == repr(twin) and twisted._ends == twin._ends
+        assert twisted.has_edge("A1", "B1") and twisted.has_edge("B1", "A1")
+        one = CdsInstance(("A1", "B1", "B2"), (("B1", "A1"),), (("A1", "B2"),), True)
+        assert one.has_edge("A1", "B1")
+        sch = LinearScheme(2, 1, 1, {
+            v: (GfMatrix.from_rows(2, [[1]]), GfMatrix.from_rows(2, [[1]])) for v in one.vertices
+        })
+        assert path_overlap_lower_bound(sch, ["B1", "A1", "B2"], one) == 1
+
+    @pytest.mark.parametrize(
+        "qualified, unqualified",
+        [
+            ((("A1", "B1"), ("B1", "A1")), (("A1", "B2"),)),
+            ((("A1", "B1"),), (("A1", "B2"), ("A1", "B2"))),
+            ((("A1", "B1"),), (("B1", "A1"), ("A1", "B2"))),
+        ],
+        ids=["qualified", "unqualified", "both-kinds"],
+    )
+    def test_repeated_edge_rejected(self, qualified, unqualified):
+        with pytest.raises(ValueError, match=r"edge \{A1, B[12]\} is listed twice"):
+            CdsInstance(("A1", "B1", "B2"), qualified, unqualified, True)
+
     def test_repeated_vertex_rejected(self):
         # A repeat would leave an id that no edge touches, so A1 would pass
         # for degenerate although it has an unqualified edge.
@@ -256,8 +290,9 @@ class TestComponents:
         for inst in (fig2, example1):
             parts = qualified_components(inst)
             assert tuple(sorted(v for b in parts.blocks for v in b)) == inst.vertices
+            index = {v: k for k, b in enumerate(parts.blocks) for v in b}
             for v, u in inst.qualified:
-                assert parts.index_of(v) == parts.index_of(u)
+                assert index[v] == index[u]
 
 
 class TestPaths:

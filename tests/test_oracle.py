@@ -81,6 +81,22 @@ class TestTabulate:
         with pytest.raises(TypeError, match="unhashable"):
             hash(fig2_table)
 
+    @pytest.mark.parametrize(
+        "fn, message",
+        [
+            (lambda s, z: z * (1 + s[0]), "changes length"),
+            (lambda s, z: (s[0] - z[0],), "produced a non-residue"),
+            (lambda s, z: (s[0] + 2 * z[0],), "produced a non-residue"),
+            (lambda s, z: (np.int64(s[0] - z[0]),), "produced a non-residue"),
+            # Both faults: the width is checked first.
+            (lambda s, z: (-1,) * (1 + s[0]), "changes length"),
+        ],
+        ids=["length", "negative", "past-p", "numpy", "both"],
+    )
+    def test_function_values_are_checked(self, fn, message):
+        with pytest.raises(ValueError, match=f"signal u {message}"):
+            SchemeTable.from_functions(2, 1, 1, {"u": fn})
+
     @pytest.mark.parametrize("name", ["S", "Z"])
     def test_signal_names_s_and_z_are_reserved(self, name):
         # A signal named S would be looked up as the secret: the pair of
@@ -389,6 +405,25 @@ class TestPairGrid:
         # long as the table's 3^12 rows (the rank takes a few KiB).
         assert secret.tolist() == [[0, 0, 0], [1, 1, 1], [2, 2, 2]] and entropy == 2
         assert peak < 64 * 1024 < table.size
+
+    def test_joint_rank_checks_names_without_codes(self):
+        # 2^20 realizations, 2^18 noise values: Z's codes would take
+        # 256 KiB in the narrowest type, and its precoding 18 rows.
+        noise = np.eye(2, 18, dtype=np.int64)
+        sch = LinearScheme(2, 2, 18, {
+            "a": (GfMatrix.identity(2, 2), GfMatrix(2, noise)),
+            "b": (GfMatrix.identity(2, 2), GfMatrix(2, noise[:, ::-1])),
+        })
+        table = tabulate(sch)
+        assert table.size == 1 << 20
+        tracemalloc.start()
+        try:
+            ranks = joint_rank(table, ["Z", "a"]), joint_rank(table, ["a", "b"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ranks == (20, 4)
+        assert peak < 64 * 1024
 
     def test_a_table_built_from_its_fields_reads_the_same_grids(self):
         # The read digits follow from the scheme, not from how the table

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cdskit.cli import run
-from cdskit.gf import GfMatrix, _rref_array, hstack, prefix_ranks, rank, ranks, vstack
+from cdskit.gf import GfMatrix, _rref_array, hstack, prefix_ranks, rank, vstack
 from cdskit.instance import (
     QUALIFIED,
     CdsInstance,
@@ -42,7 +42,6 @@ from cdskit.instance import (
 )
 from cdskit.oracle import (
     SchemeTable,
-    _all_vectors,
     _grid,
     _labels,
     _number_rows,
@@ -188,7 +187,7 @@ def test_unqualified_blocks_partition_and_refine(inst):
         unq = unqualified_components_within(inst, block)
         assert unq.blocks == inner[k]
         for sub in unq.blocks:
-            assert {qualified.index_of(v) for v in sub} == {k}
+            assert set(sub) <= set(block)
         all_blocks.extend(unq.blocks)
     flat = [v for b in all_blocks for v in b]
     assert sorted(flat) == sorted(inst.vertices) and len(set(flat)) == len(flat)
@@ -217,8 +216,9 @@ def test_plan_groups_the_blocks_of_decompose(inst):
     # qualified block in order, the unqualified blocks whose first member
     # falls in it.
     qualified, unqualified = decompose(inst)
+    index = {v: k for k, b in enumerate(qualified.blocks) for v in b}
     want = tuple(
-        tuple(b for b in unqualified.blocks if qualified.index_of(b[0]) == k)
+        tuple(b for b in unqualified.blocks if index[b[0]] == k)
         for k in range(len(qualified.blocks))
     )
     plan = plan_synthesis(inst)
@@ -374,13 +374,13 @@ def test_prefix_ranks_match_reference_elimination(p, shape, data):
     for b, matrix in enumerate(stack):
         want = [len(_rref_array(matrix[:, :k], p)[1]) for k in range(shape[2] + 1)]
         assert got[b].tolist() == want
-    assert ranks(stack, p).tolist() == got[:, -1].tolist()
+    assert [rank(GfMatrix(p, matrix)) for matrix in stack] == got[:, -1].tolist()
 
 
 def test_ranks_of_empty_stacks():
-    assert ranks(np.zeros((0, 3, 2), dtype=np.int64), 5).shape == (0,)
-    assert ranks(np.zeros((4, 3, 0), dtype=np.int64), 5).tolist() == [0] * 4
-    assert ranks(np.zeros((2, 0, 3), dtype=np.int64), 65521).tolist() == [0, 0]
+    assert prefix_ranks(np.zeros((0, 3, 2), dtype=np.int64), 5)[:, -1].shape == (0,)
+    assert prefix_ranks(np.zeros((4, 3, 0), dtype=np.int64), 5)[:, -1].tolist() == [0] * 4
+    assert prefix_ranks(np.zeros((2, 0, 3), dtype=np.int64), 65521)[:, -1].tolist() == [0, 0]
 
 
 def reference_verdicts(inst, sch):
@@ -498,10 +498,15 @@ def test_packed_numbering_matches_sorted_numbering():
     assert got.tolist() == sorted_numbering(rows).tolist()
 
 
+def digit_vectors(p: int, n: int) -> np.ndarray:
+    """All p^n digit vectors, first digit most significant, as (p^n, n)."""
+    vectors = list(itertools.product(range(p), repeat=n))
+    return np.array(vectors, dtype=np.int64).reshape(p**n, n)
+
+
 def reference_tabulate(sch: LinearScheme) -> dict:
     """Every vertex's codes from the full (p^L, p^L_Z, N) digit array."""
-    s = _all_vectors(sch.p, sch.secret_len)
-    z = _all_vectors(sch.p, sch.noise_len)
+    s, z = (digit_vectors(sch.p, n) for n in (sch.secret_len, sch.noise_len))
     out = {}
     for v, (f, h) in sch.matrices.items():
         full = ((s @ f.data.T)[:, None, :] + (z @ h.data.T)[None, :, :]) % sch.p
@@ -509,42 +514,55 @@ def reference_tabulate(sch: LinearScheme) -> dict:
     return out
 
 
-def reference_codes(table, names) -> np.ndarray:
-    """The joint value of the variables on every row, numbered by sorting."""
-    return sorted_numbering(np.column_stack([table.column(name)[0].reshape(-1) for name in names]))
+class ReferenceCodes:
+    """The joint value of a set of variables on every row of one table,
+    numbered by sorting: each row's index among the distinct joint values,
+    so the numbers run densely from 0.  Each variable's codes are
+    flattened once, and each set of names is numbered once, however many
+    references read it."""
+
+    def __init__(self, table):
+        self.table = table
+        self._flat: dict[str, np.ndarray] = {}
+        self._numbered: dict[tuple[str, ...], np.ndarray] = {}
+
+    def __call__(self, *names: str) -> np.ndarray:
+        if names not in self._numbered:
+            for name in names:
+                if name not in self._flat:
+                    self._flat[name] = self.table.column(name)[0].reshape(-1)
+            columns = np.column_stack([self._flat[name] for name in names])
+            self._numbered[names] = sorted_numbering(columns)
+        return self._numbered[names]
 
 
-def reference_correct(table, v, u) -> bool:
-    pair = reference_codes(table, [v, u])
-    with_secret = reference_codes(table, ["S", v, u])
-    return len(np.unique(pair)) == len(np.unique(with_secret))
+def reference_correct(codes: ReferenceCodes, v, u) -> bool:
+    """No pair of values occurs with two secrets: adding S to the pair
+    adds no distinct joint value."""
+    return codes(v, u).max() == codes("S", v, u).max()
 
 
-def reference_secure(table, v, u) -> bool:
+def reference_secure(codes: ReferenceCodes, v, u) -> bool:
     """P(s, w) = P(s) P(w) on every present pair, with each secret's mass
     exhausted so that absent pairs have a zero product too."""
-    pair = reference_codes(table, [v, u])
-    s = table.column("S")[0].reshape(-1)
-    pair_vals, pair_inv, pair_counts = np.unique(
-        pair, return_inverse=True, return_counts=True
-    )
-    s_vals, s_inv, s_counts = np.unique(s, return_inverse=True, return_counts=True)
-    joint = s_inv.astype(np.int64) * len(pair_vals) + pair_inv
+    pair, s = codes(v, u), codes("S")
+    pair_counts, s_counts = np.bincount(pair), np.bincount(s)
+    joint = s * len(pair_counts) + pair
     joint_vals, joint_counts = np.unique(joint, return_counts=True)
-    lhs = joint_counts.astype(object) * table.size
-    rhs = s_counts[joint_vals // len(pair_vals)].astype(object) * pair_counts[
-        joint_vals % len(pair_vals)
+    lhs = joint_counts.astype(object) * codes.table.size
+    rhs = s_counts[joint_vals // len(pair_counts)].astype(object) * pair_counts[
+        joint_vals % len(pair_counts)
     ].astype(object)
     if not (lhs == rhs).all():
         return False
-    per_secret = np.zeros(len(s_vals), dtype=np.int64)
-    np.add.at(per_secret, joint_vals // len(pair_vals), joint_counts)
+    per_secret = np.zeros(len(s_counts), dtype=np.int64)
+    np.add.at(per_secret, joint_vals // len(pair_counts), joint_counts)
     return bool((per_secret == s_counts).all())
 
 
-def reference_entropy(table, names) -> float:
-    counts = np.unique(reference_codes(table, names), return_counts=True)[1]
-    total, log_p = table.size, math.log(table.p)
+def reference_entropy(codes: ReferenceCodes, names) -> float:
+    counts = np.bincount(codes(*names))
+    total, log_p = codes.table.size, math.log(codes.table.p)
     return float(
         math.log(total) / log_p
         - sum(int(c) * math.log(int(c)) for c in counts) / (total * log_p)
@@ -614,18 +632,19 @@ def function_tables(draw) -> SchemeTable:
 
 def check_oracle_against_references(table):
     names = ("a", "b", "w")
+    codes = ReferenceCodes(table)
     for v, u in itertools.combinations_with_replacement(names, 2):
-        assert check_correct(table, v, u) == reference_correct(table, v, u)
-        assert check_secure(table, v, u) == reference_secure(table, v, u)
+        assert check_correct(table, v, u) == reference_correct(codes, v, u)
+        assert check_secure(table, v, u) == reference_secure(codes, v, u)
     subsets = [("S",), ("Z",), ("S", "Z")] + [
         sub for r in (1, 2, 3) for sub in itertools.combinations(("S",) + names, r)
     ]
     for sub in subsets:
         got = joint_entropy(table, sub)
         if table.scheme is None:
-            assert got == reference_entropy(table, sub)
+            assert got == reference_entropy(codes, sub)
         else:
-            counts = np.unique(reference_codes(table, sub), return_counts=True)[1]
+            counts = np.bincount(codes(*sub))
             assert counts.min() == counts.max()
             assert int(counts[0]) * table.p ** int(got) == table.size
 
@@ -843,6 +862,7 @@ def test_correctness_from_the_joint_count_and_from_the_scatter():
         c=[[1, 1, 1]], d=[[0, 1, 1]], e=[[0, 1, 0]],
         f=[[1, 1, 0], [0, 0, 1]], g=[[0, 1, 0]], h=[[0, 0, 1]],
     ))
+    codes = ReferenceCodes(table)
     for v, u, joint, decodes, secure in (
         ("c", "d", True, True, False),
         ("c", "e", True, False, True),
@@ -850,8 +870,8 @@ def test_correctness_from_the_joint_count_and_from_the_scatter():
         ("f", "h", False, False, True),
     ):
         assert counts_jointly(table, v, u) == joint, (v, u)
-        assert check_correct(table, v, u) == decodes == reference_correct(table, v, u), (v, u)
-        assert check_secure(table, v, u) == secure == reference_secure(table, v, u), (v, u)
+        assert check_correct(table, v, u) == decodes == reference_correct(codes, v, u), (v, u)
+        assert check_secure(table, v, u) == secure == reference_secure(codes, v, u), (v, u)
 
 
 def test_pair_checks_of_a_1024_row_grid_stay_small():
