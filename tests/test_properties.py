@@ -901,6 +901,58 @@ def test_instance_round_trip(inst):
     assert parse_instance(format_instance(inst)) == inst
 
 
+_FAULTS = ("bad name", "reserved name", "self-loop", "same side", "duplicate")
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(), st.data())
+def test_one_faulty_line_is_reported_at_its_line(inst, data):
+    """A valid file, shuffled and with comments, gets one faulty line at a
+    random place.  The error gives the fault's message at the line where
+    it went in; for a duplicate, at the later line of the pair."""
+    rng = data.draw(st.randoms(use_true_random=True))
+    fault = data.draw(st.sampled_from([f for f in _FAULTS if inst.bipartite or f != "same side"]))
+    body = [f"{kind} {v} {u}" if rng.random() < 0.5 else f"{kind} {u} {v}"
+            for kind, (v, u) in inst.edges]
+    rng.shuffle(body)
+    for _ in range(rng.randint(0, 3)):
+        body.insert(rng.randint(0, len(body)), rng.choice(["# note", "", "  # q A1 A1"]))
+    head = ["# a faulty file"] * rng.randint(0, 2) + [format_instance(inst).splitlines()[0]]
+    at = faulty = rng.randint(0, len(body))
+    v = rng.choice(inst.vertices)
+    if fault in ("bad name", "reserved name"):
+        if fault == "reserved name":
+            bad = rng.choice(["S", "Z"])
+        else:
+            bad = rng.choice(["C7", "a1", "A", "1x", "A1b"] if inst.bipartite else ["1x", "x-y", "a.b"])
+        ends = rng.sample([v, bad], 2)
+        if inst.bipartite:
+            message = f"vertex {bad!r} has no side label; bipartite names match [AB][0-9]+"
+        elif fault == "reserved name":
+            message = f"vertex name {bad!r} is reserved"
+        else:
+            message = f"invalid vertex name {bad!r}"
+    elif fault == "self-loop":
+        ends = [v, v]
+        message = f"self-loop on {v}"
+    elif fault == "same side":
+        u = rng.choice([u for u in inst.vertices if u[0] == v[0] and u != v] + [v[0] + "99"])
+        ends = rng.sample([v, u], 2)
+        message = f"edge {{{ends[0]}, {ends[1]}}} joins two {v[0]}-side vertices"
+    else:  # a copy of an edge, before or after it, of either kind and either way round
+        pair = rng.choice(inst.qualified + inst.unqualified)
+        ends = rng.sample(pair, 2)
+        message = f"duplicate edge {{{pair[0]}, {pair[1]}}}"
+        original = next(k for k, line in enumerate(body) if sorted(line.split()[1:]) == list(pair))
+        faulty = max(at, original + (at <= original))
+    body.insert(at, f"{rng.choice('qu')} {ends[0]} {ends[1]}")
+    with pytest.raises(InstanceFormatError) as err:
+        parse_instance("\n".join(head + body) + "\n")
+    line = len(head) + faulty + 1
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 @settings(max_examples=100, deadline=None)
 @given(schemes())
 def test_scheme_round_trip(sch):
