@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import re
 from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import eq
 
 __all__ = [
     "CdsInstance",
@@ -51,16 +53,19 @@ __all__ = [
 QUALIFIED = "q"
 UNQUALIFIED = "u"
 
-_BIPARTITE_NAME = re.compile(r"^[AB][0-9]+$")
-_GENERAL_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_BIPARTITE_NAME = re.compile(r"[AB][0-9]+")
+_GENERAL_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RESERVED = {"S", "Z"}  # entropy variable names; vertices may not shadow them
 
 
 class InstanceFormatError(ValueError):
-    """Malformed instance text; carries the 1-based offending line."""
+    """A malformed instance, parsed or built: ``line`` is the 1-based
+    offending line of parsed text, else None.  ``vertex`` is the vertex at
+    fault, or ``edges`` the positions of the faulty edge, or of both
+    copies of a duplicate, among the qualified then unqualified edges."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
+    def __init__(self, message: str, line: int | None = None, vertex=None, edges=()):
+        self.line, self.vertex, self.edges = line, vertex, edges
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -77,10 +82,6 @@ class DegenerateInstanceError(ValueError):
         )
 
 
-def _canon(v: str, u: str) -> tuple[str, str]:
-    return (v, u) if v <= u else (u, v)
-
-
 @dataclass(frozen=True)
 class CdsInstance:
     """Immutable labeled graph of signals.
@@ -88,10 +89,14 @@ class CdsInstance:
     Building an instance sorts ``vertices`` into name order, so vertex id
     k is ``vertices[k]``, puts the ends of each edge in name order, and
     sorts ``qualified`` and ``unqualified``: an instance built from
-    shuffled tuples equals its sorted twin.  A vertex or an edge listed
-    twice raises ValueError.  ``_ends`` lists the ids at both ends of
-    every qualified edge, then of every unqualified edge, as a flat int64
-    array.  Equality, hashing and repr read only the four public fields.
+    shuffled tuples equals its sorted twin.  ``_ends`` lists the ids at
+    both ends of every qualified edge, then of every unqualified edge, as
+    a flat int64 array.  Equality, hashing and repr read only the four
+    public fields.  Building validates every instance, parsed or not, and
+    raises InstanceFormatError on the first of: a repeated vertex; a name,
+    in name order, that is not ``A<i>``/``B<i>`` (bipartite) or is not an
+    identifier other than S and Z (general); an edge, in order, that is
+    not a pair of vertex names, a self-loop, same-sided or a duplicate.
     """
 
     vertices: tuple[str, ...]
@@ -106,29 +111,30 @@ class CdsInstance:
         ids = dict(zip(vertices, range(n)))
         if len(ids) < n:
             twice = next(v for v, u in zip(vertices, vertices[1:]) if v == u)
-            raise ValueError(f"vertex {twice!r} is listed twice")
+            raise InstanceFormatError(f"vertex {twice!r} is listed twice", vertex=twice)
+        for name in vertices:
+            _check_name(name, self.bipartite)
         edges = [*self.qualified, *self.unqualified]
         try:
-            ends = iter(list(map(ids.__getitem__, chain.from_iterable(edges))))
-        except KeyError as exc:
-            raise ValueError(f"edge end {exc.args[0]!r} is not a vertex") from None
+            ends = [(ids[v], ids[u]) for v, u in edges]
+        except (KeyError, TypeError, ValueError):
+            raise _edge_fault(edges, ids, self.bipartite) from None
         # Each edge as one integer a n + b, from the ids a <= b of its ends:
         # ids follow the names, so these sort like the pairs in name order.
-        keys = [a * n + b if a < b else b * n + a for a, b in zip(ends, ends)]
-        pair_of = dict(zip(keys, edges))
-        if len(pair_of) < len(keys):
-            seen: set[int] = set()
-            a, b = divmod(next(k for k in keys if k in seen or seen.add(k)), n)
-            raise ValueError(f"edge {{{vertices[a]}, {vertices[b]}}} is listed twice")
-        for k, (v, u) in pair_of.items():
-            if v > u:
-                pair_of[k] = (u, v)
+        keys = [a * n + b if a < b else b * n + a for a, b in ends]
         q = len(self.qualified)
         keys = sorted(keys[:q]) + sorted(keys[q:])
-        pairs = tuple(map(pair_of.__getitem__, keys))
+        lo, hi = [k // n for k in keys], [k % n for k in keys]
+        if self.bipartite:  # ids below split are the A side
+            split = bisect_left(vertices, "B")
+            faulty = max(lo, default=-1) >= split or min(hi, default=n) < split
+        else:
+            faulty = any(map(eq, lo, hi))
+        if faulty or len(set(keys)) < len(keys):
+            raise _edge_fault(edges, ids, self.bipartite)
+        pairs = tuple(zip(map(vertices.__getitem__, lo), map(vertices.__getitem__, hi)))
         ends = array("q", bytes(16 * len(keys)))
-        ends[0::2] = array("q", [k // n for k in keys])
-        ends[1::2] = array("q", [k % n for k in keys])
+        ends[0::2], ends[1::2] = array("q", lo), array("q", hi)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "qualified", pairs[:q])
         object.__setattr__(self, "unqualified", pairs[q:])
@@ -136,12 +142,14 @@ class CdsInstance:
 
     @classmethod
     def from_edges(cls, edges, bipartite: bool = True) -> "CdsInstance":
-        """Build and validate an instance from (kind, v, u) triples."""
-        seen: dict[tuple[str, str], str] = {}
-        names: set[str] = set()
-        for kind, v, u in edges:
-            _add_edge(seen, names, kind, v, u, bipartite)
-        return _build(seen, names, bipartite)
+        """An instance from (kind, v, u) triples; the constructor validates it."""
+        kinds: dict[str, list] = {QUALIFIED: [], UNQUALIFIED: []}
+        for kind, *pair in edges:
+            if kind not in kinds:
+                raise InstanceFormatError(f"unknown edge kind {kind!r}")
+            kinds[kind].append(tuple(pair))
+        names = {v for pair in chain(*kinds.values()) for v in pair if isinstance(v, str)}
+        return cls(tuple(names), *map(tuple, kinds.values()), bipartite)
 
     @cached_property
     def edges(self) -> tuple[tuple[str, tuple[str, str]], ...]:
@@ -154,15 +162,13 @@ class CdsInstance:
         return tuple(sorted(tagged, key=lambda t: t[1]))
 
     def has_edge(self, v: str, u: str) -> bool:
-        key = _canon(v, u)
-        return key in self.qualified or key in self.unqualified
+        return any(_edge_index(e, v, u) >= 0 for e in (self.qualified, self.unqualified))
 
     def induced(self, keep) -> "CdsInstance":
         """Sub-instance on the given vertices, keeping internal edges."""
         keep = set(keep)
-        unknown = keep - set(self.vertices)
-        if unknown:
-            raise ValueError(f"unknown vertices: {sorted(unknown)}")
+        if not keep.issubset(self.vertices):
+            raise ValueError(f"unknown vertices: {sorted(keep.difference(self.vertices))}")
         return CdsInstance(
             tuple(v for v in self.vertices if v in keep),
             tuple(e for e in self.qualified if e[0] in keep and e[1] in keep),
@@ -171,51 +177,49 @@ class CdsInstance:
         )
 
 
-def _check_name(name: str, bipartite: bool, line: int | None) -> None:
+def _check_name(name: str, bipartite: bool) -> None:
     if bipartite:
-        if not _BIPARTITE_NAME.match(name):
-            raise InstanceFormatError(
-                f"vertex {name!r} has no side label; bipartite names match [AB][0-9]+",
-                line,
-            )
-    elif not _GENERAL_NAME.match(name):
-        raise InstanceFormatError(f"invalid vertex name {name!r}", line)
+        if not (isinstance(name, str) and _BIPARTITE_NAME.fullmatch(name)):
+            message = f"vertex {name!r} has no side label; bipartite names match [AB][0-9]+"
+            raise InstanceFormatError(message, vertex=name)
+    elif not (isinstance(name, str) and _GENERAL_NAME.fullmatch(name)):
+        raise InstanceFormatError(f"invalid vertex name {name!r}", vertex=name)
     if name in _RESERVED:
-        raise InstanceFormatError(f"vertex name {name!r} is reserved", line)
+        raise InstanceFormatError(f"vertex name {name!r} is reserved", vertex=name)
 
 
-def _add_edge(
-    seen: dict, names: set, kind: str, v: str, u: str, bipartite: bool, line: int | None = None
-) -> None:
-    """Validate one edge against the edges in ``seen``, then record it;
-    ``names`` holds the vertex names already validated, and takes in
-    each new one.
+def _edge_fault(edges: list, ids: dict, bipartite: bool) -> InstanceFormatError:
+    """The error of the first faulty edge, taking each edge's rules in order."""
+    first: dict[tuple[str, str], int] = {}
+    for k, edge in enumerate(edges):
+        try:
+            v, u = edge
+        except (TypeError, ValueError):
+            v = u = None
+        names = isinstance(v, str) and isinstance(u, str)
+        pair = (v, u) if names and v <= u else (u, v)
+        j = first.setdefault(pair, k) if names else k
+        if not names:
+            message = f"edge {edge!r} is not a pair of vertex names"
+        elif v not in ids or u not in ids:
+            message = f"edge end {v if v not in ids else u!r} is not a vertex"
+        elif v == u:
+            message = f"self-loop on {v}"
+        elif bipartite and v[0] == u[0]:
+            message = f"edge {{{v}, {u}}} joins two {v[0]}-side vertices"
+        elif j < k:
+            message = f"duplicate edge {{{pair[0]}, {pair[1]}}}"
+        else:
+            continue
+        return InstanceFormatError(message, edges=(j, k) if j < k else (k,))
+    raise AssertionError("no faulty edge")
 
-    The single validation routine for instances, whether built from
-    triples or parsed from text; ``line`` tags the error when known.
-    """
-    if kind not in (QUALIFIED, UNQUALIFIED):
-        raise InstanceFormatError(f"unknown edge kind {kind!r}", line)
-    for name in (v, u):
-        if name not in names:
-            _check_name(name, bipartite, line)
-            names.add(name)
-    if v == u:
-        raise InstanceFormatError(f"self-loop on {v}", line)
-    if bipartite and v[0] == u[0]:
-        raise InstanceFormatError(
-            f"edge {{{v}, {u}}} joins two {v[0]}-side vertices", line
-        )
-    key = _canon(v, u)
-    if key in seen:
-        raise InstanceFormatError(f"duplicate edge {{{key[0]}, {key[1]}}}", line)
-    seen[key] = kind
 
-
-def _build(seen: dict[tuple[str, str], str], names: set, bipartite: bool) -> CdsInstance:
-    qualified = tuple(k for k, kind in seen.items() if kind == QUALIFIED)
-    unqualified = tuple(k for k, kind in seen.items() if kind == UNQUALIFIED)
-    return CdsInstance(names, qualified, unqualified, bipartite)
+def _edge_index(edges: tuple, v: str, u: str) -> int:
+    """The position of {v, u} in ``edges``, sorted pairs in name order, or -1."""
+    pair = (v, u) if v <= u else (u, v)
+    k = bisect_left(edges, pair)
+    return k if k < len(edges) and edges[k] == pair else -1
 
 
 @dataclass(frozen=True)
@@ -241,9 +245,9 @@ class PathWitness:
         return max(len(self.vertices) - 1, 0)
 
     def is_valid_for(self, inst: CdsInstance) -> bool:
-        edge_set = inst.qualified if self.kind == QUALIFIED else inst.unqualified
-        pairs = [_canon(v, u) for v, u in zip(self.vertices, self.vertices[1:])]
-        return len(pairs) == len(set(pairs)) and all(p in edge_set for p in pairs)
+        edges = inst.qualified if self.kind == QUALIFIED else inst.unqualified
+        found = [_edge_index(edges, v, u) for v, u in zip(self.vertices, self.vertices[1:])]
+        return -1 not in found and len(set(found)) == len(found)
 
 
 @dataclass(frozen=True)
@@ -262,44 +266,43 @@ def parse_instance(text: str) -> CdsInstance:
     with an optional trailing ``general`` token; edges are ``q <v> <u>``
     or ``u <v> <u>``.
     """
-    header_seen = False
-    bipartite = True
-    seen: dict[tuple[str, str], str] = {}
-    names: set[str] = set()
+    bipartite = None  # until the header
+    edges: dict[str, list] = {QUALIFIED: [], UNQUALIFIED: []}
+    lines: dict[str, list] = {QUALIFIED: [], UNQUALIFIED: []}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        if not header_seen:
-            tokens = line.split()
+        if bipartite is None:
             if tokens[:2] != ["cds-instance", "v1"] or len(tokens) > 3:
-                raise InstanceFormatError(
-                    "expected header 'cds-instance v1 [general]'", lineno
-                )
-            if len(tokens) == 3:
-                if tokens[2] != "general":
-                    raise InstanceFormatError(
-                        f"unknown header token {tokens[2]!r}", lineno
-                    )
-                bipartite = False
-            header_seen = True
+                message = "expected header 'cds-instance v1 [general]'"
+                raise InstanceFormatError(message, lineno)
+            if len(tokens) == 3 and tokens[2] != "general":
+                raise InstanceFormatError(f"unknown header token {tokens[2]!r}", lineno)
+            bipartite = len(tokens) == 2
             continue
-        tokens = line.split()
-        if len(tokens) != 3 or tokens[0] not in (QUALIFIED, UNQUALIFIED):
+        if len(tokens) != 3 or tokens[0] not in edges:
             raise InstanceFormatError("expected 'q <v> <u>' or 'u <v> <u>'", lineno)
-        kind, v, u = tokens
-        _add_edge(seen, names, kind, v, u, bipartite, lineno)
-    if not header_seen:
+        edges[tokens[0]].append((tokens[1], tokens[2]))
+        lines[tokens[0]].append(lineno)
+    if bipartite is None:
         raise InstanceFormatError("missing 'cds-instance v1' header", 1)
-    return _build(seen, names, bipartite)
+    q, u = edges.values()
+    try:
+        return CdsInstance(set(chain.from_iterable(q + u)), tuple(q), tuple(u), bipartite)
+    except InstanceFormatError as exc:
+        pairs, at = q + u, lines[QUALIFIED] + lines[UNQUALIFIED]
+        if exc.vertex is not None:  # the first line that names it
+            line = min(k for pair, k in zip(pairs, at) if exc.vertex in pair)
+        else:  # the edge's own line; of a duplicate, the later one
+            line = max(map(at.__getitem__, exc.edges))
+        raise InstanceFormatError(str(exc), line) from None
 
 
 def format_instance(inst: CdsInstance) -> str:
     """Serialize an instance back into the file format."""
-    lines = ["cds-instance v1" + ("" if inst.bipartite else " general")]
-    for kind, (v, u) in inst.edges:
-        lines.append(f"{kind} {v} {u}")
-    return "\n".join(lines) + "\n"
+    header = "cds-instance v1" + ("" if inst.bipartite else " general")
+    return "\n".join([header, *(f"{kind} {v} {u}" for kind, (v, u) in inst.edges)]) + "\n"
 
 
 def is_non_degenerate(inst: CdsInstance) -> tuple[bool, tuple[str, ...]]:
@@ -405,9 +408,7 @@ def unqualified_components_within(inst: CdsInstance, block) -> Partition:
     return Partition(tuple(b for b in unqualified.blocks if b[0] in inside))
 
 
-def unqualified_path(
-    inst: CdsInstance, block, s: str, t: str
-) -> PathWitness:
+def unqualified_path(inst: CdsInstance, block, s: str, t: str) -> PathWitness:
     """Shortest unqualified path from s to t inside one qualified component.
 
     Breadth-first with neighbors visited in name order, so the returned
@@ -459,9 +460,7 @@ def half_rate_feasible(inst: CdsInstance) -> FeasibilityResult:
     return _feasibility(inst, *_decompose(inst))
 
 
-def _feasibility(
-    inst: CdsInstance, qroot: list[int], uroot: list[int]
-) -> FeasibilityResult:
+def _feasibility(inst: CdsInstance, qroot: list[int], uroot: list[int]) -> FeasibilityResult:
     """:func:`half_rate_feasible` on the instance's :func:`_decompose`.
 
     The witness is the first internal qualified edge by (qualified

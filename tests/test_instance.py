@@ -106,19 +106,19 @@ class TestParsing:
 
         checked, check = [], instance._check_name
 
-        def spy(name, bipartite, line):
+        def spy(name, bipartite):
             checked.append(name)
-            check(name, bipartite, line)
+            check(name, bipartite)
 
         monkeypatch.setattr(instance, "_check_name", spy)
         edges = "q A1 B1\nu A1 B2\nq A2 B2\nu B1 A2\n"
         assert parse_instance(f"cds-instance v1\n{edges}").vertices == ("A1", "A2", "B1", "B2")
-        assert checked == ["A1", "B1", "B2", "A2"]
+        assert checked == ["A1", "A2", "B1", "B2"]  # in name order
         checked.clear()
         with pytest.raises(InstanceFormatError) as err:
             parse_instance(f"cds-instance v1\n{edges}q C1 B1\nq A3 C1\n")
         assert str(err.value).startswith("line 6: vertex 'C1' has no side label")
-        assert checked == ["A1", "B1", "B2", "A2", "C1"]
+        assert checked == ["A1", "A2", "A3", "B1", "B2", "C1"]
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(InstanceFormatError, match="duplicate"):
@@ -192,7 +192,7 @@ class TestParsing:
         ids=["qualified", "unqualified", "both-kinds"],
     )
     def test_repeated_edge_rejected(self, qualified, unqualified):
-        with pytest.raises(ValueError, match=r"edge \{A1, B[12]\} is listed twice"):
+        with pytest.raises(InstanceFormatError, match=r"^duplicate edge \{A1, B[12]\}$"):
             CdsInstance(("A1", "B1", "B2"), qualified, unqualified, True)
 
     def test_repeated_vertex_rejected(self):
