@@ -15,7 +15,7 @@ after exact checks, and the dual multipliers are re-verified as a
 standalone converse certificate before they are ever rendered.  On a
 2-core machine (Python 3.11, NumPy 2.4, SciPy 1.17) ground sets of
 seven, eight and nine variables are built, solved and certified in
-about 0.02, 0.065 and 0.45 s, all but 2-6 ms of it inside HiGHS;
+about 0.013, 0.055 and 0.36 s, all but 1.5-4 ms of it inside HiGHS;
 ``cds bound`` adds about 0.65 s of interpreter start and SciPy import.
 Up to ground nine, every LP measured certifies through the proposal.
 At ground ten some do not, such as a nine-vertex qualified path with

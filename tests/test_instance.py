@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from cdskit.entropy_lp import shannon_bound
 from cdskit.gf import GfMatrix
 from cdskit.instance import (
     CdsInstance,
@@ -202,6 +203,95 @@ class TestParsing:
             CdsInstance(
                 ("A1", "B2", "A1", "B1"), (("A1", "B1"),), (("A1", "B2"), ("B1", "B2")), False
             )
+
+
+class TestDirectConstruction:
+    """A directly built instance obeys the rules a parsed one does, and its
+    errors carry no line."""
+
+    @pytest.mark.parametrize(
+        "vertices, qualified, unqualified, bipartite, message",
+        [
+            (("A1", "B1", "S"), (("A1", "B1"),), (), False, "vertex name 'S' is reserved"),
+            (("A1", "B1", "Z"), (), (("B1", "A1"),), False, "vertex name 'Z' is reserved"),
+            (("A1", "x1", "B1"), (("A1", "B1"),), (), True, "vertex 'x1' has no side label"),
+            (("A1", "B1", "1x"), (("A1", "B1"),), (), False, "invalid vertex name '1x'"),
+            (("A1", "A2", "B1"), (("A1", "B1"),), (("A2", "A1"),), True,
+             "edge {A2, A1} joins two A-side vertices"),
+            (("A1", "B1"), (("A1", "B1"),), (("B1", "B1"),), True, "self-loop on B1"),
+            (("A1", "B1"), (("A1",),), (("A1", "B1"),), True,
+             "edge ('A1',) is not a pair of vertex names"),
+            (("A1", "B1"), (("A1", "B1", "B1"),), (), True,
+             "edge ('A1', 'B1', 'B1') is not a pair of vertex names"),
+            (("A1", "B1"), (("A1", 1),), (), True, "edge ('A1', 1) is not a pair of vertex names"),
+            (("A1", "B1"), ((), ("A1", "B1")), (), True, "edge () is not a pair of vertex names"),
+            (("A1", "B1"), (("A1", "B1"),), (("A1", "B2"),), True, "edge end 'B2' is not a vertex"),
+            (("A1", "B1", "A1"), (("A1", "B1"),), (), True, "vertex 'A1' is listed twice"),
+            (("A1", "B1", "B2"), (("A1", "B1"),), (("A1", "B2"), ("B1", "A1")), True,
+             "duplicate edge {A1, B1}"),
+        ],
+        ids=[
+            "reserved-S", "reserved-Z", "no-side-label", "invalid-name", "same-side",
+            "self-loop", "one-name", "three-names", "not-a-name", "empty", "unknown-end",
+            "repeated-vertex", "duplicate",
+        ],
+    )
+    def test_each_rule_is_enforced(self, vertices, qualified, unqualified, bipartite, message):
+        with pytest.raises(InstanceFormatError) as err:
+            CdsInstance(vertices, qualified, unqualified, bipartite)
+        assert err.value.line is None
+        assert str(err.value).split(";")[0] == message
+
+    def test_the_error_records_what_failed(self):
+        # Names before edges, and edges in order, qualified first.
+        with pytest.raises(InstanceFormatError) as err:
+            CdsInstance(("A1", "B1", "C1", "B2"), (("A1", "A1"),), (), True)
+        assert err.value.vertex == "C1" and err.value.edges == ()
+        with pytest.raises(InstanceFormatError) as err:
+            CdsInstance(("A1", "B1", "B2"), (("A1", "B2"),), (("A1", "B1"), ("B2", "A1")), True)
+        assert str(err.value) == "duplicate edge {A1, B2}"
+        assert err.value.vertex is None and err.value.edges == (0, 2)
+        with pytest.raises(InstanceFormatError) as err:
+            CdsInstance(("A1", "B1"), (("A1", "B1"),), (("A1", "A1"), ("B1", "A1")), True)
+        assert str(err.value) == "self-loop on A1" and err.value.edges == (1,)
+
+    def test_from_edges_reads_its_triples(self):
+        for edges, message in [
+            ([("q", "A1")], "edge ('A1',) is not a pair of vertex names"),
+            ([("q", "A1", "B1", "B2")], "edge ('A1', 'B1', 'B2') is not a pair of vertex names"),
+            ([("x", "A1", "B1")], "unknown edge kind 'x'"),
+        ]:
+            with pytest.raises(InstanceFormatError) as err:
+                CdsInstance.from_edges(edges)
+            assert str(err.value) == message and err.value.line is None
+
+    def test_a_vertex_named_s_never_reaches_the_bound(self):
+        # S is the secret in every entropy term: the bound used to take the
+        # ground set (S, A1, B1, S) here and certify a rate of 2.
+        with pytest.raises(InstanceFormatError, match="vertex name 'S' is reserved"):
+            shannon_bound(
+                CdsInstance(("S", "A1", "B1"), (("A1", "S"), ("A1", "B1")), (("B1", "S"),), False)
+            )
+
+    def test_a_self_loop_never_reaches_the_feasibility_test(self):
+        # It used to be reported infeasible with the witness edge (A1, A1).
+        with pytest.raises(InstanceFormatError, match="self-loop on A1"):
+            half_rate_feasible(CdsInstance(("A1", "B1"), (("A1", "A1"),), (("A1", "B1"),), False))
+
+    def test_several_faults_report_names_first(self):
+        # A file with more than one fault reports one of them at its line:
+        # name faults before edge faults, then qualified edges before
+        # unqualified ones, whatever their lines.
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance("cds-instance v1\nq A1 B1\nu B1 A1\nq A1 A2\nq C1 B1\n")
+        assert str(err.value).startswith("line 5: vertex 'C1' has no side label")
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance("cds-instance v1\nq A1 B1\nu A1 B1\nq B2 B2\n")
+        assert str(err.value) == "line 4: self-loop on B2"
+        # Syntax faults are raised where the parser reads them.
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance("cds-instance v1\nq C1 B1\nx A1 B1\n")
+        assert str(err.value) == "line 3: expected 'q <v> <u>' or 'u <v> <u>'"
 
 
 class TestNonDegenerate:

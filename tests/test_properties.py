@@ -28,9 +28,11 @@ from cdskit.cli import run
 from cdskit.gf import GfMatrix, _rref_array, hstack, prefix_ranks, rank, vstack
 from cdskit.instance import (
     QUALIFIED,
+    UNQUALIFIED,
     CdsInstance,
     DegenerateInstanceError,
     InstanceFormatError,
+    PathWitness,
     decompose,
     format_instance,
     half_rate_feasible,
@@ -327,6 +329,30 @@ def outcome(decide, inst):
         return decide(inst)
     except DegenerateInstanceError as exc:
         return exc.violators
+
+
+@settings(max_examples=100, deadline=None)
+@given(direct_instances(), st.randoms(use_true_random=True))
+def test_edge_lookups_match_a_set_of_pairs(inst, rng):
+    # has_edge and is_valid_for bisect the sorted edge tuples; a set of
+    # unordered pairs is the reference, for pairs either way round, for
+    # names outside the instance, and for walks that sometimes step off
+    # the edges of their kind or go back over one.
+    kinds = {QUALIFIED: inst.qualified, UNQUALIFIED: inst.unqualified}
+    pairs = {kind: set(map(frozenset, edges)) for kind, edges in kinds.items()}
+    names = [*inst.vertices, "S", "v99", "zz"]
+    for v in names:
+        for u in names:
+            assert inst.has_edge(v, u) == any(frozenset((v, u)) in p for p in pairs.values())
+    for _ in range(20):
+        kind = rng.choice(list(kinds))
+        walk = [rng.choice(names)]
+        for _ in range(rng.randint(0, 5)):
+            near = [u for u in names if frozenset((walk[-1], u)) in pairs[kind]]
+            walk.append(rng.choice(near if near and rng.random() < 0.8 else names))
+        steps = [frozenset(p) for p in zip(walk, walk[1:])]
+        valid = len(set(steps)) == len(steps) and all(p in pairs[kind] for p in steps)
+        assert PathWitness(tuple(walk), kind).is_valid_for(inst) == valid
 
 
 @settings(max_examples=100, deadline=None)
