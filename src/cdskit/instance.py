@@ -93,10 +93,10 @@ class CdsInstance:
     both ends of every qualified edge, then of every unqualified edge, as
     a flat int64 array.  Equality, hashing and repr read only the four
     public fields.  Building validates every instance, parsed or not, and
-    raises InstanceFormatError on the first of: a repeated vertex; a name,
-    in name order, that is not ``A<i>``/``B<i>`` (bipartite) or is not an
-    identifier other than S and Z (general); an edge, in order, that is
-    not a pair of vertex names, a self-loop, same-sided or a duplicate.
+    raises InstanceFormatError on the first of: a repeated vertex; a bad
+    name, in name order (``A<i>``/``B<i>`` in bipartite mode, an
+    identifier otherwise, never S or Z); an edge, in order, that is not a
+    pair of vertex names, a self-loop, same-sided or a duplicate.
     """
 
     vertices: tuple[str, ...]

@@ -161,7 +161,7 @@ class TestParsing:
             assert parse_instance(format_instance(inst)) == inst
 
     def test_edge_end_must_be_a_vertex(self):
-        with pytest.raises(ValueError, match="edge end 'B2' is not a vertex"):
+        with pytest.raises(InstanceFormatError, match="^edge end 'B2' is not a vertex$"):
             CdsInstance(("A1", "B1"), (("A1", "B1"),), (("A1", "B2"),), True)
 
     def test_edges_are_put_in_name_order(self):
@@ -199,7 +199,7 @@ class TestParsing:
     def test_repeated_vertex_rejected(self):
         # A repeat would leave an id that no edge touches, so A1 would pass
         # for degenerate although it has an unqualified edge.
-        with pytest.raises(ValueError, match="vertex 'A1' is listed twice"):
+        with pytest.raises(InstanceFormatError, match="^vertex 'A1' is listed twice$"):
             CdsInstance(
                 ("A1", "B2", "A1", "B1"), (("A1", "B1"),), (("A1", "B2"), ("B1", "B2")), False
             )
@@ -225,15 +225,10 @@ class TestDirectConstruction:
              "edge ('A1', 'B1', 'B1') is not a pair of vertex names"),
             (("A1", "B1"), (("A1", 1),), (), True, "edge ('A1', 1) is not a pair of vertex names"),
             (("A1", "B1"), ((), ("A1", "B1")), (), True, "edge () is not a pair of vertex names"),
-            (("A1", "B1"), (("A1", "B1"),), (("A1", "B2"),), True, "edge end 'B2' is not a vertex"),
-            (("A1", "B1", "A1"), (("A1", "B1"),), (), True, "vertex 'A1' is listed twice"),
-            (("A1", "B1", "B2"), (("A1", "B1"),), (("A1", "B2"), ("B1", "A1")), True,
-             "duplicate edge {A1, B1}"),
         ],
         ids=[
             "reserved-S", "reserved-Z", "no-side-label", "invalid-name", "same-side",
-            "self-loop", "one-name", "three-names", "not-a-name", "empty", "unknown-end",
-            "repeated-vertex", "duplicate",
+            "self-loop", "one-name", "three-names", "not-a-name", "empty",
         ],
     )
     def test_each_rule_is_enforced(self, vertices, qualified, unqualified, bipartite, message):

@@ -1138,8 +1138,8 @@ _scheme_line = st.one_of(
 def test_instance_text_parses_or_raises_format_error(text):
     try:
         parse_instance(text)
-    except InstanceFormatError:
-        pass
+    except InstanceFormatError as exc:
+        assert exc.line is not None
 
 
 @settings(max_examples=200, deadline=None)
